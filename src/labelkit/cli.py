@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -84,19 +83,16 @@ class RunConfig:
     epsilon: float = DEFAULT_EPSILON
     category: str | None = None
     which: str = "both"
-    threads: int = 0  # 0 means available parallelism
+    threads: int = 0  # accepted for compatibility; scoring runs in one thread
     thresholds: list[float] | None = None
     cross_category: bool = False
-
-    def effective_threads(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _load_config_file(path: str) -> dict:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -147,8 +143,8 @@ def _validate_config(cfg: RunConfig) -> None:
 
 
 def _knob_block(cfg: RunConfig) -> dict:
-    # Result-affecting knobs only; threads is performance-only and would
-    # break byte-identical reports across parallelism levels.
+    # Result-affecting knobs only; threads has no effect on results and
+    # stays out so reports are byte-identical at any --threads.
     return {
         "threshold": cfg.threshold,
         "beta": cfg.beta,
@@ -176,7 +172,9 @@ def _require(cfg: RunConfig, *names: str) -> None:
 
 
 def _open_text(path: str):
-    return open(path, encoding="utf-8", newline="")
+    # utf-8-sig drops a leading byte-order mark, which would otherwise
+    # become part of the first header name.
+    return open(path, encoding="utf-8-sig", newline="")
 
 
 def _read_catalog(cfg: RunConfig):
@@ -430,7 +428,6 @@ def cmd_eval_graph(cfg: RunConfig) -> int:
         beta=cfg.beta,
         fp_mode=cfg.fp_mode,
         scope=_scope_from_category(cfg, catalog),
-        threads=cfg.effective_threads(),
     )
     return _finish_eval(
         cfg,
@@ -514,7 +511,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
         beta=cfg.beta,
         fp_mode=cfg.fp_mode,
         scope=_scope_from_category(cfg, catalog),
-        threads=cfg.effective_threads(),
     )
     out_dir = Path(cfg.out)
     buffer = io.StringIO()
@@ -606,7 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--fp-mode", dest="fp_mode", choices=["literal", "complement"])
     common.add_argument("--epsilon", type=float, help="tie tolerance for compare")
     common.add_argument("--category", help="restrict to one category")
-    common.add_argument("--threads", type=int, help="worker threads (default: all cores)")
+    common.add_argument(
+        "--threads", type=int, help="accepted for compatibility; has no effect"
+    )
     common.add_argument(
         "--thresholds", type=_comma_floats, help="explicit sweep grid, comma-separated"
     )

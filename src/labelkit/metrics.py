@@ -1,16 +1,19 @@
 """Multi-label scoring: flat F-beta reports, or-aware and graph-aware
 variants, run-to-run deviation, and threshold sweeps.
 
-Counts for the flat reports are plain integers and every float reduction
-runs over samples in ascending id order through ``math.fsum``, so a report
-is byte-identical across repeated runs and thread counts.
+Counts for the flat reports are plain integers. Per-sample graph values are
+summed in ascending label order and their totals are correctly rounded
+(``math.fsum``, or the exact integer sums of :func:`sweep`), so a report is
+byte-identical across repeated runs and does not depend on sample order.
+Scoring runs in one thread; the ``threads`` parameters are accepted for
+compatibility and have no effect.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from statistics import pstdev
 from typing import IO, Callable, Iterable, Sequence
@@ -131,18 +134,12 @@ def threshold(
     """Binarize scores into predictions; a label is on when its score is at
     least the threshold (inclusive, so threshold 0.0 predicts every scored
     label)."""
-    if not 0.0 <= decision_threshold <= 1.0:
-        raise ValueError(f"decision threshold {decision_threshold!r} outside [0, 1]")
+    _check_decision_threshold(decision_threshold)
     if sample_ids is None:
         wanted = scores.sample_ids()
     else:
         wanted = list(sample_ids)
-        missing = [sid for sid in wanted if sid not in scores]
-        if missing:
-            raise EvalError(
-                f"score set has no rows for {len(missing)} requested samples "
-                f"(first: {missing[0]!r})"
-            )
+        _require_scored(scores, wanted)
     samples = (
         (
             sid,
@@ -155,6 +152,20 @@ def threshold(
         for sid in wanted
     )
     return AnnotationSet(samples, scores.known_labels)
+
+
+def _check_decision_threshold(decision_threshold: float) -> None:
+    if not 0.0 <= decision_threshold <= 1.0:
+        raise ValueError(f"decision threshold {decision_threshold!r} outside [0, 1]")
+
+
+def _require_scored(scores: ScoreSet, sample_ids: list[str]) -> None:
+    missing = [sid for sid in sample_ids if sid not in scores]
+    if missing:
+        raise EvalError(
+            f"score set has no rows for {len(missing)} requested samples "
+            f"(first: {missing[0]!r})"
+        )
 
 
 def enforce_exclusion(
@@ -278,19 +289,15 @@ def _aligned_sample_ids(
     return ids
 
 
-def _class_universe(
-    predictions: AnnotationSet,
-    truth: AnnotationSet,
-    scope: Iterable[int] | None,
-) -> list[int]:
+def _class_universe(known: frozenset[int], scope: Iterable[int] | None) -> list[int]:
+    """Sorted class ids: ``scope`` if given (a subset of ``known``), else ``known``."""
     if scope is not None:
         classes = frozenset(scope)
-        known = predictions.known_labels | truth.known_labels
         unknown = classes - known
         if unknown:
             raise EvalError(f"scope references unknown label ids {sorted(unknown)}")
         return sorted(classes)
-    return sorted(predictions.known_labels | truth.known_labels)
+    return sorted(known)
 
 
 def _finish_flat_report(
@@ -355,7 +362,7 @@ def fbeta_report(
     both sides); ``sample_filter`` keeps only sample ids it accepts.
     """
     ids = _aligned_sample_ids(predictions, truth, sample_filter)
-    classes = _class_universe(predictions, truth, scope)
+    classes = _class_universe(predictions.known_labels | truth.known_labels, scope)
     class_set = frozenset(classes)
     tp = {c: 0 for c in classes}
     fp = {c: 0 for c in classes}
@@ -384,7 +391,7 @@ def or_aware_report(
     predicting the label itself or any of its alternatives. False positives
     are unchanged: predicting a disjunction nothing supports still costs."""
     ids = _aligned_sample_ids(predictions, truth, sample_filter)
-    classes = _class_universe(predictions, truth, scope)
+    classes = _class_universe(predictions.known_labels | truth.known_labels, scope)
     class_set = frozenset(classes)
     satisfiers = {g.source: frozenset(g.members) | {g.source} for g in or_groups}
     tp = {c: 0 for c in classes}
@@ -458,35 +465,43 @@ def deviation_report(reports: Sequence[MetricReport]) -> dict:
 # Graph-aware report
 
 
-def _graph_sample_counts(
-    t: frozenset[int],
-    p: frozenset[int],
-    graph: RelationGraph,
-    fp_mode: str,
+def _check_graph_args(fp_mode: str, threads: int) -> None:
+    if fp_mode not in ("literal", "complement"):
+        raise EvalError(f"unknown fp_mode {fp_mode!r}")
+    if threads < 1:
+        raise EvalError(f"threads must be positive, got {threads}")
+
+
+def _add_prediction(
+    pred: int, labels: list[int], label_best: list[float], graph: RelationGraph
+) -> float:
+    """Credit one prediction against a sample's true ``labels``: raise each
+    label's best credit in ``label_best`` and return the prediction's own
+    best credit. Graph distance is symmetric, so one lookup serves both."""
+    best = 0.0
+    for j, label in enumerate(labels):
+        credit = 1.0 / (graph.distance(label, pred) + 1.0)
+        if credit > label_best[j]:
+            label_best[j] = credit
+        if credit > best:
+            best = credit
+    return best
+
+
+def _graph_counts(
+    label_best: list[float], pred_best: list[float], fp_mode: str
 ) -> tuple[float, float, float]:
+    """One sample's (tp, fp, fn) from the best credits of its true labels and
+    of its predictions, each list in ascending label order. Both sums run in
+    that order, so every caller gets the same floats for the same sets."""
     tp = 0.0
-    for label in sorted(t):
-        best = 0.0
-        for pred in p:
-            credit = 1.0 / (graph.distance(label, pred) + 1.0)
-            if credit > best:
-                best = credit
-                if best == 1.0:
-                    break
-        tp += best
-    fn = len(t) - tp
+    for credit in label_best:
+        tp += credit
     matched = 0.0
-    for pred in sorted(p):
-        best = 0.0
-        for label in t:
-            credit = 1.0 / (graph.distance(pred, label) + 1.0)
-            if credit > best:
-                best = credit
-                if best == 1.0:
-                    break
-        matched += best
-    fp = matched if fp_mode == "literal" else len(p) - matched
-    return tp, fp, fn
+    for credit in pred_best:
+        matched += credit
+    fp = matched if fp_mode == "literal" else len(pred_best) - matched
+    return tp, fp, len(label_best) - tp
 
 
 def graph_fbeta_report(
@@ -507,28 +522,24 @@ def graph_fbeta_report(
     under which even a perfect prediction pays), "complement" charges the
     credit shortfall, which reduces to the flat report on an edgeless graph.
 
-    Per-sample tuples are reduced in ascending sample-id order with
-    ``math.fsum``, so the totals do not depend on ``threads``.
+    Each sample's credits are summed in ascending label order and the
+    per-sample tuples are totalled with ``math.fsum``, which rounds
+    correctly, so the totals do not depend on sample order. ``threads`` is
+    accepted for compatibility and must be positive; it has no effect.
     """
-    if fp_mode not in ("literal", "complement"):
-        raise EvalError(f"unknown fp_mode {fp_mode!r}")
-    if threads < 1:
-        raise EvalError(f"threads must be positive, got {threads}")
+    _check_graph_args(fp_mode, threads)
     ids = _aligned_sample_ids(predictions, truth, sample_filter)
-    classes = _class_universe(predictions, truth, scope)
+    classes = _class_universe(predictions.known_labels | truth.known_labels, scope)
     class_set = frozenset(classes)
-
-    def one(sid: str) -> tuple[float, float, float]:
-        t = truth.labels_for(sid) & class_set
-        p = predictions.labels_for(sid) & class_set
-        return _graph_sample_counts(t, p, graph, fp_mode)
-
-    if threads == 1 or len(ids) < 2:
-        rows = [one(sid) for sid in ids]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, ids, chunksize=64))
-
+    rows = []
+    for sid in ids:
+        labels = sorted(truth.labels_for(sid) & class_set)
+        label_best = [0.0] * len(labels)
+        pred_best = [
+            _add_prediction(pred, labels, label_best, graph)
+            for pred in sorted(predictions.labels_for(sid) & class_set)
+        ]
+        rows.append(_graph_counts(label_best, pred_best, fp_mode))
     total_tp = math.fsum(r[0] for r in rows)
     total_fp = math.fsum(r[1] for r in rows)
     total_fn = math.fsum(r[2] for r in rows)
@@ -549,6 +560,17 @@ def graph_fbeta_report(
 # ---------------------------------------------------------------------------
 # Threshold sweeps
 
+# Every finite float is an integer multiple of 2**-1074, the smallest
+# subnormal, so sums in that unit are exact.
+_EXACT_BITS = 1074
+_EXACT_ONE = 1 << _EXACT_BITS
+
+
+def _exact(value: float) -> int:
+    """``value`` in units of 2**-1074, exactly."""
+    num, den = value.as_integer_ratio()
+    return num << (_EXACT_BITS + 1 - den.bit_length())
+
 
 def default_threshold_grid(
     n: int = 64, lo: float = 0.0025, hi: float = 0.5
@@ -562,6 +584,33 @@ def default_threshold_grid(
     return grid
 
 
+def _graph_sweep_steps(
+    t: frozenset[int],
+    entering: dict[int, list[int]],
+    graph: RelationGraph,
+    fp_mode: str,
+    steps: list[list[int]],
+) -> None:
+    """Add one sample's graph (tp, fp, fn) to ``steps`` as exact changes:
+    at the last index its values with nothing predicted, at index i the
+    change when the predictions ``entering[i]`` join at grid point i."""
+    labels = sorted(t)
+    label_best = [0.0] * len(labels)
+    preds: list[int] = []
+    pred_best: list[float] = []
+    before = (0, 0, 0)
+    for i in (len(steps) - 1, *sorted(entering, reverse=True)):
+        for pred in entering.get(i, ()):
+            at = bisect_left(preds, pred)
+            preds.insert(at, pred)
+            pred_best.insert(at, _add_prediction(pred, labels, label_best, graph))
+        after = tuple(_exact(v) for v in _graph_counts(label_best, pred_best, fp_mode))
+        step = steps[i]
+        for j in range(3):
+            step[j] += after[j] - before[j]
+        before = after
+
+
 def sweep(
     scores: ScoreSet,
     truth: AnnotationSet,
@@ -572,36 +621,78 @@ def sweep(
     scope: Iterable[int] | None = None,
     threads: int = 1,
 ) -> list[dict]:
-    """Evaluate a score set at each decision threshold.
+    """Evaluate a score set at each decision threshold, reading each score
+    row once.
 
     Each row carries the flat micro/macro scores and, when a graph is given,
     the graph micro score, so metric families for consistency comparison can
-    be read straight off the sweep.
+    be read straight off the sweep. Rows and errors are those of
+    thresholding at each grid point and running :func:`fbeta_report` and
+    :func:`graph_fbeta_report` on the result; ``threads`` has no effect.
+
+    A score row is predicted at every grid point up to the highest one it
+    reaches (``bisect_right``: thresholding is inclusive). Walking the grid
+    from high to low, per-class tallies of those positions give the flat
+    counts, and a sample's graph values are recomputed only where its
+    predictions grow. Graph totals are exact integer sums, which round to
+    the same floats as ``math.fsum``.
     """
     grid = sorted(thresholds) if thresholds is not None else default_threshold_grid()
+    if not grid:
+        return []
+    _check_decision_threshold(grid[0])
     truth_ids = truth.sample_ids()
-    rows: list[dict] = []
+    _require_scored(scores, truth_ids)
+    classes = _class_universe(scores.known_labels | truth.known_labels, scope)
+    if graph is not None:
+        _check_graph_args(fp_mode, threads)
     for t in grid:
-        predictions = threshold(scores, t, truth_ids)
-        flat = fbeta_report(predictions, truth, beta=beta, scope=scope)
+        _check_decision_threshold(t)
+    class_set = frozenset(classes)
+    n = len(grid)
+    # Per grid index: the labels first predicted there, split by truth, and
+    # the exact change of the graph totals; index n holds the graph totals
+    # with nothing predicted.
+    hits: list[list[int]] = [[] for _ in range(n)]
+    misses: list[list[int]] = [[] for _ in range(n)]
+    graph_steps = [[0, 0, 0] for _ in range(n + 1)]
+    fn = dict.fromkeys(classes, 0)
+    for sid in truth_ids:
+        t = truth.labels_for(sid) & class_set
+        for label in t:
+            fn[label] += 1
+        entering: dict[int, list[int]] = {}
+        for label, score in scores.scores_for(sid).items():
+            if label in class_set:
+                i = bisect_right(grid, score) - 1
+                if i >= 0:
+                    (hits if label in t else misses)[i].append(label)
+                    entering.setdefault(i, []).append(label)
+        if graph is not None:
+            _graph_sweep_steps(t, entering, graph, fp_mode, graph_steps)
+
+    tp = dict.fromkeys(classes, 0)
+    fp = dict.fromkeys(classes, 0)
+    graph_totals = graph_steps[n]
+    rows: list[dict] = []
+    for i in range(n - 1, -1, -1):
+        for label in hits[i]:
+            tp[label] += 1
+            fn[label] -= 1
+        for label in misses[i]:
+            fp[label] += 1
+        flat = _finish_flat_report("flat", beta, classes, tp, fp, fn, len(truth_ids))
         row = {
-            "threshold": t,
+            "threshold": grid[i],
             "flat_micro_f": flat.micro_f,
             "flat_macro_f": flat.macro_f,
             "micro_accuracy": flat.micro_accuracy,
         }
         if graph is not None:
-            g = graph_fbeta_report(
-                predictions,
-                truth,
-                graph,
-                beta=beta,
-                fp_mode=fp_mode,
-                scope=scope,
-                threads=threads,
-            )
-            row["graph_micro_f"] = g.micro_f
+            graph_totals = [a + b for a, b in zip(graph_totals, graph_steps[i])]
+            row["graph_micro_f"] = fbeta(*(v / _EXACT_ONE for v in graph_totals), beta)
         rows.append(row)
+    rows.reverse()
     return rows
 
 

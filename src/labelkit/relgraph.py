@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-import threading
 from collections import deque
 from typing import IO, Iterable, Sequence
 
@@ -48,7 +47,6 @@ class RelationGraph:
         self._edges = frozenset(edge_set)
         self._adjacency = {node: tuple(sorted(peers)) for node, peers in adjacency.items()}
         self._bfs_cache: dict[int, dict[int, int]] = {}
-        self._lock = threading.Lock()
 
     @property
     def nodes(self) -> frozenset[int]:
@@ -86,9 +84,8 @@ class RelationGraph:
                     if peer not in dist:
                         dist[peer] = d
                         queue.append(peer)
-        with self._lock:
-            # Another thread may have raced us here; result is identical.
-            return self._bfs_cache.setdefault(source, dist)
+        self._bfs_cache[source] = dist
+        return dist
 
     def distance(self, a: int, b: int) -> float:
         """Shortest-path length between two ids, 0 for a == b even off the
@@ -97,11 +94,6 @@ class RelationGraph:
             return 0
         d = self._distances_from(a).get(b)
         return INFINITE if d is None else d
-
-    def precompute(self, sources: Iterable[int]) -> None:
-        """Warm the BFS cache, so threaded evaluation mostly reads."""
-        for source in sources:
-            self._distances_from(source)
 
     def connected_components(self) -> list[frozenset[int]]:
         """Components sorted by descending size, ties by smallest member."""

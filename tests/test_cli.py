@@ -619,3 +619,58 @@ def test_json_reports_have_no_nan_tokens(corpus, tmp_path):
     assert all(
         v["f"] is None or math.isfinite(v["f"]) for v in doc["per_class"].values()
     )
+
+
+# ---------------------------------------------------------------------------
+# Input encodings
+
+
+def _reencode(path, dest, bom, crlf):
+    text = path.read_text(encoding="utf-8")
+    if crlf:
+        text = text.replace("\n", "\r\n")
+    dest.write_bytes((b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8"))
+    return dest
+
+
+def _graph_runs(paths, out_dir):
+    inputs = (
+        "--labels", paths["labels"],
+        "--annotations", paths["annotations"],
+        "--scores", paths["scores"],
+        "--graph-edges", paths["edges"],
+    )
+    assert run("eval-graph", *inputs, "--out", out_dir / "eval_graph.json") == 0
+    assert run("sweep", *inputs, "--out", out_dir / "sweep") == 0
+    doc = read_json(out_dir / "eval_graph.json")
+    del doc["provenance"]  # input digests differ with the encoding
+    return doc, [(out_dir / "sweep" / n).read_bytes() for n in ("sweep.csv", "family.csv")]
+
+
+@pytest.mark.parametrize("bom, crlf", [(True, False), (False, True), (True, True)])
+def test_bom_and_crlf_inputs_read_like_plain(corpus, tmp_path, bom, crlf):
+    encoded_dir = tmp_path / "encoded"
+    encoded_dir.mkdir()
+    encoded = {
+        name: _reencode(corpus[name], encoded_dir / corpus[name].name, bom, crlf)
+        for name in ("labels", "annotations", "scores", "edges")
+    }
+    assert _graph_runs(encoded, tmp_path / "out-encoded") == _graph_runs(
+        corpus, tmp_path / "out-plain"
+    )
+
+
+def test_config_file_with_bom(corpus, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"threshold": 0.3}).encode("utf-8"))
+    out = tmp_path / "eval.json"
+    code = run(
+        "eval",
+        "--config", config,
+        "--labels", corpus["labels"],
+        "--annotations", corpus["annotations"],
+        "--scores", corpus["scores"],
+        "--out", out,
+    )
+    assert code == 0
+    assert read_json(out)["provenance"]["config"]["threshold"] == 0.3
