@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
@@ -326,12 +327,16 @@ def find_duplicates(
     score 1.0 regardless of their raw ratio. Results are sorted by descending
     score, then ascending id pair, so reports are stable.
 
-    This is the hot path: the full pairwise scan is quadratic in catalog
-    size, so comparisons run through the capped edit-distance kernel with a
-    length pre-filter.
+    This is the hot path. Comparing every pair is quadratic in catalog size,
+    so each pool is joined instead: fold-equal names pair up through a
+    dictionary, and the edit-distance kernel verifies only pairs that pass a
+    length window and a bigram count filter (see :func:`_join_pool`).
+    Raises ``ValueError`` for a threshold outside (0, 1] or an unknown
+    ``category``.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    _check_category(catalog, category)
 
     records = [r for r in catalog if category is None or r.category == category]
     if same_category_only:
@@ -344,32 +349,81 @@ def find_duplicates(
 
     pairs: list[DuplicatePair] = []
     for group in groups:
-        strings = [r.canonical for r in group]
-        folded = [_fold_hyphens(s) for s in strings]
-        lengths = [len(s) for s in strings]
-        n = len(group)
-        for i in range(n):
-            si, fi, li = strings[i], folded[i], lengths[i]
-            for j in range(i + 1, n):
-                longest = max(li, lengths[j])
-                if longest == 0:
-                    score = 1.0
-                elif fi == folded[j]:
-                    score = 1.0
-                else:
-                    # Smallest cap that cannot lose a qualifying pair.
-                    cap = min(longest, int((1.0 - threshold) * longest) + 1)
-                    d = edit_distance_capped(si, strings[j], cap)
-                    if d > cap:
-                        continue
-                    score = 1.0 - d / longest
-                if score >= threshold:
-                    a, b = group[i], group[j]
-                    if a.id > b.id:
-                        a, b = b, a
-                    pairs.append(DuplicatePair(a, b, score))
+        pairs.extend(_join_pool(group, threshold))
     pairs.sort(key=lambda p: (-p.score, p.a.id, p.b.id))
     return pairs
+
+
+def _ordered_pair(a: LabelRecord, b: LabelRecord, score: float) -> DuplicatePair:
+    return DuplicatePair(a, b, score) if a.id < b.id else DuplicatePair(b, a, score)
+
+
+def _join_pool(group: list[LabelRecord], threshold: float) -> list[DuplicatePair]:
+    """Pairs of one pool that score at least ``threshold``, unsorted.
+
+    Names with equal hyphen folds pair up with score 1.0 through a
+    dictionary. For the other pairs, names are visited shortest first, so
+    each pair is found from its longer name, of length ``L``, with
+    ``K = min(L, int((1 - threshold) * L) + 1)`` the smallest distance cap
+    that cannot lose a qualifying pair. A partner within distance ``K`` is at
+    least ``L - K`` long, and it shares at least ``L - 1 - 2K`` bigrams
+    (counted with multiplicity) with the name, since each edit destroys at
+    most two of the name's ``L - 1`` bigrams (Ukkonen's q-gram lemma). Only
+    partners passing both filters reach the kernel; when the bigram bound is
+    not positive, every partner in the length window does.
+    """
+    pool = sorted(group, key=lambda r: len(r.canonical))
+    lengths = [len(r.canonical) for r in pool]
+    folds = [_fold_hyphens(r.canonical) for r in pool]
+    pairs: list[DuplicatePair] = []
+    by_fold: dict[str, list[LabelRecord]] = {}
+    for fold, record in zip(folds, pool):
+        by_fold.setdefault(fold, []).append(record)
+    for members in by_fold.values():
+        for i, a in enumerate(members):
+            pairs.extend(_ordered_pair(a, b, 1.0) for b in members[i + 1:])
+
+    # (bigram, occurrence number) -> ascending pool positions. Numbering the
+    # repeats of a bigram makes the shared count of two names, with
+    # multiplicity, the number of keys whose postings hold both.
+    postings: dict[tuple[str, int], list[int]] = {}
+    for pos, record in enumerate(pool):
+        name, length = record.canonical, lengths[pos]
+        cap = min(length, int((1.0 - threshold) * length) + 1)
+        start = bisect_left(lengths, length - cap, 0, pos)
+        seen: Counter[str] = Counter()
+        grams = []
+        for i in range(length - 1):
+            gram = name[i:i + 2]
+            seen[gram] += 1
+            grams.append((gram, seen[gram]))
+        bound = length - 1 - 2 * cap
+        if bound <= 0:
+            candidates: Iterable[int] = range(start, pos)
+        else:
+            shared: Counter[int] = Counter()
+            for gram in grams:
+                posting = postings.get(gram)
+                if posting is not None:
+                    shared.update(posting[bisect_left(posting, start):])
+            candidates = [other for other, n in shared.items() if n >= bound]
+        for other in candidates:
+            if folds[other] == folds[pos]:
+                continue
+            d = edit_distance_capped(pool[other].canonical, name, cap)
+            if d > cap:
+                continue
+            score = 1.0 - d / length
+            if score >= threshold:
+                pairs.append(_ordered_pair(pool[other], record, score))
+        for gram in grams:
+            postings.setdefault(gram, []).append(pos)
+    return pairs
+
+
+def _check_category(catalog: LabelCatalog, category: str | None) -> None:
+    if category is not None and category not in catalog.categories():
+        raise ValueError(f"unknown category {category!r}")
 
 
 def find_hierarchy_candidates(
@@ -379,8 +433,10 @@ def find_hierarchy_candidates(
 
     A is proposed as a parent of B when A's word tokens form a strict
     contiguous subsequence of B's, so both "black" and "chalk" are proposed
-    as parents of "black chalk", but reorderings are not.
+    as parents of "black chalk", but reorderings are not. Raises
+    ``ValueError`` for an unknown ``category``.
     """
+    _check_category(catalog, category)
     by_tokens: dict[tuple[str, tuple[str, ...]], list[LabelRecord]] = {}
     records = [r for r in catalog if category is None or r.category == category]
     token_lists: list[tuple[LabelRecord, tuple[str, ...]]] = []

@@ -91,6 +91,24 @@ class RunConfig:
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# What a config-file value must be, by the annotation of its RunConfig field.
+_VALUE_CHECKS = {
+    "float": ("a number", _is_number),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "list[float] | None": (
+        "a list of numbers or null",
+        lambda v: v is None or (isinstance(v, list) and all(map(_is_number, v))),
+    ),
+}
+
+
 def _load_config_file(path: str) -> dict:
     with open(path, encoding="utf-8-sig") as handle:
         try:
@@ -104,6 +122,14 @@ def _load_config_file(path: str) -> dict:
         raise LabelKitError(
             f"config file {path}: unknown keys {', '.join(sorted(unknown))}"
         )
+    for f in fields(RunConfig):
+        if f.name in doc:
+            expected, valid = _VALUE_CHECKS[f.type]
+            if not valid(doc[f.name]):
+                raise LabelKitError(
+                    f"config file {path}: {f.name} must be {expected}, "
+                    f"got {json.dumps(doc[f.name])}"
+                )
     return doc
 
 

@@ -80,12 +80,20 @@ def write_json(doc, path: str | os.PathLike) -> None:
 
 
 def write_text(text: str, path: str | os.PathLike) -> None:
+    """Atomically and durably replace ``path`` with ``text`` (UTF-8).
+
+    The temporary file is synced before the rename, so the rename never
+    exposes a file whose bytes are not yet on disk, and the directory is
+    synced after it, so the rename itself survives a crash.
+    """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_name, target)
     except BaseException:
         try:
@@ -93,3 +101,8 @@ def write_text(text: str, path: str | os.PathLike) -> None:
         except OSError:
             pass
         raise
+    dir_fd = os.open(target.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)

@@ -4,31 +4,23 @@ Edit distance and similarity ratio drive duplicate detection; connective
 splitting ("and" / "or") and word tokenization drive label decomposition and
 hierarchy candidate search.
 
-The Levenshtein kernel comes from the compiled extension when it was built,
-otherwise from the pure-Python twin. Set ``LABELKIT_PURE_PYTHON=1`` to force
-the fallback (used by the benchmark and for debugging).
+The Levenshtein kernel is a single pure-Python implementation. Duplicate
+detection keeps it off the quadratic path: it verifies only the pairs that
+pass a q-gram count filter (see ``cleanse.find_duplicates``).
 """
 
 from __future__ import annotations
 
 import enum
-import os
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-if os.environ.get("LABELKIT_PURE_PYTHON"):
-    from . import _editdist_py as _kernel
-else:
-    try:
-        from . import _editdist as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        from . import _editdist_py as _kernel  # type: ignore[no-redef]
-
 if TYPE_CHECKING:
     from .catalog import LabelCatalog
 
-EDITDIST_BACKEND: str = _kernel.BACKEND
+# Name of the edit-distance implementation, recorded in benchmark run metadata.
+EDITDIST_BACKEND = "python"
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -77,18 +69,66 @@ class ConnectiveSplit:
         return tuple(r for r in self.resolution if r is not None)
 
 
+def _trim(a: str, b: str) -> tuple[str, str]:
+    # A shared prefix/suffix never participates in an optimal edit script.
+    lo = 0
+    hi_a, hi_b = len(a), len(b)
+    while lo < hi_a and lo < hi_b and a[lo] == b[lo]:
+        lo += 1
+    while hi_a > lo and hi_b > lo and a[hi_a - 1] == b[hi_b - 1]:
+        hi_a -= 1
+        hi_b -= 1
+    return a[lo:hi_a], b[lo:hi_b]
+
+
 def edit_distance(a: str, b: str) -> int:
     """Standard Levenshtein distance over Unicode code points.
 
     Insertions, deletions and substitutions all cost 1.
     """
-    return _kernel.distance(a, b)
+    # No distance exceeds the longer length, so this cap never cuts short.
+    return edit_distance_capped(a, b, max(len(a), len(b)))
 
 
 def edit_distance_capped(a: str, b: str, cap: int) -> int:
     """Like :func:`edit_distance`, but returns ``cap + 1`` once the distance
-    provably exceeds ``cap``. Used by pairwise scans to skip hopeless pairs."""
-    return _kernel.distance_capped(a, b, cap)
+    provably exceeds ``cap``. Used by pairwise scans to skip hopeless pairs.
+
+    Any alignment of the full strings passes through one cell per DP row, so
+    once every entry of a row exceeds ``cap`` the final distance must too.
+    """
+    if cap < 0:
+        return 0 if a == b else cap + 1
+    if a == b:
+        return 0
+    a, b = _trim(a, b)
+    if abs(len(a) - len(b)) > cap:
+        return cap + 1
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    if len(a) > len(b):
+        a, b = b, a
+
+    prev = list(range(len(a) + 1))
+    for j, cb in enumerate(b, start=1):
+        cur = [j]
+        append = cur.append
+        best = j
+        for i, ca in enumerate(a, start=1):
+            v = min(
+                prev[i] + 1,
+                cur[i - 1] + 1,
+                prev[i - 1] + (ca != cb),
+            )
+            append(v)
+            if v < best:
+                best = v
+        if best > cap:
+            return cap + 1
+        prev = cur
+    return prev[-1] if prev[-1] <= cap else cap + 1
 
 
 def similarity_ratio(a: str, b: str) -> float:
@@ -100,7 +140,7 @@ def similarity_ratio(a: str, b: str) -> float:
     if a == b:
         return 1.0
     longest = max(len(a), len(b))
-    return 1.0 - _kernel.distance(a, b) / longest
+    return 1.0 - edit_distance(a, b) / longest
 
 
 def split_connective(name: str, connective: Connective) -> list[str]:

@@ -5,10 +5,13 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from labelkit.catalog import AnnotationSet, LabelCatalog, LabelRecord
 from labelkit.cleanse import (
     AndSplit,
+    DuplicatePair,
     Merge,
     OrGroup,
     TransformPlan,
@@ -26,9 +29,10 @@ from labelkit.cleanse import (
     tally_as_dict,
     validate_plan,
     write_plan,
+    _fold_hyphens,
 )
 from labelkit.errors import PlanError
-from labelkit.textkit import Connective, SplitClass, similarity_ratio
+from labelkit.textkit import Connective, SplitClass, edit_distance_capped, similarity_ratio
 from conftest import build_annotations, build_catalog
 
 
@@ -50,6 +54,129 @@ def brute_force_duplicates(catalog, threshold, same_category_only=True):
             if score >= threshold:
                 found.add((a.id, b.id))
     return found
+
+
+def all_pairs_duplicates(catalog, threshold, same_category_only=True, category=None):
+    """The all-pairs scan ``find_duplicates`` ran before its filtered join:
+    every pair of a pool through the capped kernel. Same pairs, scores and
+    order are expected from the join."""
+    records = [r for r in catalog if category is None or r.category == category]
+    if same_category_only:
+        pools = {}
+        for record in records:
+            pools.setdefault(record.category, []).append(record)
+        groups = pools.values()
+    else:
+        groups = [records]
+
+    pairs = []
+    for group in groups:
+        strings = [r.canonical for r in group]
+        folded = [_fold_hyphens(s) for s in strings]
+        lengths = [len(s) for s in strings]
+        n = len(group)
+        for i in range(n):
+            si, fi, li = strings[i], folded[i], lengths[i]
+            for j in range(i + 1, n):
+                longest = max(li, lengths[j])
+                if longest == 0:
+                    score = 1.0
+                elif fi == folded[j]:
+                    score = 1.0
+                else:
+                    # Smallest cap that cannot lose a qualifying pair.
+                    cap = min(longest, int((1.0 - threshold) * longest) + 1)
+                    d = edit_distance_capped(si, strings[j], cap)
+                    if d > cap:
+                        continue
+                    score = 1.0 - d / longest
+                if score >= threshold:
+                    a, b = group[i], group[j]
+                    if a.id > b.id:
+                        a, b = b, a
+                    pairs.append(DuplicatePair(a, b, score))
+    pairs.sort(key=lambda p: (-p.score, p.a.id, p.b.id))
+    return pairs
+
+
+# Near-duplicates come from random edits of a few base names, so pairs at
+# every distance occur; the fixed names add hyphen-fold ties, repeated and
+# empty canonical names, whitespace-only names (canonically empty) and
+# Unicode that NFC-normalizes or lowercases to an existing name.
+_DUPE_ALPHABET = "abcé漢 -"
+_FIXED_NAMES = ["", "   ", "\t", "-", "--", "a", "a-", "bronze gilt", "bronze-gilt",
+                "bronze - gilt", "Bronze-Gilt", "watercolor", "watercolour",
+                "naïve", "nai\u0308ve", "ÉTÉ", "été", "straße", "strasse"]
+
+
+@st.composite
+def _edited(draw, base):
+    chars = list(base)
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["insert", "delete", "substitute"]))
+        at = draw(st.integers(0, len(chars)))
+        char = draw(st.sampled_from(_DUPE_ALPHABET))
+        if op == "insert":
+            chars.insert(at, char)
+        elif at < len(chars):
+            if op == "delete":
+                del chars[at]
+            else:
+                chars[at] = char
+    return "".join(chars)
+
+
+@st.composite
+def _dupe_catalogs(draw):
+    bases = draw(st.lists(st.text(alphabet=_DUPE_ALPHABET, max_size=16), min_size=1, max_size=4))
+    names = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_FIXED_NAMES),
+                st.sampled_from(bases).flatmap(_edited),
+                st.text(max_size=6),
+            ),
+            max_size=24,
+        )
+    )
+    categories = [draw(st.sampled_from(["m", "t", "c"])) for _ in names]
+    ids = draw(st.permutations(range(len(names))))
+    return LabelCatalog(LabelRecord(i, c, n) for i, c, n in zip(ids, categories, names))
+
+
+@given(
+    catalog=_dupe_catalogs(),
+    threshold=st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        st.sampled_from([1.0, 0.9, 0.8, 0.75, 2 / 3, 0.5, 1e-9, 5e-324]),
+    ),
+    same_category_only=st.booleans(),
+    scoped=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+# Thresholds where float rounding lets a pair at distance exactly K qualify:
+# a partner at the bottom of the length window, and a pair with a zero
+# bigram bound that shares no bigram at all.
+@example(build_catalog([(0, "m", "abcdefghij"), (1, "m", "abcdefghi")]), 0.9, True, False)
+@example(build_catalog([(0, "m", "abc"), (1, "m", "axc")]), 1 - 1 / 3, True, False)
+def test_find_duplicates_matches_all_pairs(catalog, threshold, same_category_only, scoped):
+    category = catalog.categories()[0] if scoped and len(catalog) else None
+    got = find_duplicates(
+        catalog, threshold=threshold, same_category_only=same_category_only, category=category
+    )
+    want = all_pairs_duplicates(catalog, threshold, same_category_only, category)
+    assert got == want
+
+
+def test_find_duplicates_filter_engages_on_long_names():
+    # Long names at a high threshold give a positive bigram bound, so the
+    # count filter, not the window fallback, picks the verified pairs.
+    rng = random.Random(3)
+    base = ["".join(rng.choice("abcdefgh ") for _ in range(rng.randrange(15, 40))) for _ in range(20)]
+    names = base + [b[:k] + rng.choice("xyz") + b[k + 1:] for b in base for k in (3, 9)]
+    catalog = LabelCatalog(LabelRecord(i, "m", n) for i, n in enumerate(names))
+    for threshold in (0.95, 0.9, 0.8, 0.6):
+        assert find_duplicates(catalog, threshold) == all_pairs_duplicates(catalog, threshold)
 
 
 def test_find_duplicates_mini(mini_catalog):
@@ -101,6 +228,13 @@ def test_find_duplicates_cross_category(mini_catalog):
 def test_find_duplicates_category_filter(mini_catalog):
     pairs = find_duplicates(mini_catalog, threshold=0.5, category="dimension")
     assert all(p.a.category == "dimension" for p in pairs)
+
+
+def test_unknown_category_rejected(mini_catalog):
+    with pytest.raises(ValueError, match="unknown category 'nosuch'"):
+        find_duplicates(mini_catalog, category="nosuch")
+    with pytest.raises(ValueError, match="unknown category 'nosuch'"):
+        find_hierarchy_candidates(mini_catalog, category="nosuch")
 
 
 def test_find_duplicates_rejects_bad_threshold(mini_catalog):

@@ -158,6 +158,17 @@ def test_hierarchy_command(corpus, tmp_path):
     assert "present-day france" in text
 
 
+@pytest.mark.parametrize("command", ["dupes", "hierarchy"])
+def test_unknown_category_rejected(corpus, tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    code = run(command, "--labels", corpus["labels"], "--category", "nosuch", "--out", out)
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "unknown category 'nosuch'"
+
+
 def test_connectives_command(corpus, tmp_path):
     out = tmp_path / "conn.json"
     assert run("connectives", "--labels", corpus["labels"], "--out", out) == 0
@@ -453,6 +464,38 @@ def test_config_invalid_values(corpus, capsys):
     )
     assert code == 2
     assert "outside" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"threshold": "0.5"}, "threshold"),
+        ({"similarity": None}, "similarity"),
+        ({"thresholds": 0.5}, "thresholds"),
+        ({"thresholds": [0.1, "0.5"]}, "thresholds"),
+        ({"beta": True}, "beta"),
+        ({"threads": 1.5}, "threads"),
+        ({"cross_category": "yes"}, "cross_category"),
+        ({"category": 3}, "category"),
+        ({"labels": ["a.csv"]}, "labels"),
+        ({"fp_mode": None}, "fp_mode"),
+    ],
+)
+def test_config_wrong_value_types(corpus, tmp_path, capsys, doc, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code = run("dupes", "--config", config, "--labels", corpus["labels"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{key} must be" in json.loads(err)["error"]
+
+
+def test_config_accepts_ints_and_nulls(corpus, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"similarity": 1, "category": None, "thresholds": None,
+                                  "threads": 2, "cross_category": False}))
+    assert run("dupes", "--config", config, "--labels", corpus["labels"]) == 0
 
 
 # ---------------------------------------------------------------------------

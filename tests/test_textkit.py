@@ -1,7 +1,7 @@
 """Edit distance kernels, string splitting, and token resolution.
 
 The distance oracle here is an independent textbook recursion; the shipped
-kernels must agree with it exactly, whichever backend is active.
+kernel must agree with it exactly.
 """
 
 import functools
@@ -13,8 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelkit import textkit
-from labelkit._editdist_py import distance as py_distance
-from labelkit._editdist_py import distance_capped as py_distance_capped
 from labelkit.textkit import (
     Connective,
     ConnectiveSplit,
@@ -94,24 +92,24 @@ def test_capped_distance_contract(a, b, cap):
 
 
 def test_backends_agree():
-    # The active backend (compiled when available) must match the pure twin
-    # exactly, including the capped early-exit values.
+    # The kernel must match the oracle exactly, including the capped
+    # early-exit values.
     rng = random.Random(7)
     alphabet = "abcdef -"
     for _ in range(300):
         a = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 16)))
         b = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 16)))
-        assert textkit.edit_distance(a, b) == py_distance(a, b)
+        want = oracle_distance(a, b)
+        assert textkit.edit_distance(a, b) == want
         for cap in (0, 1, 2, 5):
-            lhs = textkit.edit_distance_capped(a, b, cap)
-            rhs = py_distance_capped(a, b, cap)
-            assert (lhs <= cap) == (rhs <= cap)
-            if lhs <= cap:
-                assert lhs == rhs
+            got = textkit.edit_distance_capped(a, b, cap)
+            assert (got <= cap) == (want <= cap)
+            if got <= cap:
+                assert got == want
 
 
 def test_backend_name_exported():
-    assert textkit.EDITDIST_BACKEND in ("cython", "python")
+    assert textkit.EDITDIST_BACKEND == "python"
 
 
 def test_unicode_distance():
