@@ -222,34 +222,58 @@ def load_plan(
         except KeyError as exc:
             raise PlanError(f"{context}: {exc.args[0]}") from None
 
+    def entries(section: str, *keys: str, lists: tuple[str, ...] = ()) -> list:
+        """The section's entries, checked for shape: objects holding ``keys``
+        and the list-valued ``lists``, or lists for a section without keys."""
+        items = doc.get(section, [])
+        if not isinstance(items, list):
+            raise PlanError(f"{section}: expected a list, got {items!r}")
+        for index, entry in enumerate(items):
+            where = f"{section}[{index}]"
+            if not isinstance(entry, dict if keys or lists else list):
+                shape = "an object" if keys or lists else "a list"
+                raise PlanError(f"{where}: expected {shape}, got {entry!r}")
+            for key in keys + lists:
+                if key not in entry:
+                    raise PlanError(f"{where}: missing key {key!r}")
+            for key in lists:
+                if not isinstance(entry[key], list):
+                    raise PlanError(f"{where}: {key!r} must be a list, got {entry[key]!r}")
+        return items
+
     plan = TransformPlan()
-    for entry in doc.get("merges", []):
+    for entry in entries("merges", "survivor", lists=("absorbed",)):
         plan.merges.append(
             Merge(
                 survivor=rid(entry["survivor"], "merge"),
                 absorbed=tuple(rid(t, "merge") for t in entry["absorbed"]),
             )
         )
-    for entry in doc.get("hierarchy_edges", []):
+    for entry in entries("hierarchy_edges", "super", "sub"):
         plan.hierarchy_edges.append(
             (rid(entry["super"], "hierarchy edge"), rid(entry["sub"], "hierarchy edge"))
         )
-    for entry in doc.get("and_splits", []):
+    for index, entry in enumerate(entries("and_splits", "source", lists=("tokens",))):
+        remove_source = entry.get("remove_source", False)
+        if not isinstance(remove_source, bool):
+            raise PlanError(
+                f"and_splits[{index}]: 'remove_source' must be a boolean, got {remove_source!r}"
+            )
         plan.and_splits.append(
             AndSplit(
                 source=rid(entry["source"], "and-split"),
                 tokens=tuple(rid(t, "and-split") for t in entry["tokens"]),
-                remove_source=bool(entry.get("remove_source", False)),
+                remove_source=remove_source,
             )
         )
-    for entry in doc.get("or_groups", []):
+    for entry in entries("or_groups", "source", lists=("members",)):
         plan.or_groups.append(
             OrGroup(
                 source=rid(entry["source"], "or-group"),
                 members=tuple(rid(t, "or-group") for t in entry["members"]),
             )
         )
-    for entry in doc.get("exclusion_groups", []):
+    for entry in entries("exclusion_groups"):
         plan.exclusion_groups.append(frozenset(rid(t, "exclusion group") for t in entry))
     validate_plan(plan, catalog)
     return plan

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -150,14 +151,14 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 def _validate_config(cfg: RunConfig) -> None:
     if not 0.0 <= cfg.threshold <= 1.0:
         raise LabelKitError(f"threshold {cfg.threshold} outside [0, 1]")
-    if cfg.beta <= 0:
-        raise LabelKitError(f"beta must be positive, got {cfg.beta}")
+    if not 0.0 < cfg.beta < math.inf:
+        raise LabelKitError(f"beta must be positive and finite, got {cfg.beta}")
     if not 0.0 < cfg.similarity <= 1.0:
         raise LabelKitError(f"similarity {cfg.similarity} outside (0, 1]")
     if cfg.fp_mode not in ("literal", "complement"):
         raise LabelKitError(f"fp_mode must be literal or complement, got {cfg.fp_mode!r}")
-    if cfg.epsilon < 0:
-        raise LabelKitError(f"epsilon must be nonnegative, got {cfg.epsilon}")
+    if not 0.0 <= cfg.epsilon < math.inf:
+        raise LabelKitError(f"epsilon must be nonnegative and finite, got {cfg.epsilon}")
     if cfg.which not in ("and", "or", "both"):
         raise LabelKitError(f"--which must be and, or, or both, got {cfg.which!r}")
     if cfg.threads < 0:

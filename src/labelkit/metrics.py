@@ -15,6 +15,7 @@ import csv
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from statistics import pstdev
 from typing import IO, Callable, Iterable, Sequence
 
@@ -34,7 +35,9 @@ DEFAULT_DECISION_THRESHOLD = 0.1
 
 
 class ScoreSet:
-    """Per-sample, per-label prediction scores in [0, 1]."""
+    """Per-sample, per-label prediction scores in [0, 1]. The constructor
+    validates and copies every sample; :func:`parse_scores` validates while
+    reading and hands its dicts over through :meth:`_trusted` instead."""
 
     def __init__(
         self,
@@ -42,7 +45,6 @@ class ScoreSet:
         known_labels: Iterable[int],
     ):
         self.known_labels = frozenset(known_labels)
-        self._samples: list[tuple[str, dict[int, float]]] = []
         self._index: dict[str, dict[int, float]] = {}
         for sample_id, scores in samples:
             if sample_id in self._index:
@@ -57,18 +59,23 @@ class ScoreSet:
                         f"sample {sample_id!r} label {label_id} score {score!r} "
                         "outside [0, 1]"
                     )
-            held = dict(scores)
-            self._samples.append((sample_id, held))
-            self._index[sample_id] = held
+            self._index[sample_id] = dict(scores)
+
+    @classmethod
+    def _trusted(cls, index: dict[str, dict[int, float]], known_labels: frozenset[int]):
+        """Adopt validated per-sample dicts as they are, in ``index`` order."""
+        self = cls.__new__(cls)
+        self.known_labels, self._index = known_labels, index
+        return self
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self._index)
 
     def __iter__(self):
-        return iter(self._samples)
+        return iter(self._index.items())
 
     def sample_ids(self) -> list[str]:
-        return [sid for sid, _ in self._samples]
+        return list(self._index)
 
     def scores_for(self, sample_id: str) -> dict[int, float]:
         return self._index[sample_id]
@@ -80,50 +87,52 @@ class ScoreSet:
 def parse_scores(stream: IO[str], catalog: LabelCatalog) -> ScoreSet:
     """Read a score file with header id,attribute_id,score. Rows for one
     sample need not be contiguous; a repeated (sample, label) cell is a hard
-    error because silently keeping either value would hide a producer bug."""
+    error because silently keeping either value would hide a producer bug.
+    Every row is validated here, once, and errors name its physical line."""
     source = getattr(stream, "name", "<scores>")
-    reader = csv.DictReader(stream)
-    required = {"id", "attribute_id", "score"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+    reader = csv.reader(stream)
+    column = {name: i for i, name in enumerate(next(reader, ()))}
+    try:
+        cells = itemgetter(column["id"], column["attribute_id"], column["score"])
+    except KeyError:
         raise ParseError(
             "expected header with columns id, attribute_id, score", source=source
-        )
-    known = catalog.ids()
-    order: list[str] = []
-    acc: dict[str, dict[int, float]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        sid = row["id"]
+        ) from None
+
+    def error(message: str) -> ParseError:
+        return ParseError(message, source=source, line=reader.line_num)
+
+    # Each id maps to the catalog's own int object, so the parsed cells share
+    # those few thousand ints instead of holding one new int per row.
+    known = {label_id: label_id for label_id in catalog.ids()}
+    samples: dict[str, dict[int, float]] = {}
+    for row in reader:
         try:
-            label_id = int(row["attribute_id"])
-        except (TypeError, ValueError):
-            raise ParseError(
-                f"bad attribute id {row['attribute_id']!r}", source=source, line=lineno
-            ) from None
-        if label_id not in known:
-            raise ParseError(
-                f"unknown label id {label_id}", source=source, line=lineno
-            )
+            sid, raw_label, raw_score = cells(row)
+        except IndexError:
+            if not row:
+                continue
+            raise error("wrong number of fields") from None
         try:
-            score = float(row["score"])
-        except (TypeError, ValueError):
-            raise ParseError(
-                f"bad score {row['score']!r}", source=source, line=lineno
-            ) from None
-        if not 0.0 <= score <= 1.0 or math.isnan(score):
-            raise ParseError(
-                f"score {score!r} outside [0, 1]", source=source, line=lineno
-            )
-        if sid not in acc:
-            order.append(sid)
-            acc[sid] = {}
-        elif label_id in acc[sid]:
-            raise ParseError(
-                f"duplicate score for sample {sid!r}, label {label_id}",
-                source=source,
-                line=lineno,
-            )
-        acc[sid][label_id] = score
-    return ScoreSet(((sid, acc[sid]) for sid in order), known)
+            number = int(raw_label)
+        except ValueError:
+            raise error(f"bad attribute id {raw_label!r}") from None
+        label_id = known.get(number)
+        if label_id is None:
+            raise error(f"unknown label id {number}")
+        try:
+            score = float(raw_score)
+        except ValueError:
+            raise error(f"bad score {raw_score!r}") from None
+        if not 0.0 <= score <= 1.0:  # NaN fails both comparisons, so it is rejected too
+            raise error(f"score {score!r} outside [0, 1]")
+        held = samples.get(sid)
+        if held is None:
+            samples[sid] = held = {}
+        elif label_id in held:
+            raise error(f"duplicate score for sample {sid!r}, label {label_id}")
+        held[label_id] = score
+    return ScoreSet._trusted(samples, frozenset(known))
 
 
 def threshold(

@@ -467,6 +467,39 @@ def test_config_invalid_values(corpus, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [
+        ("--beta", "inf"),
+        ("--beta", "nan"),
+        ("--beta=-inf",),
+        ("--epsilon", "inf"),
+        ("--epsilon", "nan"),
+        ("config", {"beta": math.inf}),
+        ("config", {"beta": math.nan}),
+        ("config", {"epsilon": math.inf}),
+    ],
+)
+def test_config_non_finite_values(corpus, tmp_path, capsys, flags):
+    if flags[0] == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(flags[1]))  # Infinity / NaN literals
+        flags = ("--config", config)
+    code = run(
+        "eval",
+        "--labels", corpus["labels"],
+        "--annotations", corpus["annotations"],
+        "--scores", corpus["scores"],
+        "--out", tmp_path / "eval.json",
+        *flags,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "finite" in json.loads(err)["error"]
+    assert not (tmp_path / "eval.json").exists()
+
+
+@pytest.mark.parametrize(
     "doc, key",
     [
         ({"threshold": "0.5"}, "threshold"),
@@ -500,6 +533,46 @@ def test_config_accepts_ints_and_nulls(corpus, tmp_path):
 
 # ---------------------------------------------------------------------------
 # Failure modes
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"merges": [1]}, "merges[0]: expected an object"),
+        ({"merges": [{"survivor": "medium::watercolor"}]}, "merges[0]: missing key 'absorbed'"),
+        ({"merges": [{"survivor": "medium::watercolor", "absorbed": "medium::watercolour"}]},
+         "merges[0]: 'absorbed' must be a list"),
+        ({"merges": {"survivor": "medium::watercolor"}}, "merges: expected a list"),
+        ({"hierarchy_edges": [{"super": "medium::black"}, ["medium::black", "medium::black chalk"]]},
+         "hierarchy_edges[0]: missing key 'sub'"),
+        ({"hierarchy_edges": [{"super": "medium::black", "sub": "medium::black chalk"}, None]},
+         "hierarchy_edges[1]: expected an object"),
+        ({"and_splits": [{"tokens": ["medium::silk"]}]}, "and_splits[0]: missing key 'source'"),
+        ({"and_splits": [{"source": "medium::wool and silk", "tokens": None}]},
+         "and_splits[0]: 'tokens' must be a list"),
+        ({"or_groups": [{"source": "country::egypt or iraq", "members": {}}]},
+         "or_groups[0]: 'members' must be a list"),
+        ({"exclusion_groups": ["dimension::tiny"]}, "exclusion_groups[0]: expected a list"),
+        ({"and_splits": [{"source": "medium::wool and silk", "tokens": ["medium::silk"],
+                          "remove_source": "false"}]},
+         "and_splits[0]: 'remove_source' must be a boolean"),
+    ],
+)
+def test_apply_rejects_malformed_plan_entries(corpus, tmp_path, capsys, doc, where):
+    plan = tmp_path / "bad_plan.json"
+    plan.write_text(json.dumps(doc))
+    code = run(
+        "apply",
+        "--labels", corpus["labels"],
+        "--annotations", corpus["annotations"],
+        "--plan", plan,
+        "--out", tmp_path / "cleaned",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith(where)
+    assert not (tmp_path / "cleaned").exists()
 
 
 def test_missing_required_input(corpus, capsys):
