@@ -8,7 +8,6 @@ from .catalog import (
     AnnotationSet,
     CorpusStats,
     LabelCatalog,
-    LabelFileFormat,
     LabelRecord,
     canonicalize,
     compute_stats,
@@ -21,7 +20,6 @@ from .catalog import (
 )
 from .cleanse import (
     AndSplit,
-    CandidateReport,
     ConnectiveTally,
     DuplicatePair,
     HierarchyCandidate,

@@ -2,9 +2,9 @@
 
 The label file is a header-bearing CSV with columns ``attribute_id`` and
 ``attribute_name``, where the name embeds the category as
-``<category><sep><name>`` (separator configurable, "::" by default).
-The annotation file has columns ``id`` and ``attribute_ids`` with the label
-ids space-separated. Both are UTF-8.
+``<category>::<name>``. The annotation file has columns ``id`` and
+``attribute_ids`` with the label ids space-separated. Both are UTF-8
+comma-separated files.
 """
 
 from __future__ import annotations
@@ -53,16 +53,6 @@ class LabelRecord:
         return f"{self.category}::{self.name}"
 
 
-@dataclass
-class LabelFileFormat:
-    """Knobs for the label file layout."""
-
-    delimiter: str = ","
-    category_separator: str = "::"
-    id_field: str = "attribute_id"
-    name_field: str = "attribute_name"
-
-
 class LabelCatalog:
     """Immutable label vocabulary with id and canonical-form lookups.
 
@@ -109,13 +99,6 @@ class LabelCatalog:
     def category_ids(self, category: str) -> frozenset[int]:
         return frozenset(r.id for r in self.records if r.category == category)
 
-    def canonical_duplicates(self) -> list[list[LabelRecord]]:
-        """Groups of records sharing a (category, canonical) pair, pre-cleaning."""
-        groups: dict[tuple[str, str], list[LabelRecord]] = {}
-        for record in self.records:
-            groups.setdefault((record.category, record.canonical), []).append(record)
-        return [g for g in groups.values() if len(g) > 1]
-
     def resolve_name(self, text: str, category: str | None = None) -> LabelRecord:
         """Resolve a human-written label reference to a record.
 
@@ -142,47 +125,67 @@ class LabelCatalog:
         return matches[0]
 
 
-class AnnotationSet:
-    """Ordered sample -> label-id-set mapping, validated against a catalog.
+class SampleTable:
+    """Ordered ``{sample id: value}`` index over the label ids of a catalog.
 
-    ``known_labels`` is the id set of the companion catalog; every label
-    occurring in a sample must belong to it.
+    ``known_labels`` is the id set of the companion catalog. The constructor
+    rejects repeated sample ids and runs each subclass's per-sample check,
+    which returns the value to store. Code whose rows are already valid hands
+    its dict over through :meth:`_trusted` instead, which neither checks nor
+    copies. Iteration yields ``(sample id, value)`` in insertion order.
     """
 
-    def __init__(
-        self,
-        samples: Iterable[tuple[str, Iterable[int]]],
-        known_labels: Iterable[int],
-    ):
+    def __init__(self, samples: Iterable[tuple[str, object]], known_labels: Iterable[int]):
         self.known_labels: frozenset[int] = frozenset(known_labels)
-        self.samples: list[tuple[str, frozenset[int]]] = []
-        self._index: dict[str, frozenset[int]] = {}
-        for sample_id, labels in samples:
-            labels = frozenset(labels)
+        self._index: dict = {}
+        for sample_id, value in samples:
             if sample_id in self._index:
                 raise ValueError(f"duplicate sample id {sample_id!r}")
-            unknown = labels - self.known_labels
-            if unknown:
-                raise ValueError(
-                    f"sample {sample_id!r} references unknown label ids "
-                    f"{sorted(unknown)}"
-                )
-            self.samples.append((sample_id, labels))
-            self._index[sample_id] = labels
+            self._index[sample_id] = self._checked(sample_id, value)
+
+    @classmethod
+    def _trusted(cls, index: dict, known_labels: frozenset[int]):
+        """Adopt validated per-sample values as they are, in ``index`` order."""
+        self = cls.__new__(cls)
+        self.known_labels, self._index = known_labels, index
+        return self
+
+    def _checked(self, sample_id: str, value):
+        raise NotImplementedError
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self._index)
 
-    def __iter__(self) -> Iterator[tuple[str, frozenset[int]]]:
-        return iter(self.samples)
+    def __iter__(self) -> Iterator:
+        return iter(self._index.items())
 
     def __contains__(self, sample_id: str) -> bool:
         return sample_id in self._index
 
+    def sample_ids(self) -> list[str]:
+        return list(self._index)
+
+
+class AnnotationSet(SampleTable):
+    """Ordered sample -> label-id-set mapping. Every label of a sample must
+    belong to ``known_labels``; the constructor checks this and stores each
+    set as a ``frozenset``. :func:`parse_annotations` checks every id while
+    reading, with file and line, and adopts its rows without a second pass.
+    """
+
+    def _checked(self, sample_id: str, labels: Iterable[int]) -> frozenset[int]:
+        labels = frozenset(labels)
+        unknown = labels - self.known_labels
+        if unknown:
+            raise ValueError(
+                f"sample {sample_id!r} references unknown label ids {sorted(unknown)}"
+            )
+        return labels
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AnnotationSet):
             return NotImplemented
-        return self.samples == other.samples and self.known_labels == other.known_labels
+        return list(self) == list(other) and self.known_labels == other.known_labels
 
     def labels_for(self, sample_id: str) -> frozenset[int]:
         try:
@@ -190,13 +193,10 @@ class AnnotationSet:
         except KeyError:
             raise KeyError(f"unknown sample id {sample_id!r}") from None
 
-    def sample_ids(self) -> list[str]:
-        return [sid for sid, _ in self.samples]
-
     def label_frequency(self) -> Counter[int]:
         """Positive-sample count per label id."""
         freq: Counter[int] = Counter()
-        for _, labels in self.samples:
+        for labels in self._index.values():
             freq.update(labels)
         return freq
 
@@ -214,18 +214,17 @@ class CorpusStats:
     category_coverage: dict[str, int]  # samples holding >= 1 label of the category
 
 
-def parse_labels(stream: IO[str], fmt: LabelFileFormat | None = None) -> LabelCatalog:
+def parse_labels(stream: IO[str]) -> LabelCatalog:
     """Parse a label vocabulary file into a catalog.
 
     Rows missing the category separator land in the "uncategorized" category
     with a warning. Malformed rows and duplicate ids are hard errors.
     """
-    fmt = fmt or LabelFileFormat()
     source = getattr(stream, "name", "<labels>")
-    reader = csv.DictReader(stream, delimiter=fmt.delimiter)
+    reader = csv.DictReader(stream)
     if reader.fieldnames is None:
         raise ParseError("empty file, expected a header row", source=source, line=1)
-    missing = {fmt.id_field, fmt.name_field} - set(reader.fieldnames)
+    missing = {"attribute_id", "attribute_name"} - set(reader.fieldnames)
     if missing:
         raise ParseError(
             f"missing required columns: {', '.join(sorted(missing))}",
@@ -237,8 +236,8 @@ def parse_labels(stream: IO[str], fmt: LabelFileFormat | None = None) -> LabelCa
     seen: set[int] = set()
     for row in reader:
         line = reader.line_num
-        raw_id = row.get(fmt.id_field)
-        raw_name = row.get(fmt.name_field)
+        raw_id = row.get("attribute_id")
+        raw_name = row.get("attribute_name")
         if raw_id is None or raw_name is None:
             raise ParseError("wrong number of fields", source=source, line=line)
         try:
@@ -251,31 +250,27 @@ def parse_labels(stream: IO[str], fmt: LabelFileFormat | None = None) -> LabelCa
             raise ParseError(f"duplicate label id {label_id}", source=source, line=line)
         seen.add(label_id)
 
-        sep_at = raw_name.find(fmt.category_separator)
-        if sep_at < 0:
+        category, separator, name = raw_name.partition("::")
+        if not separator:
             log.warning(
                 "%s:%d: label %d has no %r separator, categorized as %r",
                 source,
                 line,
                 label_id,
-                fmt.category_separator,
+                "::",
                 UNCATEGORIZED,
             )
             category, name = UNCATEGORIZED, raw_name
-        else:
-            category = raw_name[:sep_at]
-            name = raw_name[sep_at + len(fmt.category_separator):]
         records.append(LabelRecord(id=label_id, category=category, name=name))
     return LabelCatalog(records)
 
 
-def write_labels(catalog: LabelCatalog, stream: IO[str], fmt: LabelFileFormat | None = None) -> None:
+def write_labels(catalog: LabelCatalog, stream: IO[str]) -> None:
     """Serialize a catalog in the label file format, ascending id."""
-    fmt = fmt or LabelFileFormat()
-    writer = csv.writer(stream, delimiter=fmt.delimiter, lineterminator="\n")
-    writer.writerow([fmt.id_field, fmt.name_field])
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["attribute_id", "attribute_name"])
     for record in catalog:
-        writer.writerow([record.id, f"{record.category}{fmt.category_separator}{record.name}"])
+        writer.writerow([record.id, record.qualified_name])
 
 
 def parse_annotations(
@@ -286,9 +281,11 @@ def parse_annotations(
 ) -> AnnotationSet:
     """Parse a sample/label-ids file, validating every id against ``catalog``.
 
-    Duplicate label ids within one row are deduplicated with a warning by
-    default (``on_duplicate_label="error"`` makes them fatal); the files are
-    third-party data and hard failure would block ingestion.
+    Each row is checked once, while it is read, and errors name the file and
+    the physical line. Duplicate label ids within one row are deduplicated
+    with a warning by default (``on_duplicate_label="error"`` makes them
+    fatal); the files are third-party data and hard failure would block
+    ingestion.
     """
     if on_duplicate_label not in ("warn", "error"):
         raise ValueError(f"bad on_duplicate_label {on_duplicate_label!r}")
@@ -305,17 +302,15 @@ def parse_annotations(
         )
 
     known = catalog.ids()
-    samples: list[tuple[str, frozenset[int]]] = []
-    seen: set[str] = set()
+    samples: dict[str, frozenset[int]] = {}
     for row in reader:
         line = reader.line_num
         sample_id = row.get("id")
         raw_ids = row.get("attribute_ids")
         if sample_id is None or raw_ids is None:
             raise ParseError("wrong number of fields", source=source, line=line)
-        if sample_id in seen:
+        if sample_id in samples:
             raise ParseError(f"duplicate sample id {sample_id!r}", source=source, line=line)
-        seen.add(sample_id)
 
         parts = raw_ids.split()
         labels: set[int] = set()
@@ -349,8 +344,8 @@ def parse_annotations(
                     sample_id,
                 )
             labels.add(label_id)
-        samples.append((sample_id, frozenset(labels)))
-    return AnnotationSet(samples, known)
+        samples[sample_id] = frozenset(labels)
+    return AnnotationSet._trusted(samples, known)
 
 
 def write_annotations(annotations: AnnotationSet, stream: IO[str]) -> None:

@@ -326,15 +326,6 @@ class HierarchyCandidate:
     evidence: str
 
 
-@dataclass
-class CandidateReport:
-    """Everything the generators propose for one catalog, for human review."""
-
-    duplicate_pairs: list[DuplicatePair]
-    hierarchy_candidates: list[HierarchyCandidate]
-    split_candidates: list[ConnectiveSplit]
-
-
 def _fold_hyphens(canonical: str) -> str:
     return " ".join(canonical.replace("-", " ").split())
 
@@ -665,9 +656,9 @@ def propagate_supercategories(
                 extra |= sups
         return labels | extra if extra else labels
 
-    return AnnotationSet(
-        ((sid, expanded(labels)) for sid, labels in annotations),
-        annotations.known_labels,
+    # The closure's labels passed the unknown-label check above.
+    return AnnotationSet._trusted(
+        {sid: expanded(labels) for sid, labels in annotations}, annotations.known_labels
     )
 
 

@@ -23,7 +23,6 @@ from pathlib import Path
 from . import __version__
 from .catalog import (
     compute_stats,
-    cooccurrence,
     parse_annotations,
     parse_labels,
     write_annotations,
@@ -210,7 +209,7 @@ def _read_catalog(cfg: RunConfig):
         return parse_labels(handle)
 
 
-def _read_annotations(cfg: RunConfig, catalog, path: str):
+def _read_annotations(catalog, path: str):
     with _open_text(path) as handle:
         return parse_annotations(handle, catalog)
 
@@ -244,7 +243,7 @@ def cmd_inspect(cfg: RunConfig) -> int:
         },
     }
     if cfg.annotations:
-        annotations = _read_annotations(cfg, catalog, cfg.annotations)
+        annotations = _read_annotations(catalog, cfg.annotations)
         stats = compute_stats(annotations, catalog)
         doc.update(
             {
@@ -308,7 +307,7 @@ def cmd_connectives(cfg: RunConfig) -> int:
 def cmd_apply(cfg: RunConfig) -> int:
     _require(cfg, "labels", "annotations", "plan", "out")
     catalog = _read_catalog(cfg)
-    annotations = _read_annotations(cfg, catalog, cfg.annotations)
+    annotations = _read_annotations(catalog, cfg.annotations)
     with _open_text(cfg.plan) as handle:
         plan = load_plan(handle, catalog)
 
@@ -396,7 +395,7 @@ def _load_eval_pair(cfg: RunConfig):
     """Catalog, truth, predictions, and the score set when one was given."""
     _require(cfg, "labels", "annotations")
     catalog = _read_catalog(cfg)
-    truth = _read_annotations(cfg, catalog, cfg.annotations)
+    truth = _read_annotations(catalog, cfg.annotations)
     if (cfg.scores is None) == (cfg.predictions is None):
         raise LabelKitError("provide exactly one of --scores or --predictions")
     if cfg.scores:
@@ -405,7 +404,7 @@ def _load_eval_pair(cfg: RunConfig):
         predictions = binarize(scores, cfg.threshold, truth.sample_ids())
     else:
         scores = None
-        predictions = _read_annotations(cfg, catalog, cfg.predictions)
+        predictions = _read_annotations(catalog, cfg.predictions)
     return catalog, truth, predictions, scores
 
 
@@ -525,7 +524,7 @@ def cmd_eval_excl(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     _require(cfg, "labels", "annotations", "scores", "out")
     catalog = _read_catalog(cfg)
-    truth = _read_annotations(cfg, catalog, cfg.annotations)
+    truth = _read_annotations(catalog, cfg.annotations)
     with _open_text(cfg.scores) as handle:
         scores = parse_scores(handle, catalog)
     use_graph = bool(cfg.plan or cfg.graph_edges)

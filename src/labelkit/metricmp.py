@@ -173,7 +173,8 @@ def family_from_sweep(rows: Sequence[dict]) -> ModelFamily:
 
 
 def parse_family(stream: IO[str]) -> ModelFamily:
-    """Read a family file with header model,f_score,g_score."""
+    """Read a family file with header model,f_score,g_score. Errors name the
+    physical line; a row missing a required cell is rejected."""
     source = getattr(stream, "name", "<family>")
     reader = csv.DictReader(stream)
     required = {"model", "f_score", "g_score"}
@@ -182,13 +183,15 @@ def parse_family(stream: IO[str]) -> ModelFamily:
             "expected header with columns model, f_score, g_score", source=source
         )
     entries = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        line = reader.line_num
+        model, f_score, g_score = row["model"], row["f_score"], row["g_score"]
+        if model is None or f_score is None or g_score is None:
+            raise ParseError("wrong number of fields", source=source, line=line)
         try:
-            entries.append(
-                FamilyEntry(row["model"], float(row["f_score"]), float(row["g_score"]))
-            )
-        except (TypeError, ValueError) as exc:
-            raise ParseError(str(exc), source=source, line=lineno) from None
+            entries.append(FamilyEntry(model, float(f_score), float(g_score)))
+        except ValueError as exc:
+            raise ParseError(str(exc), source=source, line=line) from None
     try:
         return ModelFamily(entries)
     except ValueError as exc:

@@ -19,7 +19,7 @@ from operator import itemgetter
 from statistics import pstdev
 from typing import IO, Callable, Iterable, Sequence
 
-from .catalog import AnnotationSet, LabelCatalog
+from .catalog import AnnotationSet, LabelCatalog, SampleTable
 from .cleanse import OrGroup
 from .errors import EvalError, ParseError
 from .relgraph import RelationGraph
@@ -34,54 +34,23 @@ DEFAULT_DECISION_THRESHOLD = 0.1
 # Scores and thresholding
 
 
-class ScoreSet:
+class ScoreSet(SampleTable):
     """Per-sample, per-label prediction scores in [0, 1]. The constructor
-    validates and copies every sample; :func:`parse_scores` validates while
-    reading and hands its dicts over through :meth:`_trusted` instead."""
+    checks and copies every sample's dict; :func:`parse_scores` validates
+    while reading and hands its dicts over through :meth:`_trusted` instead."""
 
-    def __init__(
-        self,
-        samples: Iterable[tuple[str, dict[int, float]]],
-        known_labels: Iterable[int],
-    ):
-        self.known_labels = frozenset(known_labels)
-        self._index: dict[str, dict[int, float]] = {}
-        for sample_id, scores in samples:
-            if sample_id in self._index:
-                raise ValueError(f"duplicate sample id {sample_id!r}")
-            for label_id, score in scores.items():
-                if label_id not in self.known_labels:
-                    raise ValueError(
-                        f"sample {sample_id!r} scores unknown label id {label_id}"
-                    )
-                if not 0.0 <= score <= 1.0:
-                    raise ValueError(
-                        f"sample {sample_id!r} label {label_id} score {score!r} "
-                        "outside [0, 1]"
-                    )
-            self._index[sample_id] = dict(scores)
-
-    @classmethod
-    def _trusted(cls, index: dict[str, dict[int, float]], known_labels: frozenset[int]):
-        """Adopt validated per-sample dicts as they are, in ``index`` order."""
-        self = cls.__new__(cls)
-        self.known_labels, self._index = known_labels, index
-        return self
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __iter__(self):
-        return iter(self._index.items())
-
-    def sample_ids(self) -> list[str]:
-        return list(self._index)
+    def _checked(self, sample_id: str, scores: dict[int, float]) -> dict[int, float]:
+        for label_id, score in scores.items():
+            if label_id not in self.known_labels:
+                raise ValueError(f"sample {sample_id!r} scores unknown label id {label_id}")
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(
+                    f"sample {sample_id!r} label {label_id} score {score!r} outside [0, 1]"
+                )
+        return dict(scores)
 
     def scores_for(self, sample_id: str) -> dict[int, float]:
         return self._index[sample_id]
-
-    def __contains__(self, sample_id: str) -> bool:
-        return sample_id in self._index
 
 
 def parse_scores(stream: IO[str], catalog: LabelCatalog) -> ScoreSet:
@@ -142,25 +111,22 @@ def threshold(
 ) -> AnnotationSet:
     """Binarize scores into predictions; a label is on when its score is at
     least the threshold (inclusive, so threshold 0.0 predicts every scored
-    label)."""
+    label). The labels come from a validated score set, so only repeated
+    ``sample_ids`` are checked."""
     _check_decision_threshold(decision_threshold)
     if sample_ids is None:
         wanted = scores.sample_ids()
     else:
         wanted = list(sample_ids)
         _require_scored(scores, wanted)
-    samples = (
-        (
-            sid,
-            frozenset(
-                label
-                for label, score in scores.scores_for(sid).items()
-                if score >= decision_threshold
-            ),
+    predicted: dict[str, frozenset[int]] = {}
+    for sid in wanted:
+        if sid in predicted:
+            raise ValueError(f"duplicate sample id {sid!r}")
+        predicted[sid] = frozenset(
+            label for label, score in scores.scores_for(sid).items() if score >= decision_threshold
         )
-        for sid in wanted
-    )
-    return AnnotationSet(samples, scores.known_labels)
+    return AnnotationSet._trusted(predicted, scores.known_labels)
 
 
 def _check_decision_threshold(decision_threshold: float) -> None:
@@ -205,9 +171,9 @@ def enforce_exclusion(
             dropped |= hits - {keep}
         return labels - dropped if dropped else labels
 
-    return AnnotationSet(
-        ((sid, prune(sid, labels)) for sid, labels in predictions),
-        predictions.known_labels,
+    # Pruning only removes labels, so every row stays valid.
+    return AnnotationSet._trusted(
+        {sid: prune(sid, labels) for sid, labels in predictions}, predictions.known_labels
     )
 
 

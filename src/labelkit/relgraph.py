@@ -63,9 +63,6 @@ class RelationGraph:
     def n_edges(self) -> int:
         return len(self._edges)
 
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        return self._adjacency.get(node, ())
-
     def __contains__(self, node: int) -> bool:
         return node in self._nodes
 

@@ -321,6 +321,18 @@ def test_parse_family_errors():
         parse_family(io.StringIO("model,f_score,g_score\na,0.1,0.2\n"))
 
 
+def test_parse_family_short_row_names_its_physical_line():
+    text = "model,f_score,g_score\na,0.1,0.2\n\nb,0.3\n"
+    with pytest.raises(ParseError, match=r"^<family>:4: wrong number of fields$"):
+        parse_family(io.StringIO(text))
+
+
+def test_parse_family_bad_cell_after_blank_lines_names_its_physical_line():
+    text = "model,f_score,g_score\na,0.1,0.2\n\n\nb,oops,0.4\n"
+    with pytest.raises(ParseError, match=r"^<family>:5: could not convert"):
+        parse_family(io.StringIO(text))
+
+
 def test_family_from_sweep():
     rows = [
         {"threshold": 0.1, "flat_micro_f": 0.5, "graph_micro_f": 0.6},
