@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
+from .csvio import csv_errors, csv_writer
 from .errors import ParseError
 
 log = logging.getLogger(__name__)
@@ -222,52 +223,53 @@ def parse_labels(stream: IO[str]) -> LabelCatalog:
     """
     source = getattr(stream, "name", "<labels>")
     reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        raise ParseError("empty file, expected a header row", source=source, line=1)
-    missing = {"attribute_id", "attribute_name"} - set(reader.fieldnames)
-    if missing:
-        raise ParseError(
-            f"missing required columns: {', '.join(sorted(missing))}",
-            source=source,
-            line=1,
-        )
-
-    records: list[LabelRecord] = []
-    seen: set[int] = set()
-    for row in reader:
-        line = reader.line_num
-        raw_id = row.get("attribute_id")
-        raw_name = row.get("attribute_name")
-        if raw_id is None or raw_name is None:
-            raise ParseError("wrong number of fields", source=source, line=line)
-        try:
-            label_id = int(raw_id)
-        except ValueError:
-            raise ParseError(f"bad label id {raw_id!r}", source=source, line=line) from None
-        if label_id < 0:
-            raise ParseError(f"negative label id {label_id}", source=source, line=line)
-        if label_id in seen:
-            raise ParseError(f"duplicate label id {label_id}", source=source, line=line)
-        seen.add(label_id)
-
-        category, separator, name = raw_name.partition("::")
-        if not separator:
-            log.warning(
-                "%s:%d: label %d has no %r separator, categorized as %r",
-                source,
-                line,
-                label_id,
-                "::",
-                UNCATEGORIZED,
+    with csv_errors(reader.reader, source):
+        if reader.fieldnames is None:
+            raise ParseError("empty file, expected a header row", source=source, line=1)
+        missing = {"attribute_id", "attribute_name"} - set(reader.fieldnames)
+        if missing:
+            raise ParseError(
+                f"missing required columns: {', '.join(sorted(missing))}",
+                source=source,
+                line=1,
             )
-            category, name = UNCATEGORIZED, raw_name
-        records.append(LabelRecord(id=label_id, category=category, name=name))
+
+        records: list[LabelRecord] = []
+        seen: set[int] = set()
+        for row in reader:
+            line = reader.line_num
+            raw_id = row.get("attribute_id")
+            raw_name = row.get("attribute_name")
+            if raw_id is None or raw_name is None:
+                raise ParseError("wrong number of fields", source=source, line=line)
+            try:
+                label_id = int(raw_id)
+            except ValueError:
+                raise ParseError(f"bad label id {raw_id!r}", source=source, line=line) from None
+            if label_id < 0:
+                raise ParseError(f"negative label id {label_id}", source=source, line=line)
+            if label_id in seen:
+                raise ParseError(f"duplicate label id {label_id}", source=source, line=line)
+            seen.add(label_id)
+
+            category, separator, name = raw_name.partition("::")
+            if not separator:
+                log.warning(
+                    "%s:%d: label %d has no %r separator, categorized as %r",
+                    source,
+                    line,
+                    label_id,
+                    "::",
+                    UNCATEGORIZED,
+                )
+                category, name = UNCATEGORIZED, raw_name
+            records.append(LabelRecord(id=label_id, category=category, name=name))
     return LabelCatalog(records)
 
 
 def write_labels(catalog: LabelCatalog, stream: IO[str]) -> None:
     """Serialize a catalog in the label file format, ascending id."""
-    writer = csv.writer(stream, lineterminator="\n")
+    writer = csv_writer(stream)
     writer.writerow(["attribute_id", "attribute_name"])
     for record in catalog:
         writer.writerow([record.id, record.qualified_name])
@@ -291,66 +293,67 @@ def parse_annotations(
         raise ValueError(f"bad on_duplicate_label {on_duplicate_label!r}")
     source = getattr(stream, "name", "<annotations>")
     reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        raise ParseError("empty file, expected a header row", source=source, line=1)
-    missing = {"id", "attribute_ids"} - set(reader.fieldnames)
-    if missing:
-        raise ParseError(
-            f"missing required columns: {', '.join(sorted(missing))}",
-            source=source,
-            line=1,
-        )
+    with csv_errors(reader.reader, source):
+        if reader.fieldnames is None:
+            raise ParseError("empty file, expected a header row", source=source, line=1)
+        missing = {"id", "attribute_ids"} - set(reader.fieldnames)
+        if missing:
+            raise ParseError(
+                f"missing required columns: {', '.join(sorted(missing))}",
+                source=source,
+                line=1,
+            )
 
-    known = catalog.ids()
-    samples: dict[str, frozenset[int]] = {}
-    for row in reader:
-        line = reader.line_num
-        sample_id = row.get("id")
-        raw_ids = row.get("attribute_ids")
-        if sample_id is None or raw_ids is None:
-            raise ParseError("wrong number of fields", source=source, line=line)
-        if sample_id in samples:
-            raise ParseError(f"duplicate sample id {sample_id!r}", source=source, line=line)
+        known = catalog.ids()
+        samples: dict[str, frozenset[int]] = {}
+        for row in reader:
+            line = reader.line_num
+            sample_id = row.get("id")
+            raw_ids = row.get("attribute_ids")
+            if sample_id is None or raw_ids is None:
+                raise ParseError("wrong number of fields", source=source, line=line)
+            if sample_id in samples:
+                raise ParseError(f"duplicate sample id {sample_id!r}", source=source, line=line)
 
-        parts = raw_ids.split()
-        labels: set[int] = set()
-        for part in parts:
-            try:
-                label_id = int(part)
-            except ValueError:
-                raise ParseError(
-                    f"bad label id {part!r} in sample {sample_id!r}",
-                    source=source,
-                    line=line,
-                ) from None
-            if label_id not in known:
-                raise ParseError(
-                    f"sample {sample_id!r} references unknown label id {label_id}",
-                    source=source,
-                    line=line,
-                )
-            if label_id in labels:
-                if on_duplicate_label == "error":
+            parts = raw_ids.split()
+            labels: set[int] = set()
+            for part in parts:
+                try:
+                    label_id = int(part)
+                except ValueError:
                     raise ParseError(
-                        f"duplicate label id {label_id} in sample {sample_id!r}",
+                        f"bad label id {part!r} in sample {sample_id!r}",
+                        source=source,
+                        line=line,
+                    ) from None
+                if label_id not in known:
+                    raise ParseError(
+                        f"sample {sample_id!r} references unknown label id {label_id}",
                         source=source,
                         line=line,
                     )
-                log.warning(
-                    "%s:%d: duplicate label id %d in sample %r, deduplicated",
-                    source,
-                    line,
-                    label_id,
-                    sample_id,
-                )
-            labels.add(label_id)
-        samples[sample_id] = frozenset(labels)
+                if label_id in labels:
+                    if on_duplicate_label == "error":
+                        raise ParseError(
+                            f"duplicate label id {label_id} in sample {sample_id!r}",
+                            source=source,
+                            line=line,
+                        )
+                    log.warning(
+                        "%s:%d: duplicate label id %d in sample %r, deduplicated",
+                        source,
+                        line,
+                        label_id,
+                        sample_id,
+                    )
+                labels.add(label_id)
+            samples[sample_id] = frozenset(labels)
     return AnnotationSet._trusted(samples, known)
 
 
 def write_annotations(annotations: AnnotationSet, stream: IO[str]) -> None:
     """Serialize annotations; label ids ascending within each row."""
-    writer = csv.writer(stream, lineterminator="\n")
+    writer = csv_writer(stream)
     writer.writerow(["id", "attribute_ids"])
     for sample_id, labels in annotations:
         writer.writerow([sample_id, " ".join(str(i) for i in sorted(labels))])

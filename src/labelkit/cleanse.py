@@ -9,7 +9,6 @@ annotations, returning new values.
 
 from __future__ import annotations
 
-import csv
 import json
 from bisect import bisect_left
 from collections import Counter
@@ -17,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 from .catalog import AnnotationSet, LabelCatalog, LabelRecord
+from .csvio import csv_writer
 from .errors import PlanError
 from .textkit import (
     Connective,
@@ -698,7 +698,7 @@ def apply_and_splits(
 
 def write_duplicate_candidates(pairs: Sequence[DuplicatePair], stream: IO[str]) -> None:
     """Candidate CSV, one pair per row, scores with 4 decimal places."""
-    writer = csv.writer(stream, lineterminator="\n")
+    writer = csv_writer(stream)
     writer.writerow(["id_a", "name_a", "id_b", "name_b", "score"])
     for pair in pairs:
         writer.writerow(
@@ -715,7 +715,7 @@ def write_duplicate_candidates(pairs: Sequence[DuplicatePair], stream: IO[str]) 
 def write_hierarchy_candidates(
     candidates: Sequence[HierarchyCandidate], stream: IO[str]
 ) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
+    writer = csv_writer(stream)
     writer.writerow(["super_id", "super_name", "sub_id", "sub_name", "evidence"])
     for cand in candidates:
         writer.writerow(

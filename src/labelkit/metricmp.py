@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
+from .csvio import csv_errors, csv_writer
 from .errors import EvalError, ParseError
 
 DEFAULT_EPSILON = 1e-4
@@ -178,20 +179,21 @@ def parse_family(stream: IO[str]) -> ModelFamily:
     source = getattr(stream, "name", "<family>")
     reader = csv.DictReader(stream)
     required = {"model", "f_score", "g_score"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise ParseError(
-            "expected header with columns model, f_score, g_score", source=source
-        )
-    entries = []
-    for row in reader:
-        line = reader.line_num
-        model, f_score, g_score = row["model"], row["f_score"], row["g_score"]
-        if model is None or f_score is None or g_score is None:
-            raise ParseError("wrong number of fields", source=source, line=line)
-        try:
-            entries.append(FamilyEntry(model, float(f_score), float(g_score)))
-        except ValueError as exc:
-            raise ParseError(str(exc), source=source, line=line) from None
+    with csv_errors(reader.reader, source):
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise ParseError(
+                "expected header with columns model, f_score, g_score", source=source
+            )
+        entries = []
+        for row in reader:
+            line = reader.line_num
+            model, f_score, g_score = row["model"], row["f_score"], row["g_score"]
+            if model is None or f_score is None or g_score is None:
+                raise ParseError("wrong number of fields", source=source, line=line)
+            try:
+                entries.append(FamilyEntry(model, float(f_score), float(g_score)))
+            except ValueError as exc:
+                raise ParseError(str(exc), source=source, line=line) from None
     try:
         return ModelFamily(entries)
     except ValueError as exc:
@@ -199,7 +201,7 @@ def parse_family(stream: IO[str]) -> ModelFamily:
 
 
 def write_family(family: ModelFamily, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
+    writer = csv_writer(stream)
     writer.writerow(["model", "f_score", "g_score"])
     for entry in family:
         writer.writerow([entry.tag, repr(entry.f_score), repr(entry.g_score)])

@@ -7,13 +7,22 @@ summed in ascending label order and their totals are correctly rounded
 byte-identical across repeated runs and does not depend on sample order.
 Scoring runs in one thread; the ``threads`` parameters are accepted for
 compatibility and have no effect.
+
+A parsed score set keeps each sample's scores as two columns in file order
+(:class:`ScoreRow`: a list of the catalog's label ids and an ``array('d')``
+of scores), the CSR sparse layout split by sample, rather than a dict per
+sample. Readers use its mapping interface, which plain dicts share.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import shutil
+import tempfile
+from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
 from statistics import pstdev
@@ -21,6 +30,7 @@ from typing import IO, Callable, Iterable, Sequence
 
 from .catalog import AnnotationSet, LabelCatalog, SampleTable
 from .cleanse import OrGroup
+from .csvio import csv_errors, csv_writer
 from .errors import EvalError, ParseError
 from .relgraph import RelationGraph
 
@@ -34,12 +44,53 @@ DEFAULT_DECISION_THRESHOLD = 0.1
 # Scores and thresholding
 
 
-class ScoreSet(SampleTable):
-    """Per-sample, per-label prediction scores in [0, 1]. The constructor
-    checks and copies every sample's dict; :func:`parse_scores` validates
-    while reading and hands its dicts over through :meth:`_trusted` instead."""
+class ScoreRow(Mapping):
+    """One sample's scores as two columns in file order: ``labels`` holds the
+    label ids (a parsed row shares the catalog's own int objects) and
+    ``scores`` the matching scores as C doubles in an ``array('d')``. A cell
+    costs an 8-byte list slot and an 8-byte double, about 24 bytes with each
+    row's own overhead, where a dict entry and its float object cost about
+    70. Lookups by label scan the column, which suits the few dozen labels a
+    sample holds; :meth:`items` zips the two columns."""
 
-    def _checked(self, sample_id: str, scores: dict[int, float]) -> dict[int, float]:
+    __slots__ = ("labels", "scores")
+
+    def __init__(self) -> None:
+        self.labels: list[int] = []
+        self.scores = array("d")
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.labels)
+
+    def __getitem__(self, label_id: int) -> float:
+        try:
+            return self.scores[self.labels.index(label_id)]
+        except ValueError:
+            raise KeyError(label_id) from None
+
+    def __setitem__(self, label_id: int, score: float) -> None:
+        if label_id in self.labels:
+            self.scores[self.labels.index(label_id)] = score
+        else:
+            self.labels.append(label_id)
+            self.scores.append(score)
+
+    def items(self) -> Iterator[tuple[int, float]]:
+        return zip(self.labels, self.scores)
+
+
+class ScoreSet(SampleTable):
+    """Per-sample, per-label prediction scores in [0, 1], one :class:`ScoreRow`
+    per sample. The constructor checks every cell of each sample's mapping and
+    copies it into a new row; :func:`parse_scores` validates while reading and
+    hands its rows over through :meth:`_trusted` instead. Readers go through
+    the mapping interface, so a table adopted over plain dicts works too."""
+
+    def _checked(self, sample_id: str, scores: Mapping[int, float]) -> ScoreRow:
+        row = ScoreRow()
         for label_id, score in scores.items():
             if label_id not in self.known_labels:
                 raise ValueError(f"sample {sample_id!r} scores unknown label id {label_id}")
@@ -47,9 +98,11 @@ class ScoreSet(SampleTable):
                 raise ValueError(
                     f"sample {sample_id!r} label {label_id} score {score!r} outside [0, 1]"
                 )
-        return dict(scores)
+            row.labels.append(label_id)
+            row.scores.append(score)
+        return row
 
-    def scores_for(self, sample_id: str) -> dict[int, float]:
+    def scores_for(self, sample_id: str) -> Mapping[int, float]:
         return self._index[sample_id]
 
 
@@ -57,16 +110,29 @@ def parse_scores(stream: IO[str], catalog: LabelCatalog) -> ScoreSet:
     """Read a score file with header id,attribute_id,score. Rows for one
     sample need not be contiguous; a repeated (sample, label) cell is a hard
     error because silently keeping either value would hide a producer bug.
-    Every row is validated here, once, and errors name its physical line."""
+    Every row is validated here, once, and errors name its physical line.
+
+    Each sample's cells are appended to its :class:`ScoreRow` in file order;
+    no per-sample dict is built, and each row does the same work whatever
+    order the file is in. Repeated cells are looked for once the rows are
+    read (or when a row fails, so the first error in the file is the one
+    reported), one sample at a time; only when one is found is the file read
+    again, to name its line. A stream that cannot seek is first copied to a
+    temporary file for that."""
     source = getattr(stream, "name", "<scores>")
+    if stream.seekable():
+        return _parse_scores(stream, catalog, source)
+    with tempfile.TemporaryFile(
+        "w+", encoding="utf-8", errors="surrogatepass", newline=""
+    ) as copy:
+        shutil.copyfileobj(stream, copy)
+        copy.seek(0)
+        return _parse_scores(copy, catalog, source)
+
+
+def _parse_scores(stream: IO[str], catalog: LabelCatalog, source: str) -> ScoreSet:
+    start = stream.tell()
     reader = csv.reader(stream)
-    column = {name: i for i, name in enumerate(next(reader, ()))}
-    try:
-        cells = itemgetter(column["id"], column["attribute_id"], column["score"])
-    except KeyError:
-        raise ParseError(
-            "expected header with columns id, attribute_id, score", source=source
-        ) from None
 
     def error(message: str) -> ParseError:
         return ParseError(message, source=source, line=reader.line_num)
@@ -74,34 +140,82 @@ def parse_scores(stream: IO[str], catalog: LabelCatalog) -> ScoreSet:
     # Each id maps to the catalog's own int object, so the parsed cells share
     # those few thousand ints instead of holding one new int per row.
     known = {label_id: label_id for label_id in catalog.ids()}
-    samples: dict[str, dict[int, float]] = {}
-    for row in reader:
-        try:
-            sid, raw_label, raw_score = cells(row)
-        except IndexError:
-            if not row:
-                continue
-            raise error("wrong number of fields") from None
-        try:
-            number = int(raw_label)
-        except ValueError:
-            raise error(f"bad attribute id {raw_label!r}") from None
-        label_id = known.get(number)
-        if label_id is None:
-            raise error(f"unknown label id {number}")
-        try:
-            score = float(raw_score)
-        except ValueError:
-            raise error(f"bad score {raw_score!r}") from None
-        if not 0.0 <= score <= 1.0:  # NaN fails both comparisons, so it is rejected too
-            raise error(f"score {score!r} outside [0, 1]")
-        held = samples.get(sid)
-        if held is None:
-            samples[sid] = held = {}
-        elif label_id in held:
-            raise error(f"duplicate score for sample {sid!r}, label {label_id}")
-        held[label_id] = score
+    samples: dict[str, ScoreRow] = {}
+    try:
+        with csv_errors(reader, source):
+            column = {name: i for i, name in enumerate(next(reader, ()))}
+            try:
+                cells = itemgetter(column["id"], column["attribute_id"], column["score"])
+            except KeyError:
+                raise ParseError(
+                    "expected header with columns id, attribute_id, score", source=source
+                ) from None
+            for row in reader:
+                try:
+                    sid, raw_label, raw_score = cells(row)
+                except IndexError:
+                    if not row:
+                        continue
+                    raise error("wrong number of fields") from None
+                try:
+                    number = int(raw_label)
+                except ValueError:
+                    raise error(f"bad attribute id {raw_label!r}") from None
+                label_id = known.get(number)
+                if label_id is None:
+                    raise error(f"unknown label id {number}")
+                try:
+                    score = float(raw_score)
+                except ValueError:
+                    raise error(f"bad score {raw_score!r}") from None
+                if not 0.0 <= score <= 1.0:  # NaN fails both comparisons, so it is rejected too
+                    raise error(f"score {score!r} outside [0, 1]")
+                held = samples.get(sid)
+                if held is None:
+                    samples[sid] = held = ScoreRow()
+                held.labels.append(label_id)
+                held.scores.append(score)
+    except ParseError:
+        _reject_duplicates(samples, stream, start, source)
+        raise
+    _reject_duplicates(samples, stream, start, source)
     return ScoreSet._trusted(samples, frozenset(known))
+
+
+def _reject_duplicates(
+    samples: dict[str, ScoreRow], stream: IO[str], start: int, source: str
+) -> None:
+    """Raise for the first repeated (sample, label) cell in file order among
+    the rows read into ``samples``, naming its line as a check on each row
+    would: the rows are read again from ``start`` up to that cell."""
+    repeats = {}  # sample id -> index of its first repeated cell
+    for sid, held in samples.items():
+        labels = held.labels
+        if len(set(labels)) < len(labels):
+            seen: set[int] = set()
+            for index, label_id in enumerate(labels):
+                if label_id in seen:
+                    repeats[sid] = index
+                    break
+                seen.add(label_id)
+    if not repeats:
+        return
+    stream.seek(start)
+    reader = csv.reader(stream)
+    sample_id = itemgetter({name: i for i, name in enumerate(next(reader))}["id"])
+    counts = dict.fromkeys(repeats, 0)
+    # Every row up to the repeated cell was valid when first read.
+    for row in reader:
+        sid = sample_id(row) if row else None
+        if sid in counts:
+            if counts[sid] == repeats[sid]:
+                label_id = samples[sid].labels[repeats[sid]]
+                raise ParseError(
+                    f"duplicate score for sample {sid!r}, label {label_id}",
+                    source=source,
+                    line=reader.line_num,
+                ) from None
+            counts[sid] += 1
 
 
 def threshold(
@@ -675,7 +789,7 @@ def write_sweep(rows: Sequence[dict], stream: IO[str]) -> None:
     if not rows:
         raise EvalError("empty sweep")
     fields = list(rows[0].keys())
-    writer = csv.writer(stream, lineterminator="\n")
+    writer = csv_writer(stream)
     writer.writerow(fields)
     for row in rows:
         writer.writerow([repr(row[f]) if isinstance(row[f], float) else row[f] for f in fields])

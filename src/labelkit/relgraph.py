@@ -8,12 +8,12 @@ hop count, and everything else (including ids outside the graph) is
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from typing import IO, Iterable, Sequence
 
 from .catalog import LabelCatalog
+from .csvio import csv_writer
 from .errors import ParseError, PlanError
 from .cleanse import AndSplit, OrGroup
 
@@ -188,7 +188,7 @@ def parse_curated_edges(stream: IO[str], catalog: LabelCatalog) -> list[tuple[in
 
 def write_edge_list(graph: RelationGraph, catalog: LabelCatalog, stream: IO[str]) -> None:
     """Edge list as CSV of qualified names, ascending id order."""
-    writer = csv.writer(stream, lineterminator="\n")
+    writer = csv_writer(stream)
     writer.writerow(["label_a", "label_b"])
     for a, b in graph.edges():
         writer.writerow([catalog.get(a).qualified_name, catalog.get(b).qualified_name])

@@ -790,3 +790,40 @@ def test_config_file_with_bom(corpus, tmp_path):
     )
     assert code == 0
     assert read_json(out)["provenance"]["config"]["threshold"] == 0.3
+
+
+# ---------------------------------------------------------------------------
+# Oversized CSV cells
+
+HUGE = "x" * 140_000  # above csv.field_size_limit()'s default of 131072
+
+
+@pytest.mark.parametrize(
+    "kind, text, command",
+    [
+        ("labels", f"attribute_id,attribute_name\n0,country::egypt\n1,{HUGE}\n", "inspect"),
+        ("annotations", f"id,attribute_ids\ns1,0\ns2,{HUGE}\n", "inspect"),
+        ("scores", f"id,attribute_id,score\ns1,0,0.5\ns2,0,{HUGE}\n", "eval"),
+        ("family", f"model,f_score,g_score\na,0.1,0.2\nb,{HUGE},0.3\n", "compare"),
+    ],
+    ids=["labels", "annotations", "scores", "family"],
+)
+def test_oversized_cell_is_one_json_error(corpus, tmp_path, capsys, kind, text, command):
+    path = tmp_path / f"huge_{kind}.csv"
+    path.write_text(text)
+    inputs = {
+        "inspect": ("--labels", corpus["labels"], "--annotations", corpus["annotations"]),
+        "eval": (
+            "--labels", corpus["labels"],
+            "--annotations", corpus["annotations"],
+            "--scores", corpus["scores"],
+        ),
+        "compare": (),
+    }[command]
+    flags = dict(zip(inputs[::2], inputs[1::2]))
+    flags[f"--{kind}"] = path
+    argv = [command, *(item for pair in flags.items() for item in pair)]
+    assert run(*argv, "--out", tmp_path / "out.json") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": f"{path}:3: field larger than field limit (131072)"}
