@@ -9,15 +9,13 @@ comma-separated files.
 
 from __future__ import annotations
 
-import csv
 import logging
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
-from .csvio import csv_errors, csv_writer
-from .errors import ParseError
+from .csvio import CsvTable, csv_writer
 
 log = logging.getLogger(__name__)
 
@@ -219,51 +217,36 @@ def parse_labels(stream: IO[str]) -> LabelCatalog:
     """Parse a label vocabulary file into a catalog.
 
     Rows missing the category separator land in the "uncategorized" category
-    with a warning. Malformed rows and duplicate ids are hard errors.
+    with a warning. Malformed rows and duplicate ids are hard errors; like
+    the warnings, they name the file and the physical line (:class:`CsvTable`).
     """
     source = getattr(stream, "name", "<labels>")
-    reader = csv.DictReader(stream)
-    with csv_errors(reader.reader, source):
-        if reader.fieldnames is None:
-            raise ParseError("empty file, expected a header row", source=source, line=1)
-        missing = {"attribute_id", "attribute_name"} - set(reader.fieldnames)
-        if missing:
-            raise ParseError(
-                f"missing required columns: {', '.join(sorted(missing))}",
-                source=source,
-                line=1,
+    table = CsvTable(stream, ("attribute_id", "attribute_name"), source)
+    records: list[LabelRecord] = []
+    seen: set[int] = set()
+    for raw_id, raw_name in table:
+        try:
+            label_id = int(raw_id)
+        except ValueError:
+            raise table.error(f"bad label id {raw_id!r}") from None
+        if label_id < 0:
+            raise table.error(f"negative label id {label_id}")
+        if label_id in seen:
+            raise table.error(f"duplicate label id {label_id}")
+        seen.add(label_id)
+
+        category, separator, name = raw_name.partition("::")
+        if not separator:
+            log.warning(
+                "%s:%d: label %d has no %r separator, categorized as %r",
+                source,
+                table.line,
+                label_id,
+                "::",
+                UNCATEGORIZED,
             )
-
-        records: list[LabelRecord] = []
-        seen: set[int] = set()
-        for row in reader:
-            line = reader.line_num
-            raw_id = row.get("attribute_id")
-            raw_name = row.get("attribute_name")
-            if raw_id is None or raw_name is None:
-                raise ParseError("wrong number of fields", source=source, line=line)
-            try:
-                label_id = int(raw_id)
-            except ValueError:
-                raise ParseError(f"bad label id {raw_id!r}", source=source, line=line) from None
-            if label_id < 0:
-                raise ParseError(f"negative label id {label_id}", source=source, line=line)
-            if label_id in seen:
-                raise ParseError(f"duplicate label id {label_id}", source=source, line=line)
-            seen.add(label_id)
-
-            category, separator, name = raw_name.partition("::")
-            if not separator:
-                log.warning(
-                    "%s:%d: label %d has no %r separator, categorized as %r",
-                    source,
-                    line,
-                    label_id,
-                    "::",
-                    UNCATEGORIZED,
-                )
-                category, name = UNCATEGORIZED, raw_name
-            records.append(LabelRecord(id=label_id, category=category, name=name))
+            category, name = UNCATEGORIZED, raw_name
+        records.append(LabelRecord(id=label_id, category=category, name=name))
     return LabelCatalog(records)
 
 
@@ -291,63 +274,32 @@ def parse_annotations(
     """
     if on_duplicate_label not in ("warn", "error"):
         raise ValueError(f"bad on_duplicate_label {on_duplicate_label!r}")
-    source = getattr(stream, "name", "<annotations>")
-    reader = csv.DictReader(stream)
-    with csv_errors(reader.reader, source):
-        if reader.fieldnames is None:
-            raise ParseError("empty file, expected a header row", source=source, line=1)
-        missing = {"id", "attribute_ids"} - set(reader.fieldnames)
-        if missing:
-            raise ParseError(
-                f"missing required columns: {', '.join(sorted(missing))}",
-                source=source,
-                line=1,
-            )
-
-        known = catalog.ids()
-        samples: dict[str, frozenset[int]] = {}
-        for row in reader:
-            line = reader.line_num
-            sample_id = row.get("id")
-            raw_ids = row.get("attribute_ids")
-            if sample_id is None or raw_ids is None:
-                raise ParseError("wrong number of fields", source=source, line=line)
-            if sample_id in samples:
-                raise ParseError(f"duplicate sample id {sample_id!r}", source=source, line=line)
-
-            parts = raw_ids.split()
-            labels: set[int] = set()
-            for part in parts:
-                try:
-                    label_id = int(part)
-                except ValueError:
-                    raise ParseError(
-                        f"bad label id {part!r} in sample {sample_id!r}",
-                        source=source,
-                        line=line,
-                    ) from None
-                if label_id not in known:
-                    raise ParseError(
-                        f"sample {sample_id!r} references unknown label id {label_id}",
-                        source=source,
-                        line=line,
-                    )
-                if label_id in labels:
-                    if on_duplicate_label == "error":
-                        raise ParseError(
-                            f"duplicate label id {label_id} in sample {sample_id!r}",
-                            source=source,
-                            line=line,
-                        )
-                    log.warning(
-                        "%s:%d: duplicate label id %d in sample %r, deduplicated",
-                        source,
-                        line,
-                        label_id,
-                        sample_id,
-                    )
-                labels.add(label_id)
-            samples[sample_id] = frozenset(labels)
+    table = CsvTable(stream, ("id", "attribute_ids"), getattr(stream, "name", "<annotations>"))
+    known = catalog.ids()
+    samples: dict[str, frozenset[int]] = {}
+    for sample_id, raw_ids in table:
+        if sample_id in samples:
+            raise table.error(f"duplicate sample id {sample_id!r}")
+        labels: set[int] = set()
+        for part in raw_ids.split():
+            try:
+                label_id = int(part)
+            except ValueError:
+                raise table.error(f"bad label id {part!r} in sample {sample_id!r}") from None
+            if label_id not in known:
+                raise table.error(f"sample {sample_id!r} references unknown label id {label_id}")
+            if label_id in labels:
+                if on_duplicate_label == "error":
+                    raise table.error(f"duplicate label id {label_id} in sample {sample_id!r}")
+                log.warning(
+                    "%s:%d: duplicate label id %d in sample %r, deduplicated",
+                    table.source,
+                    table.line,
+                    label_id,
+                    sample_id,
+                )
+            labels.add(label_id)
+        samples[sample_id] = frozenset(labels)
     return AnnotationSet._trusted(samples, known)
 
 

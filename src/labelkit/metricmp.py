@@ -10,13 +10,12 @@ discriminating than (dod > 1) the other.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .csvio import csv_errors, csv_writer
-from .errors import EvalError, ParseError
+from .csvio import CsvTable, csv_writer
+from .errors import EvalError
 
 DEFAULT_EPSILON = 1e-4
 
@@ -175,29 +174,15 @@ def family_from_sweep(rows: Sequence[dict]) -> ModelFamily:
 
 def parse_family(stream: IO[str]) -> ModelFamily:
     """Read a family file with header model,f_score,g_score. Errors name the
-    physical line; a row missing a required cell is rejected."""
-    source = getattr(stream, "name", "<family>")
-    reader = csv.DictReader(stream)
-    required = {"model", "f_score", "g_score"}
-    with csv_errors(reader.reader, source):
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ParseError(
-                "expected header with columns model, f_score, g_score", source=source
-            )
-        entries = []
-        for row in reader:
-            line = reader.line_num
-            model, f_score, g_score = row["model"], row["f_score"], row["g_score"]
-            if model is None or f_score is None or g_score is None:
-                raise ParseError("wrong number of fields", source=source, line=line)
-            try:
-                entries.append(FamilyEntry(model, float(f_score), float(g_score)))
-            except ValueError as exc:
-                raise ParseError(str(exc), source=source, line=line) from None
+    physical line of the row at fault, a repeated tag or a non-finite score
+    included; a row missing a required cell is rejected."""
+    table = CsvTable(stream, ("model", "f_score", "g_score"), getattr(stream, "name", "<family>"))
+    # ModelFamily checks each entry as it is read, so a bad score, a repeated
+    # tag or a non-finite score is raised while the table stands at its row.
     try:
-        return ModelFamily(entries)
+        return ModelFamily((model, float(f), float(g)) for model, f, g in table)
     except ValueError as exc:
-        raise ParseError(str(exc), source=source) from None
+        raise table.error(str(exc)) from None
 
 
 def write_family(family: ModelFamily, stream: IO[str]) -> None:

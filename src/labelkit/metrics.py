@@ -16,21 +16,19 @@ sample. Readers use its mapping interface, which plain dicts share.
 
 from __future__ import annotations
 
-import csv
 import math
 import shutil
 import tempfile
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass, field, replace
 from statistics import pstdev
 from typing import IO, Callable, Iterable, Sequence
 
 from .catalog import AnnotationSet, LabelCatalog, SampleTable
 from .cleanse import OrGroup
-from .csvio import csv_errors, csv_writer
+from .csvio import CsvTable, csv_writer
 from .errors import EvalError, ParseError
 from .relgraph import RelationGraph
 
@@ -132,49 +130,31 @@ def parse_scores(stream: IO[str], catalog: LabelCatalog) -> ScoreSet:
 
 def _parse_scores(stream: IO[str], catalog: LabelCatalog, source: str) -> ScoreSet:
     start = stream.tell()
-    reader = csv.reader(stream)
-
-    def error(message: str) -> ParseError:
-        return ParseError(message, source=source, line=reader.line_num)
-
+    table = CsvTable(stream, ("id", "attribute_id", "score"), source)
     # Each id maps to the catalog's own int object, so the parsed cells share
     # those few thousand ints instead of holding one new int per row.
     known = {label_id: label_id for label_id in catalog.ids()}
     samples: dict[str, ScoreRow] = {}
     try:
-        with csv_errors(reader, source):
-            column = {name: i for i, name in enumerate(next(reader, ()))}
+        for sid, raw_label, raw_score in table:
             try:
-                cells = itemgetter(column["id"], column["attribute_id"], column["score"])
-            except KeyError:
-                raise ParseError(
-                    "expected header with columns id, attribute_id, score", source=source
-                ) from None
-            for row in reader:
-                try:
-                    sid, raw_label, raw_score = cells(row)
-                except IndexError:
-                    if not row:
-                        continue
-                    raise error("wrong number of fields") from None
-                try:
-                    number = int(raw_label)
-                except ValueError:
-                    raise error(f"bad attribute id {raw_label!r}") from None
-                label_id = known.get(number)
-                if label_id is None:
-                    raise error(f"unknown label id {number}")
-                try:
-                    score = float(raw_score)
-                except ValueError:
-                    raise error(f"bad score {raw_score!r}") from None
-                if not 0.0 <= score <= 1.0:  # NaN fails both comparisons, so it is rejected too
-                    raise error(f"score {score!r} outside [0, 1]")
-                held = samples.get(sid)
-                if held is None:
-                    samples[sid] = held = ScoreRow()
-                held.labels.append(label_id)
-                held.scores.append(score)
+                number = int(raw_label)
+            except ValueError:
+                raise table.error(f"bad attribute id {raw_label!r}") from None
+            label_id = known.get(number)
+            if label_id is None:
+                raise table.error(f"unknown label id {number}")
+            try:
+                score = float(raw_score)
+            except ValueError:
+                raise table.error(f"bad score {raw_score!r}") from None
+            if not 0.0 <= score <= 1.0:  # NaN fails both comparisons, so it is rejected too
+                raise table.error(f"score {score!r} outside [0, 1]")
+            held = samples.get(sid)
+            if held is None:
+                samples[sid] = held = ScoreRow()
+            held.labels.append(label_id)
+            held.scores.append(score)
     except ParseError:
         _reject_duplicates(samples, stream, start, source)
         raise
@@ -201,20 +181,14 @@ def _reject_duplicates(
     if not repeats:
         return
     stream.seek(start)
-    reader = csv.reader(stream)
-    sample_id = itemgetter({name: i for i, name in enumerate(next(reader))}["id"])
+    table = CsvTable(stream, ("id", "attribute_id"), source)
     counts = dict.fromkeys(repeats, 0)
     # Every row up to the repeated cell was valid when first read.
-    for row in reader:
-        sid = sample_id(row) if row else None
+    for sid, _ in table:
         if sid in counts:
             if counts[sid] == repeats[sid]:
                 label_id = samples[sid].labels[repeats[sid]]
-                raise ParseError(
-                    f"duplicate score for sample {sid!r}, label {label_id}",
-                    source=source,
-                    line=reader.line_num,
-                ) from None
+                raise table.error(f"duplicate score for sample {sid!r}, label {label_id}")
             counts[sid] += 1
 
 
@@ -445,27 +419,14 @@ def fbeta_report(
     scope: Iterable[int] | None = None,
     sample_filter: Callable[[str], bool] | None = None,
 ) -> MetricReport:
-    """Flat per-class F-beta over exactly matching sample ids.
+    """Flat per-class F-beta over exactly matching sample ids: the or-aware
+    report with no or-groups.
 
     ``scope`` restricts the class universe (labels outside it are ignored on
     both sides); ``sample_filter`` keeps only sample ids it accepts.
     """
-    ids = _aligned_sample_ids(predictions, truth, sample_filter)
-    classes = _class_universe(predictions.known_labels | truth.known_labels, scope)
-    class_set = frozenset(classes)
-    tp = {c: 0 for c in classes}
-    fp = {c: 0 for c in classes}
-    fn = {c: 0 for c in classes}
-    for sid in ids:
-        t = truth.labels_for(sid) & class_set
-        p = predictions.labels_for(sid) & class_set
-        for c in t & p:
-            tp[c] += 1
-        for c in p - t:
-            fp[c] += 1
-        for c in t - p:
-            fn[c] += 1
-    return _finish_flat_report("flat", beta, classes, tp, fp, fn, len(ids))
+    report = or_aware_report(predictions, truth, (), beta, scope, sample_filter)
+    return replace(report, kind="flat")
 
 
 def or_aware_report(
@@ -477,8 +438,9 @@ def or_aware_report(
     sample_filter: Callable[[str], bool] | None = None,
 ) -> MetricReport:
     """Flat report, except a true disjunctive label is satisfied by
-    predicting the label itself or any of its alternatives. False positives
-    are unchanged: predicting a disjunction nothing supports still costs."""
+    predicting the label itself or any of its alternatives, in scope or not.
+    False positives are unchanged: predicting a disjunction nothing supports
+    still costs."""
     ids = _aligned_sample_ids(predictions, truth, sample_filter)
     classes = _class_universe(predictions.known_labels | truth.known_labels, scope)
     class_set = frozenset(classes)
@@ -490,13 +452,13 @@ def or_aware_report(
         t = truth.labels_for(sid) & class_set
         p_raw = predictions.labels_for(sid)
         p = p_raw & class_set
-        for c in t:
-            accepted = satisfiers.get(c)
-            hit = c in p if accepted is None else bool(p_raw & accepted)
-            if hit:
-                tp[c] += 1
-            else:
-                fn[c] += 1
+        hits = t & p
+        if satisfiers:
+            hits |= {c for c in t - p if c in satisfiers and p_raw & satisfiers[c]}
+        for c in hits:
+            tp[c] += 1
+        for c in t - hits:
+            fn[c] += 1
         for c in p - t:
             fp[c] += 1
     return _finish_flat_report("or_aware", beta, classes, tp, fp, fn, len(ids))

@@ -8,12 +8,13 @@ hop count, and everything else (including ids outside the graph) is
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import deque
 from typing import IO, Iterable, Sequence
 
 from .catalog import LabelCatalog
-from .csvio import csv_writer
+from .csvio import csv_errors, csv_writer
 from .errors import ParseError, PlanError
 from .cleanse import AndSplit, OrGroup
 
@@ -163,14 +164,17 @@ def build_graph(
 
 def parse_curated_edges(stream: IO[str], catalog: LabelCatalog) -> list[tuple[int, int]]:
     """Read a reviewed edge file: two comma-separated label names per line,
-    bare or category-qualified; '#' starts a comment."""
+    bare or category-qualified; '#' starts a comment. What is left of a line
+    is split by CSV rules, so a quoted name may hold a comma."""
     edges: list[tuple[int, int]] = []
     source = getattr(stream, "name", "<edges>")
     for lineno, raw in enumerate(stream, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = [p.strip() for p in line.split(",")]
+        with csv_errors(source, lambda: lineno):
+            cells = next(csv.reader((line,)))
+        parts = [p.strip() for p in cells]
         if len(parts) != 2 or not all(parts):
             raise ParseError(
                 "expected two comma-separated label names",

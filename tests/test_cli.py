@@ -827,3 +827,35 @@ def test_oversized_cell_is_one_json_error(corpus, tmp_path, capsys, kind, text, 
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": f"{path}:3: field larger than field limit (131072)"}
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ("a,0.1,0.2\nb,inf,0.3\n", "fam.csv:3: model 'b' has a non-finite score"),
+        ("a,0.1,0.2\nb,0.3,0.4\na,0.5,0.6\n", "fam.csv:4: duplicate model tag 'a'"),
+        ("a,0.1,0.2\n", "fam.csv: a model family needs at least two models"),
+    ],
+)
+def test_compare_family_errors_name_the_line(tmp_path, capsys, rows, error):
+    family = tmp_path / "fam.csv"
+    family.write_text("model,f_score,g_score\n" + rows)
+    assert run("compare", "--family", family) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == f"{tmp_path / error}"
+
+
+def test_graph_edges_quoted_name_holds_a_comma(tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_text('attribute_id,attribute_name\n0,"medium::ink, color"\n1,medium::paper\n')
+    edges = tmp_path / "e.txt"
+    edges.write_text("medium::ink, color,medium::paper\n")
+    args = ("graph", "--labels", labels, "--graph-edges", edges, "--out", tmp_path / "g")
+    assert run(*args) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == f"{edges}:1: expected two comma-separated label names"
+    edges.write_text('"medium::ink, color",medium::paper\n')
+    assert run(*args) == 0
+    lines = (tmp_path / "g" / "edges.txt").read_text().splitlines()
+    assert lines == ["label_a,label_b", '"medium::ink, color",medium::paper']
