@@ -57,18 +57,20 @@ class LabelCatalog:
 
     Iteration order is ascending id. ``(category, canonical)`` duplicates are
     allowed (that is precisely the noise the cleaning pipeline removes) and
-    canonical lookups resolve to the lowest matching id.
+    canonical lookups resolve to the lowest matching id. Bare and qualified
+    names are both looked up in one ``canonical -> [records]`` index, each
+    list in id order.
     """
 
     def __init__(self, records: Iterable[LabelRecord]):
         self.records: list[LabelRecord] = sorted(records, key=lambda r: r.id)
         self.by_id: dict[int, LabelRecord] = {}
-        self._by_canonical: dict[tuple[str, str], LabelRecord] = {}
+        self._by_canonical: dict[str, list[LabelRecord]] = {}
         for record in self.records:
             if record.id in self.by_id:
                 raise ValueError(f"duplicate label id {record.id}")
             self.by_id[record.id] = record
-            self._by_canonical.setdefault((record.category, record.canonical), record)
+            self._by_canonical.setdefault(record.canonical, []).append(record)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -87,7 +89,10 @@ class LabelCatalog:
 
     def find(self, category: str, name: str) -> LabelRecord | None:
         """Look a label up by category and (canonicalized) name."""
-        return self._by_canonical.get((category, canonicalize(name)))
+        for record in self._by_canonical.get(canonicalize(name), ()):
+            if record.category == category:
+                return record
+        return None
 
     def ids(self) -> frozenset[int]:
         return frozenset(self.by_id)
@@ -110,11 +115,10 @@ class LabelCatalog:
             if record is None:
                 raise KeyError(f"unknown label {text!r}")
             return record
-        canonical = canonicalize(text)
         matches = [
             r
-            for r in self.records
-            if r.canonical == canonical and (category is None or r.category == category)
+            for r in self._by_canonical.get(canonicalize(text), ())
+            if category is None or r.category == category
         ]
         if not matches:
             raise KeyError(f"unknown label {text!r}")
@@ -276,18 +280,26 @@ def parse_annotations(
         raise ValueError(f"bad on_duplicate_label {on_duplicate_label!r}")
     table = CsvTable(stream, ("id", "attribute_ids"), getattr(stream, "name", "<annotations>"))
     known = catalog.ids()
+    # An id in canonical form (str(id)) resolves in one lookup, to the
+    # catalog's own int; any other spelling ("05", "+5", "٥") goes through
+    # int(), which accepts or rejects it.
+    by_text = {str(label_id): label_id for label_id in known}
     samples: dict[str, frozenset[int]] = {}
     for sample_id, raw_ids in table:
         if sample_id in samples:
             raise table.error(f"duplicate sample id {sample_id!r}")
         labels: set[int] = set()
         for part in raw_ids.split():
-            try:
-                label_id = int(part)
-            except ValueError:
-                raise table.error(f"bad label id {part!r} in sample {sample_id!r}") from None
-            if label_id not in known:
-                raise table.error(f"sample {sample_id!r} references unknown label id {label_id}")
+            label_id = by_text.get(part)
+            if label_id is None:
+                try:
+                    label_id = int(part)
+                except ValueError:
+                    raise table.error(f"bad label id {part!r} in sample {sample_id!r}") from None
+                if label_id not in known:
+                    raise table.error(
+                        f"sample {sample_id!r} references unknown label id {label_id}"
+                    )
             if label_id in labels:
                 if on_duplicate_label == "error":
                     raise table.error(f"duplicate label id {label_id} in sample {sample_id!r}")

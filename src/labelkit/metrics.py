@@ -1,12 +1,14 @@
 """Multi-label scoring: flat F-beta reports, or-aware and graph-aware
 variants, run-to-run deviation, and threshold sweeps.
 
-Counts for the flat reports are plain integers. Per-sample graph values are
-summed in ascending label order and their totals are correctly rounded
-(``math.fsum``, or the exact integer sums of :func:`sweep`), so a report is
-byte-identical across repeated runs and does not depend on sample order.
-Scoring runs in one thread; the ``threads`` parameters are accepted for
-compatibility and have no effect.
+Counts for the flat reports are plain integers. The graph reports credit a
+prediction from its distance ball in the graph's ball table: one walk over
+the smaller of the ball and the sample's true labels, with no per-pair
+distance lookup. Per-sample graph values are summed in ascending label order
+and their totals are correctly rounded (``math.fsum``, or the exact integer
+sums of :func:`sweep`), so a report is byte-identical across repeated runs
+and does not depend on sample order. Scoring runs in one thread; the
+``threads`` parameters are accepted for compatibility and have no effect.
 
 A parsed score set keeps each sample's scores as two columns in file order
 (:class:`ScoreRow`: a list of the catalog's label ids and an ``array('d')``
@@ -111,12 +113,13 @@ def parse_scores(stream: IO[str], catalog: LabelCatalog) -> ScoreSet:
     Every row is validated here, once, and errors name its physical line.
 
     Each sample's cells are appended to its :class:`ScoreRow` in file order;
-    no per-sample dict is built, and each row does the same work whatever
-    order the file is in. Repeated cells are looked for once the rows are
-    read (or when a row fails, so the first error in the file is the one
-    reported), one sample at a time; only when one is found is the file read
-    again, to name its line. A stream that cannot seek is first copied to a
-    temporary file for that."""
+    no per-sample dict is built. A row's sample is looked up only when it is
+    not the previous row's, so rows grouped by sample skip that lookup and
+    any other order costs one lookup a row, never more. Repeated cells are
+    looked for once the rows are read (or when a row fails, so the first
+    error in the file is the one reported), one sample at a time; only when
+    one is found is the file read again, to name its line. A stream that
+    cannot seek is first copied to a temporary file for that."""
     source = getattr(stream, "name", "<scores>")
     if stream.seekable():
         return _parse_scores(stream, catalog, source)
@@ -132,29 +135,37 @@ def _parse_scores(stream: IO[str], catalog: LabelCatalog, source: str) -> ScoreS
     start = stream.tell()
     table = CsvTable(stream, ("id", "attribute_id", "score"), source)
     # Each id maps to the catalog's own int object, so the parsed cells share
-    # those few thousand ints instead of holding one new int per row.
+    # those few thousand ints instead of holding one new int per row. An id
+    # cell in canonical form (str(id)) resolves in one lookup; any other
+    # spelling (" 5", "05", "٥") goes through int(), which accepts or rejects it.
     known = {label_id: label_id for label_id in catalog.ids()}
+    by_text = {str(label_id): label_id for label_id in known}
     samples: dict[str, ScoreRow] = {}
+    current = None  # the sample of the previous row, whose appends are bound
     try:
         for sid, raw_label, raw_score in table:
-            try:
-                number = int(raw_label)
-            except ValueError:
-                raise table.error(f"bad attribute id {raw_label!r}") from None
-            label_id = known.get(number)
+            label_id = by_text.get(raw_label)
             if label_id is None:
-                raise table.error(f"unknown label id {number}")
+                try:
+                    number = int(raw_label)
+                except ValueError:
+                    raise table.error(f"bad attribute id {raw_label!r}") from None
+                label_id = known.get(number)
+                if label_id is None:
+                    raise table.error(f"unknown label id {number}")
             try:
                 score = float(raw_score)
             except ValueError:
                 raise table.error(f"bad score {raw_score!r}") from None
             if not 0.0 <= score <= 1.0:  # NaN fails both comparisons, so it is rejected too
                 raise table.error(f"score {score!r} outside [0, 1]")
-            held = samples.get(sid)
-            if held is None:
-                samples[sid] = held = ScoreRow()
-            held.labels.append(label_id)
-            held.scores.append(score)
+            if sid != current:
+                held = samples.get(sid)
+                if held is None:
+                    samples[sid] = held = ScoreRow()
+                add_label, add_score, current = held.labels.append, held.scores.append, sid
+            add_label(label_id)
+            add_score(score)
     except ParseError:
         _reject_duplicates(samples, stream, start, source)
         raise
@@ -211,8 +222,14 @@ def threshold(
     for sid in wanted:
         if sid in predicted:
             raise ValueError(f"duplicate sample id {sid!r}")
+        # Built from a set, a frozenset's table is sized to fit; grown from a
+        # generator one item at a time, it can be twice as large.
         predicted[sid] = frozenset(
-            label for label, score in scores.scores_for(sid).items() if score >= decision_threshold
+            {
+                label
+                for label, score in scores.scores_for(sid).items()
+                if score >= decision_threshold
+            }
         )
     return AnnotationSet._trusted(predicted, scores.known_labels)
 
@@ -524,14 +541,21 @@ def _check_graph_args(fp_mode: str, threads: int) -> None:
 
 
 def _add_prediction(
-    pred: int, labels: list[int], label_best: list[float], graph: RelationGraph
+    pred: int, index: dict[int, int], label_best: list[float], graph: RelationGraph
 ) -> float:
-    """Credit one prediction against a sample's true ``labels``: raise each
-    label's best credit in ``label_best`` and return the prediction's own
-    best credit. Graph distance is symmetric, so one lookup serves both."""
+    """Credit one prediction against a sample's true labels, given as
+    ``{label: position in label_best}``: raise each label's best credit in
+    ``label_best`` and return the prediction's own best credit.
+
+    Only the true labels in the prediction's ball earn credit; any other
+    label is out of reach, and its credit of 0.0 would raise no best. Graph
+    distance is symmetric, so the ball serves both sides. Intersecting the
+    two key views walks the smaller of the ball and the labels."""
+    ball = graph.ball(pred)
     best = 0.0
-    for j, label in enumerate(labels):
-        credit = 1.0 / (graph.distance(label, pred) + 1.0)
+    for label in ball.keys() & index.keys():
+        credit = 1.0 / (ball[label] + 1.0)
+        j = index[label]
         if credit > label_best[j]:
             label_best[j] = credit
         if credit > best:
@@ -566,7 +590,10 @@ def graph_fbeta_report(
     threads: int = 1,
 ) -> MetricReport:
     """F-beta with graph partial credit: a true label earns 1/(d+1) for the
-    nearest prediction, so an adjacent guess is worth half a hit.
+    nearest prediction, so an adjacent guess is worth half a hit. Each
+    prediction is credited from its distance ball (:meth:`RelationGraph.ball`),
+    the nodes it reaches with their hop counts, so only the true labels inside
+    the ball are looked at; every other label is out of reach and earns 0.
 
     ``fp_mode`` picks how predictions are charged: "literal" charges each
     prediction its best credit toward any true label (a historical reading
@@ -584,10 +611,10 @@ def graph_fbeta_report(
     class_set = frozenset(classes)
     rows = []
     for sid in ids:
-        labels = sorted(truth.labels_for(sid) & class_set)
-        label_best = [0.0] * len(labels)
+        index = {label: j for j, label in enumerate(sorted(truth.labels_for(sid) & class_set))}
+        label_best = [0.0] * len(index)
         pred_best = [
-            _add_prediction(pred, labels, label_best, graph)
+            _add_prediction(pred, index, label_best, graph)
             for pred in sorted(predictions.labels_for(sid) & class_set)
         ]
         rows.append(_graph_counts(label_best, pred_best, fp_mode))
@@ -645,8 +672,8 @@ def _graph_sweep_steps(
     """Add one sample's graph (tp, fp, fn) to ``steps`` as exact changes:
     at the last index its values with nothing predicted, at index i the
     change when the predictions ``entering[i]`` join at grid point i."""
-    labels = sorted(t)
-    label_best = [0.0] * len(labels)
+    index = {label: j for j, label in enumerate(sorted(t))}
+    label_best = [0.0] * len(index)
     preds: list[int] = []
     pred_best: list[float] = []
     before = (0, 0, 0)
@@ -654,7 +681,7 @@ def _graph_sweep_steps(
         for pred in entering.get(i, ()):
             at = bisect_left(preds, pred)
             preds.insert(at, pred)
-            pred_best.insert(at, _add_prediction(pred, labels, label_best, graph))
+            pred_best.insert(at, _add_prediction(pred, index, label_best, graph))
         after = tuple(_exact(v) for v in _graph_counts(label_best, pred_best, fp_mode))
         step = steps[i]
         for j in range(3):

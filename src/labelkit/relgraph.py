@@ -1,9 +1,10 @@
 """Undirected relatedness graph over label ids.
 
-Supplies the graph distances behind the graph-aware score report. Distance
-semantics: a node is at distance 0 from itself, connected nodes are at BFS
-hop count, and everything else (including ids outside the graph) is
-:data:`INFINITE`, which the scoring side turns into zero credit.
+Supplies the graph distances behind the graph-aware score report, one
+distance ball per source (:meth:`RelationGraph.ball`). Distance semantics: a
+node is at distance 0 from itself, connected nodes are at BFS hop count, and
+everything else (including ids outside the graph) is :data:`INFINITE`, which
+the scoring side turns into zero credit: a node outside a ball earns none.
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ INFINITE = math.inf
 
 
 class RelationGraph:
-    """Immutable undirected graph with cached all-targets BFS per source.
+    """Immutable undirected graph with a ball table: each source's ball maps
+    every node it reaches to its BFS hop count, the source itself at 0 (even
+    off the graph), and is built on first use and kept. Distances and
+    components read the table, and the graph-aware report credits a
+    prediction from its ball alone.
 
     Duplicate edges collapse (the same relation often arrives from several
     generators); self-loops are rejected because they would award distance
@@ -47,7 +52,7 @@ class RelationGraph:
             adjacency[b].add(a)
         self._edges = frozenset(edge_set)
         self._adjacency = {node: tuple(sorted(peers)) for node, peers in adjacency.items()}
-        self._bfs_cache: dict[int, dict[int, int]] = {}
+        self._balls: dict[int, dict[int, int]] = {}
 
     @property
     def nodes(self) -> frozenset[int]:
@@ -67,31 +72,30 @@ class RelationGraph:
     def __contains__(self, node: int) -> bool:
         return node in self._nodes
 
-    def _distances_from(self, source: int) -> dict[int, int]:
-        cached = self._bfs_cache.get(source)
-        if cached is not None:
-            return cached
-        dist: dict[int, int] = {}
+    def ball(self, source: int) -> dict[int, int]:
+        """``{node: hops}`` for every node reachable from ``source``,
+        ``source`` itself at 0 even when it is off the graph. Treat the dict
+        as read-only: it is the table's own."""
+        ball = self._balls.get(source)
+        if ball is not None:
+            return ball
+        ball = {source: 0}
         if source in self._nodes:
-            dist[source] = 0
             queue = deque([source])
             while queue:
                 node = queue.popleft()
-                d = dist[node] + 1
+                d = ball[node] + 1
                 for peer in self._adjacency[node]:
-                    if peer not in dist:
-                        dist[peer] = d
+                    if peer not in ball:
+                        ball[peer] = d
                         queue.append(peer)
-        self._bfs_cache[source] = dist
-        return dist
+        self._balls[source] = ball
+        return ball
 
     def distance(self, a: int, b: int) -> float:
         """Shortest-path length between two ids, 0 for a == b even off the
         graph, :data:`INFINITE` when no path exists."""
-        if a == b:
-            return 0
-        d = self._distances_from(a).get(b)
-        return INFINITE if d is None else d
+        return self.ball(a).get(b, INFINITE)
 
     def connected_components(self) -> list[frozenset[int]]:
         """Components sorted by descending size, ties by smallest member."""
@@ -100,7 +104,7 @@ class RelationGraph:
         for node in sorted(self._nodes):
             if node in seen:
                 continue
-            reached = self._distances_from(node).keys()
+            reached = self.ball(node).keys()
             seen |= reached
             components.append(frozenset(reached))
         components.sort(key=lambda c: (-len(c), min(c)))
@@ -164,12 +168,13 @@ def build_graph(
 
 def parse_curated_edges(stream: IO[str], catalog: LabelCatalog) -> list[tuple[int, int]]:
     """Read a reviewed edge file: two comma-separated label names per line,
-    bare or category-qualified; '#' starts a comment. What is left of a line
-    is split by CSV rules, so a quoted name may hold a comma."""
+    bare or category-qualified; '#' outside double quotes starts a comment.
+    What is left of a line is split by CSV rules, so a quoted name may hold a
+    comma or a '#'."""
     edges: list[tuple[int, int]] = []
     source = getattr(stream, "name", "<edges>")
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         with csv_errors(source, lambda: lineno):
@@ -188,6 +193,17 @@ def parse_curated_edges(stream: IO[str], catalog: LabelCatalog) -> list[tuple[in
             raise ParseError(exc.args[0], source=source, line=lineno) from None
         edges.append((a, b))
     return edges
+
+
+def _strip_comment(raw: str) -> str:
+    """``raw`` up to its first '#' outside double quotes. The even pieces of
+    a split on '"' are the unquoted text; a doubled quote inside a quoted
+    name leaves an empty unquoted piece, so it keeps the name open."""
+    pieces = raw.split('"')
+    for k in range(0, len(pieces), 2):
+        if "#" in pieces[k]:
+            return '"'.join(pieces[:k] + [pieces[k].split("#", 1)[0]])
+    return raw
 
 
 def write_edge_list(graph: RelationGraph, catalog: LabelCatalog, stream: IO[str]) -> None:

@@ -325,7 +325,11 @@ LABEL_POOLS = {
 ANNOTATION_COLUMNS = ("id", "attribute_ids")
 ANNOTATION_POOLS = {
     "id": ["s1", "s2", "", "a,b", 'q"t', "multi\nline", "crlf\r\nid"],
-    "attribute_ids": ["0", "0 1", "1 1", " 2  3 ", "0\t29", "5 99", "x", "", "-1", HUGE],
+    "attribute_ids": [
+        "0", "0 1", "1 1", " 2  3 ", "0\t29", "5 99", "x", "", "-1", HUGE,
+        # Spellings str() does not produce, and a repeat by value: "00" is 0.
+        "+4", "05", "\u0665", "1_2", "0 00",
+    ],
 }
 
 FAMILY_COLUMNS = ("model", "f_score", "g_score")

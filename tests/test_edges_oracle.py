@@ -71,6 +71,19 @@ def test_quoted_name_may_hold_a_comma():
     assert str(info.value) == "<edges>:1: expected two comma-separated label names"
 
 
+def test_hash_inside_quotes_is_part_of_a_name():
+    catalog = build_catalog(MINI_LABEL_ROWS + [(30, "tags", "no. #5"), (31, "medium", "paper")])
+    text = (
+        '"tags::no. #5",medium::paper\n'
+        '"no. #5", paper # reviewed, "#quoted" too\n'
+        '# "tags::no. #5",medium::paper\n'
+    )
+    assert parse_curated_edges(io.StringIO(text), catalog) == [(30, 31), (30, 31)]
+    with pytest.raises(ParseError) as info:
+        parse_curated_edges(io.StringIO("tags::no. #5,medium::paper\n"), catalog)
+    assert str(info.value) == "<edges>:1: expected two comma-separated label names"
+
+
 def test_csv_errors_name_the_line():
     text = "french, france\n\n" + "x" * 140_000 + ',"y"\n'
     with pytest.raises(ParseError, match=r"^<edges>:3: field larger than field limit"):

@@ -1,0 +1,93 @@
+"""Name lookup through the catalog's one canonical index against the scans
+it replaced: the same record, or a KeyError with the same message, for any
+bare or qualified name and category."""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from labelkit.catalog import LabelCatalog, LabelRecord, canonicalize
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the bare-name scan verbatim, and the qualified lookup as a scan for
+# the lowest id with that category and canonical form (which the
+# (category, canonical) dict it read held).
+
+
+def oracle_find(self: LabelCatalog, category: str, name: str) -> LabelRecord | None:
+    canonical = canonicalize(name)
+    for r in self.records:
+        if r.category == category and r.canonical == canonical:
+            return r
+    return None
+
+
+def oracle_resolve_name(self: LabelCatalog, text: str, category: str | None = None) -> LabelRecord:
+    """Resolve a human-written label reference to a record.
+
+    Accepts the qualified "category::name" form, or a bare name which must
+    be unambiguous (optionally narrowed by ``category``).
+    """
+    if "::" in text:
+        cat, _, bare = text.partition("::")
+        record = oracle_find(self, cat.strip(), bare)
+        if record is None:
+            raise KeyError(f"unknown label {text!r}")
+        return record
+    canonical = canonicalize(text)
+    matches = [
+        r
+        for r in self.records
+        if r.canonical == canonical and (category is None or r.category == category)
+    ]
+    if not matches:
+        raise KeyError(f"unknown label {text!r}")
+    if len(matches) > 1:
+        cats = ", ".join(sorted(r.category for r in matches))
+        raise KeyError(f"ambiguous label {text!r} (categories: {cats}); qualify it")
+    return matches[0]
+
+
+# ---------------------------------------------------------------------------
+# Comparison
+
+CATEGORIES = ["country", "culture", "tags", "medium"]
+NAMES = [
+    "turkey", "Turkey ", "tur  key", "tur key", "caf\u00e9", "cafe\u0301", "ink, color", "", "x"
+]
+
+
+def outcome(resolve, catalog, text, category):
+    try:
+        return ("ok", resolve(catalog, text, category))
+    except KeyError as exc:
+        return ("error", exc.args[0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    records=st.lists(
+        st.tuples(st.sampled_from(CATEGORIES), st.sampled_from(NAMES)), max_size=12
+    ),
+    order=st.randoms(use_true_random=False),
+    text=st.one_of(
+        st.sampled_from(NAMES),
+        st.tuples(
+            st.sampled_from(CATEGORIES + [" tags ", "Tags", ""]), st.sampled_from(NAMES)
+        ).map("::".join),
+    ),
+    category=st.one_of(st.none(), st.sampled_from(CATEGORIES + ["dimension"])),
+)
+@example(
+    records=[("tags", "turkey"), ("country", "Turkey"), ("tags", "turkey ")],
+    order=None,
+    text="turkey",
+    category=None,
+)
+def test_bare_name_index_matches_scan(records, order, text, category):
+    rows = [LabelRecord(i, cat, name) for i, (cat, name) in enumerate(records)]
+    if order is not None:
+        order.shuffle(rows)  # the catalog sorts by id whatever order it is given
+    catalog = LabelCatalog(rows)
+    got = outcome(LabelCatalog.resolve_name, catalog, text, category)
+    assert got == outcome(oracle_resolve_name, catalog, text, category)
