@@ -113,13 +113,12 @@ def parse_scores(stream: IO[str], catalog: LabelCatalog) -> ScoreSet:
     Every row is validated here, once, and errors name its physical line.
 
     Each sample's cells are appended to its :class:`ScoreRow` in file order;
-    no per-sample dict is built. A row's sample is looked up only when it is
-    not the previous row's, so rows grouped by sample skip that lookup and
-    any other order costs one lookup a row, never more. Repeated cells are
-    looked for once the rows are read (or when a row fails, so the first
-    error in the file is the one reported), one sample at a time; only when
-    one is found is the file read again, to name its line. A stream that
-    cannot seek is first copied to a temporary file for that."""
+    no per-sample dict is built, and each row does the same work whatever
+    order the file is in. Repeated cells are looked for once the rows are
+    read (or when a row fails, so the first error in the file is the one
+    reported), one sample at a time; only when one is found is the file read
+    again, to name its line. A stream that cannot seek is first copied to a
+    temporary file for that."""
     source = getattr(stream, "name", "<scores>")
     if stream.seekable():
         return _parse_scores(stream, catalog, source)
@@ -141,7 +140,6 @@ def _parse_scores(stream: IO[str], catalog: LabelCatalog, source: str) -> ScoreS
     known = {label_id: label_id for label_id in catalog.ids()}
     by_text = {str(label_id): label_id for label_id in known}
     samples: dict[str, ScoreRow] = {}
-    current = None  # the sample of the previous row, whose appends are bound
     try:
         for sid, raw_label, raw_score in table:
             label_id = by_text.get(raw_label)
@@ -159,13 +157,11 @@ def _parse_scores(stream: IO[str], catalog: LabelCatalog, source: str) -> ScoreS
                 raise table.error(f"bad score {raw_score!r}") from None
             if not 0.0 <= score <= 1.0:  # NaN fails both comparisons, so it is rejected too
                 raise table.error(f"score {score!r} outside [0, 1]")
-            if sid != current:
-                held = samples.get(sid)
-                if held is None:
-                    samples[sid] = held = ScoreRow()
-                add_label, add_score, current = held.labels.append, held.scores.append, sid
-            add_label(label_id)
-            add_score(score)
+            held = samples.get(sid)
+            if held is None:
+                samples[sid] = held = ScoreRow()
+            held.labels.append(label_id)
+            held.scores.append(score)
     except ParseError:
         _reject_duplicates(samples, stream, start, source)
         raise

@@ -168,7 +168,7 @@ def build_graph(
 
 def parse_curated_edges(stream: IO[str], catalog: LabelCatalog) -> list[tuple[int, int]]:
     """Read a reviewed edge file: two comma-separated label names per line,
-    bare or category-qualified; '#' outside double quotes starts a comment.
+    bare or category-qualified; '#' outside a quoted field starts a comment.
     What is left of a line is split by CSV rules, so a quoted name may hold a
     comma or a '#'."""
     edges: list[tuple[int, int]] = []
@@ -196,14 +196,25 @@ def parse_curated_edges(stream: IO[str], catalog: LabelCatalog) -> list[tuple[in
 
 
 def _strip_comment(raw: str) -> str:
-    """``raw`` up to its first '#' outside double quotes. The even pieces of
-    a split on '"' are the unquoted text; a doubled quote inside a quoted
-    name leaves an empty unquoted piece, so it keeps the name open."""
-    pieces = raw.split('"')
-    for k in range(0, len(pieces), 2):
-        if "#" in pieces[k]:
-            return '"'.join(pieces[:k] + [pieces[k].split("#", 1)[0]])
-    return raw
+    """``raw``, left-stripped, up to its first '#' that the csv reader would
+    read outside a quoted field. As in the default dialect, a '"' opens a
+    quoted field only as the first character of a field; inside one, '""' is
+    a quote and a lone '"' closes it. Any other '"' is a literal character."""
+    line = raw.lstrip()
+    state = "start"  # of a field; or "plain", "quoted", "closing" (a '"' in a quoted field)
+    for i, c in enumerate(line):
+        if state == "quoted":
+            if c == '"':
+                state = "closing"
+        elif state == "closing" and c == '"':
+            state = "quoted"
+        elif c == "#":
+            return line[:i]
+        elif c == ",":
+            state = "start"
+        else:
+            state = "quoted" if c == '"' and state == "start" else "plain"
+    return line
 
 
 def write_edge_list(graph: RelationGraph, catalog: LabelCatalog, stream: IO[str]) -> None:

@@ -1,6 +1,8 @@
 """Curated edge lines split by CSV rules, against the comma-splitting parser
 they replaced: a quoted name may hold a comma, and any line holding no quote
-character parses exactly as before.
+character parses exactly as before. Lines with quotes are checked against a
+comment cut found by the csv module itself: a '#' starts a comment where a ','
+in its place would end a cell.
 
 The csv module ends a record at a bare carriage return (the CLI's reader
 already ends the line there) and, before Python 3.11, rejects NUL; an
@@ -9,6 +11,7 @@ where the old parser reported an unknown label. Those characters and sizes
 are left out of the comparison.
 """
 
+import csv
 import io
 from typing import IO
 
@@ -84,6 +87,16 @@ def test_hash_inside_quotes_is_part_of_a_name():
     assert str(info.value) == "<edges>:1: expected two comma-separated label names"
 
 
+def test_quote_inside_a_name_is_a_plain_character():
+    catalog = build_catalog(MINI_LABEL_ROWS + [(30, "tags", '5" frame'), (31, "medium", "paper")])
+    text = (
+        'tags::5" frame,medium::paper # reviewed\n'
+        '5" frame,"paper"# "quoted"\n'
+        '  "5"" frame", paper # a ""note""\n'
+    )
+    assert parse_curated_edges(io.StringIO(text), catalog) == [(30, 31)] * 3
+
+
 def test_csv_errors_name_the_line():
     text = "french, france\n\n" + "x" * 140_000 + ',"y"\n'
     with pytest.raises(ParseError, match=r"^<edges>:3: field larger than field limit"):
@@ -112,3 +125,74 @@ LINE = st.one_of(
 def test_lines_without_quotes_parse_as_before(lines, end):
     text = "\n".join(lines) + end
     assert outcome(parse_curated_edges, text) == outcome(oracle_parse_curated_edges, text)
+
+
+# ---------------------------------------------------------------------------
+# Lines with quotes, against a comment cut read off the csv module
+
+
+def csv_comment_cut(raw: str) -> str:
+    """``raw``, left-stripped, up to its first '#' that csv reads outside a
+    quoted field: one where a ',' in its place would end a cell."""
+    line = raw.lstrip()
+    for i, c in enumerate(line):
+        if c == "#":
+            head = line[:i]
+            if len(next(csv.reader([head + ","]))) > len(next(csv.reader([head]))):
+                return head
+    return line
+
+
+def csv_cut_parse_curated_edges(stream: IO[str], catalog: LabelCatalog) -> list[tuple[int, int]]:
+    edges: list[tuple[int, int]] = []
+    source = getattr(stream, "name", "<edges>")
+    for lineno, raw in enumerate(stream, start=1):
+        line = csv_comment_cut(raw).strip()
+        if not line:
+            continue
+        try:
+            cells = next(csv.reader((line,)))
+        except csv.Error as exc:
+            raise ParseError(str(exc), source=source, line=lineno) from None
+        parts = [p.strip() for p in cells]
+        if len(parts) != 2 or not all(parts):
+            raise ParseError(
+                "expected two comma-separated label names",
+                source=source,
+                line=lineno,
+            )
+        try:
+            a = catalog.resolve_name(parts[0]).id
+            b = catalog.resolve_name(parts[1]).id
+        except KeyError as exc:
+            raise ParseError(exc.args[0], source=source, line=lineno) from None
+        edges.append((a, b))
+    return edges
+
+
+QUOTED_CATALOG = build_catalog(
+    MINI_LABEL_ROWS
+    + [(30, "tags", "no. #5"), (31, "medium", "paper"), (32, "tags", '5" frame')]
+)
+QUOTED_PIECE = st.one_of(
+    st.sampled_from(
+        ['"', '""', "#", ",", " ", "paper", "tags::no. #5", '"no. #5"', '5" frame', '"5"" frame"']
+    ),
+    st.text(OTHER, max_size=3),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.lists(QUOTED_PIECE, max_size=8).map("".join), max_size=4))
+@example(['tags::5" frame,medium::paper # reviewed'])
+@example(['"no. #5",paper#"', '"no. #5"x#,paper', '"a""#"'])
+def test_lines_with_quotes_cut_comments_where_csv_leaves_a_field(lines):
+    text = "\n".join(lines) + "\n"
+
+    def outcome_in(parse):
+        try:
+            return ("ok", parse(io.StringIO(text), QUOTED_CATALOG))
+        except ParseError as exc:
+            return ("error", str(exc))
+
+    assert outcome_in(parse_curated_edges) == outcome_in(csv_cut_parse_curated_edges)
