@@ -101,20 +101,29 @@ class LabelCatalog:
         return sorted({r.category for r in self.records})
 
     def category_ids(self, category: str) -> frozenset[int]:
-        return frozenset(r.id for r in self.records if r.category == category)
+        """Ids of the category's labels; ``ValueError`` for a category the
+        catalog does not hold (a held one has at least one label)."""
+        ids = frozenset(r.id for r in self.records if r.category == category)
+        if not ids:
+            raise ValueError(f"unknown category {category!r}")
+        return ids
 
     def resolve_name(self, text: str, category: str | None = None) -> LabelRecord:
         """Resolve a human-written label reference to a record.
 
         Accepts the qualified "category::name" form, or a bare name which must
-        be unambiguous (optionally narrowed by ``category``).
+        be unambiguous (optionally narrowed by ``category``). A qualified name
+        spelled exactly as a record's ``qualified_name`` resolves to that
+        record, so canonical-equal duplicates stay apart; any other spelling
+        resolves to the lowest id with that category and canonical form.
         """
         if "::" in text:
             cat, _, bare = text.partition("::")
-            record = self.find(cat.strip(), bare)
-            if record is None:
+            candidates = self._by_canonical.get(canonicalize(bare), ())
+            matches = [r for r in candidates if r.category == cat.strip()]
+            if not matches:
                 raise KeyError(f"unknown label {text!r}")
-            return record
+            return next((r for r in matches if r.qualified_name == text), matches[0])
         matches = [
             r
             for r in self._by_canonical.get(canonicalize(text), ())

@@ -351,9 +351,8 @@ def find_duplicates(
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    _check_category(catalog, category)
 
-    records = [r for r in catalog if category is None or r.category == category]
+    records = _category_records(catalog, category)
     if same_category_only:
         pools: dict[str, list[LabelRecord]] = {}
         for record in records:
@@ -436,9 +435,11 @@ def _join_pool(group: list[LabelRecord], threshold: float) -> list[DuplicatePair
     return pairs
 
 
-def _check_category(catalog: LabelCatalog, category: str | None) -> None:
-    if category is not None and category not in catalog.categories():
-        raise ValueError(f"unknown category {category!r}")
+def _category_records(catalog: LabelCatalog, category: str | None) -> list[LabelRecord]:
+    """The catalog's records in id order, or only one category's."""
+    if category is None:
+        return list(catalog)
+    return [catalog.get(i) for i in sorted(catalog.category_ids(category))]
 
 
 def find_hierarchy_candidates(
@@ -451,9 +452,8 @@ def find_hierarchy_candidates(
     as parents of "black chalk", but reorderings are not. Raises
     ``ValueError`` for an unknown ``category``.
     """
-    _check_category(catalog, category)
     by_tokens: dict[tuple[str, tuple[str, ...]], list[LabelRecord]] = {}
-    records = [r for r in catalog if category is None or r.category == category]
+    records = _category_records(catalog, category)
     token_lists: list[tuple[LabelRecord, tuple[str, ...]]] = []
     for record in records:
         tokens = tuple(tokenize(record.canonical))
@@ -732,7 +732,6 @@ def write_hierarchy_candidates(
 def tally_as_dict(tally: ConnectiveTally, catalog: LabelCatalog) -> dict:
     """JSON-ready view of a connective tally, itemized label by label so any
     tally discrepancy against an external count can be audited."""
-    class_counts = Counter(s.split_class.value for s in tally.splits)
     items = []
     for split in sorted(tally.splits, key=lambda s: s.source):
         record = catalog.get(split.source)
@@ -751,8 +750,8 @@ def tally_as_dict(tally: ConnectiveTally, catalog: LabelCatalog) -> dict:
     return {
         "connective": tally.connective.value,
         "total": tally.total,
-        "all_resolved": class_counts.get(SplitClass.ALL_RESOLVED.value, 0),
-        "none_resolved": class_counts.get(SplitClass.NONE_RESOLVED.value, 0),
-        "partial": class_counts.get(SplitClass.PARTIAL.value, 0),
+        "all_resolved": tally.all_resolved,
+        "none_resolved": tally.none_resolved,
+        "partial": tally.partial,
         "labels": items,
     }

@@ -17,7 +17,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -86,9 +86,12 @@ class RunConfig:
     threads: int = 0  # accepted for compatibility; scoring runs in one thread
     thresholds: list[float] | None = None
     cross_category: bool = False
+    # Option name -> path of each input file the command opened; not a setting.
+    inputs_read: dict[str, str] = field(default_factory=dict, init=False)
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+_SETTINGS = [f for f in fields(RunConfig) if f.init]
+_CONFIG_KEYS = {f.name for f in _SETTINGS}
 
 
 def _is_number(value) -> bool:
@@ -122,7 +125,7 @@ def _load_config_file(path: str) -> dict:
         raise LabelKitError(
             f"config file {path}: unknown keys {', '.join(sorted(unknown))}"
         )
-    for f in fields(RunConfig):
+    for f in _SETTINGS:
         if f.name in doc:
             expected, valid = _VALUE_CHECKS[f.type]
             if not valid(doc[f.name]):
@@ -184,9 +187,8 @@ def _knob_block(cfg: RunConfig) -> dict:
     }
 
 
-def _provenance(cfg: RunConfig, **paths: str | None) -> dict:
-    inputs = {name: path for name, path in paths.items() if path is not None}
-    return provenance(inputs, _knob_block(cfg))
+def _provenance(cfg: RunConfig) -> dict:
+    return provenance(cfg.inputs_read, _knob_block(cfg))
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -197,29 +199,29 @@ def _require(cfg: RunConfig, *names: str) -> None:
         )
 
 
-def _open_text(path: str):
-    # utf-8-sig drops a leading byte-order mark, which would otherwise
-    # become part of the first header name.
-    return open(path, encoding="utf-8-sig", newline="")
+def _open_text(cfg: RunConfig, name: str):
+    """Open the input file given as option ``name`` and record it, so the
+    provenance block lists exactly the files the command read. utf-8-sig
+    drops a leading byte-order mark, which would otherwise become part of
+    the first header name."""
+    _require(cfg, name)
+    path = getattr(cfg, name)
+    handle = open(path, encoding="utf-8-sig", newline="")
+    cfg.inputs_read[name] = path
+    return handle
 
 
-def _read_catalog(cfg: RunConfig):
-    _require(cfg, "labels")
-    with _open_text(cfg.labels) as handle:
-        return parse_labels(handle)
+def _read(cfg: RunConfig, name: str, parse, *args, **kwargs):
+    """``parse`` applied to the input file given as option ``name``."""
+    with _open_text(cfg, name) as handle:
+        return parse(handle, *args, **kwargs)
 
 
-def _read_annotations(catalog, path: str):
-    with _open_text(path) as handle:
-        return parse_annotations(handle, catalog)
-
-
-def _emit_json(doc, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(render_json(doc))
-    else:
-        write_json(doc, out)
-        print(f"wrote {out}")
+def _render(write, *args) -> str:
+    """The text a stream writer such as ``write_sweep`` produces."""
+    buffer = io.StringIO()
+    write(*args, buffer)
+    return buffer.getvalue()
 
 
 def _emit_text(text: str, out: str | None) -> None:
@@ -235,7 +237,7 @@ def _emit_text(text: str, out: str | None) -> None:
 
 
 def cmd_inspect(cfg: RunConfig) -> int:
-    catalog = _read_catalog(cfg)
+    catalog = _read(cfg, "labels", parse_labels)
     doc: dict = {
         "n_labels": len(catalog),
         "per_category_counts": {
@@ -243,7 +245,7 @@ def cmd_inspect(cfg: RunConfig) -> int:
         },
     }
     if cfg.annotations:
-        annotations = _read_annotations(catalog, cfg.annotations)
+        annotations = _read(cfg, "annotations", parse_annotations, catalog)
         stats = compute_stats(annotations, catalog)
         doc.update(
             {
@@ -258,13 +260,13 @@ def cmd_inspect(cfg: RunConfig) -> int:
                 },
             }
         )
-    doc["provenance"] = _provenance(cfg, labels=cfg.labels, annotations=cfg.annotations)
-    _emit_json(doc, cfg.out)
+    doc["provenance"] = _provenance(cfg)
+    _emit_text(render_json(doc), cfg.out)
     return 0
 
 
 def cmd_dupes(cfg: RunConfig) -> int:
-    catalog = _read_catalog(cfg)
+    catalog = _read(cfg, "labels", parse_labels)
     pairs = find_duplicates(
         catalog,
         threshold=cfg.similarity,
@@ -272,24 +274,20 @@ def cmd_dupes(cfg: RunConfig) -> int:
         category=cfg.category,
     )
     print(f"{len(pairs)} duplicate candidates at similarity >= {cfg.similarity}")
-    buffer = io.StringIO()
-    write_duplicate_candidates(pairs, buffer)
-    _emit_text(buffer.getvalue(), cfg.out)
+    _emit_text(_render(write_duplicate_candidates, pairs), cfg.out)
     return 0
 
 
 def cmd_hierarchy(cfg: RunConfig) -> int:
-    catalog = _read_catalog(cfg)
+    catalog = _read(cfg, "labels", parse_labels)
     candidates = find_hierarchy_candidates(catalog, category=cfg.category)
     print(f"{len(candidates)} hierarchy candidates")
-    buffer = io.StringIO()
-    write_hierarchy_candidates(candidates, buffer)
-    _emit_text(buffer.getvalue(), cfg.out)
+    _emit_text(_render(write_hierarchy_candidates, candidates), cfg.out)
     return 0
 
 
 def cmd_connectives(cfg: RunConfig) -> int:
-    catalog = _read_catalog(cfg)
+    catalog = _read(cfg, "labels", parse_labels)
     doc: dict = {}
     wanted = ("and", "or") if cfg.which == "both" else (cfg.which,)
     for word in wanted:
@@ -299,17 +297,16 @@ def cmd_connectives(cfg: RunConfig) -> int:
             f"{word}: total={tally.total} all_resolved={tally.all_resolved} "
             f"none_resolved={tally.none_resolved} partial={tally.partial}"
         )
-    doc["provenance"] = _provenance(cfg, labels=cfg.labels)
-    _emit_json(doc, cfg.out)
+    doc["provenance"] = _provenance(cfg)
+    _emit_text(render_json(doc), cfg.out)
     return 0
 
 
 def cmd_apply(cfg: RunConfig) -> int:
     _require(cfg, "labels", "annotations", "plan", "out")
-    catalog = _read_catalog(cfg)
-    annotations = _read_annotations(catalog, cfg.annotations)
-    with _open_text(cfg.plan) as handle:
-        plan = load_plan(handle, catalog)
+    catalog = _read(cfg, "labels", parse_labels)
+    annotations = _read(cfg, "annotations", parse_annotations, catalog)
+    plan = _read(cfg, "plan", load_plan, catalog)
 
     before_labels, before_samples = len(catalog), len(annotations)
     annotations, catalog = apply_merges(annotations, catalog, plan.merges)
@@ -318,14 +315,8 @@ def cmd_apply(cfg: RunConfig) -> int:
         annotations = propagate_supercategories(annotations, plan.hierarchy_edges)
 
     out_dir = Path(cfg.out)
-    labels_path = out_dir / "labels.csv"
-    annotations_path = out_dir / "annotations.csv"
-    buffer = io.StringIO()
-    write_labels(catalog, buffer)
-    write_text(buffer.getvalue(), labels_path)
-    buffer = io.StringIO()
-    write_annotations(annotations, buffer)
-    write_text(buffer.getvalue(), annotations_path)
+    write_text(_render(write_labels, catalog), out_dir / "labels.csv")
+    write_text(_render(write_annotations, annotations), out_dir / "annotations.csv")
     summary = {
         "labels_before": before_labels,
         "labels_after": len(catalog),
@@ -337,9 +328,7 @@ def cmd_apply(cfg: RunConfig) -> int:
             "or_groups": len(plan.or_groups),
             "exclusion_groups": len(plan.exclusion_groups),
         },
-        "provenance": _provenance(
-            cfg, labels=cfg.labels, annotations=cfg.annotations, plan=cfg.plan
-        ),
+        "provenance": _provenance(cfg),
     }
     write_json(summary, out_dir / "summary.json")
     print(f"applied plan: {before_labels} -> {len(catalog)} labels; wrote {out_dir}")
@@ -351,8 +340,7 @@ def _build_graph(cfg: RunConfig, catalog):
     relations from the plan when given, otherwise derived from the catalog,
     plus optional curated edges."""
     if cfg.plan:
-        with _open_text(cfg.plan) as handle:
-            plan = load_plan(handle, catalog, sections=("or_groups", "and_splits"))
+        plan = _read(cfg, "plan", load_plan, catalog, sections=("or_groups", "and_splits"))
         or_groups = plan.or_groups
         and_splits = plan.and_splits
     else:
@@ -360,8 +348,7 @@ def _build_graph(cfg: RunConfig, catalog):
         and_splits = and_splits_from_tally(classify_connectives(catalog, Connective.AND))
     curated: list[tuple[int, int]] = []
     if cfg.graph_edges:
-        with _open_text(cfg.graph_edges) as handle:
-            curated = parse_curated_edges(handle, catalog)
+        curated = _read(cfg, "graph_edges", parse_curated_edges, catalog)
     return build_graph(
         catalog,
         or_groups=or_groups,
@@ -373,16 +360,12 @@ def _build_graph(cfg: RunConfig, catalog):
 
 def cmd_graph(cfg: RunConfig) -> int:
     _require(cfg, "labels", "out")
-    catalog = _read_catalog(cfg)
+    catalog = _read(cfg, "labels", parse_labels)
     graph = _build_graph(cfg, catalog)
     out_dir = Path(cfg.out)
-    buffer = io.StringIO()
-    write_edge_list(graph, catalog, buffer)
-    write_text(buffer.getvalue(), out_dir / "edges.txt")
+    write_text(_render(write_edge_list, graph, catalog), out_dir / "edges.txt")
     doc = graph_summary(graph)
-    doc["provenance"] = _provenance(
-        cfg, labels=cfg.labels, plan=cfg.plan, graph_edges=cfg.graph_edges
-    )
+    doc["provenance"] = _provenance(cfg)
     write_json(doc, out_dir / "graph.json")
     print(
         f"graph: {doc['nodes']} nodes, {doc['edges']} edges, "
@@ -394,38 +377,33 @@ def cmd_graph(cfg: RunConfig) -> int:
 def _load_eval_pair(cfg: RunConfig):
     """Catalog, truth, predictions, and the score set when one was given."""
     _require(cfg, "labels", "annotations")
-    catalog = _read_catalog(cfg)
-    truth = _read_annotations(catalog, cfg.annotations)
+    catalog = _read(cfg, "labels", parse_labels)
+    truth = _read(cfg, "annotations", parse_annotations, catalog)
     if (cfg.scores is None) == (cfg.predictions is None):
         raise LabelKitError("provide exactly one of --scores or --predictions")
     if cfg.scores:
-        with _open_text(cfg.scores) as handle:
-            scores = parse_scores(handle, catalog)
+        scores = _read(cfg, "scores", parse_scores, catalog)
         predictions = binarize(scores, cfg.threshold, truth.sample_ids())
     else:
         scores = None
-        predictions = _read_annotations(catalog, cfg.predictions)
+        predictions = _read(cfg, "predictions", parse_annotations, catalog)
     return catalog, truth, predictions, scores
 
 
 def _scope_from_category(cfg: RunConfig, catalog):
-    if cfg.category is None:
-        return None
-    if cfg.category not in catalog.categories():
-        raise LabelKitError(f"unknown category {cfg.category!r}")
-    return catalog.category_ids(cfg.category)
+    return None if cfg.category is None else catalog.category_ids(cfg.category)
 
 
-def _finish_eval(cfg: RunConfig, report, extra: dict | None = None, **input_paths) -> int:
+def _finish_eval(cfg: RunConfig, report, extra: dict | None = None) -> int:
     doc = report.as_dict()
     if extra:
         doc.update(extra)
-    doc["provenance"] = _provenance(cfg, **input_paths)
+    doc["provenance"] = _provenance(cfg)
     micro = doc.get("micro_f")
     macro = doc.get("macro_f")
     fmt = lambda v: "nan" if v is None else f"{v:.6f}"  # noqa: E731
     print(f"{report.kind}: micro_f={fmt(micro)} macro_f={fmt(macro)}")
-    _emit_json(doc, cfg.out)
+    _emit_text(render_json(doc), cfg.out)
     return 0
 
 
@@ -434,14 +412,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     report = fbeta_report(
         predictions, truth, beta=cfg.beta, scope=_scope_from_category(cfg, catalog)
     )
-    return _finish_eval(
-        cfg,
-        report,
-        labels=cfg.labels,
-        annotations=cfg.annotations,
-        scores=cfg.scores,
-        predictions=cfg.predictions,
-    )
+    return _finish_eval(cfg, report)
 
 
 def cmd_eval_graph(cfg: RunConfig) -> int:
@@ -455,23 +426,13 @@ def cmd_eval_graph(cfg: RunConfig) -> int:
         fp_mode=cfg.fp_mode,
         scope=_scope_from_category(cfg, catalog),
     )
-    return _finish_eval(
-        cfg,
-        report,
-        labels=cfg.labels,
-        annotations=cfg.annotations,
-        scores=cfg.scores,
-        predictions=cfg.predictions,
-        plan=cfg.plan,
-        graph_edges=cfg.graph_edges,
-    )
+    return _finish_eval(cfg, report)
 
 
 def cmd_eval_or(cfg: RunConfig) -> int:
     catalog, truth, predictions, _ = _load_eval_pair(cfg)
     if cfg.plan:
-        with _open_text(cfg.plan) as handle:
-            or_groups = load_plan(handle, catalog, sections=("or_groups",)).or_groups
+        or_groups = _read(cfg, "plan", load_plan, catalog, sections=("or_groups",)).or_groups
     else:
         or_groups = or_groups_from_tally(classify_connectives(catalog, Connective.OR))
     report = or_aware_report(
@@ -481,23 +442,14 @@ def cmd_eval_or(cfg: RunConfig) -> int:
         beta=cfg.beta,
         scope=_scope_from_category(cfg, catalog),
     )
-    return _finish_eval(
-        cfg,
-        report,
-        extra={"or_groups": len(or_groups)},
-        labels=cfg.labels,
-        annotations=cfg.annotations,
-        scores=cfg.scores,
-        predictions=cfg.predictions,
-        plan=cfg.plan,
-    )
+    return _finish_eval(cfg, report, extra={"or_groups": len(or_groups)})
 
 
 def cmd_eval_excl(cfg: RunConfig) -> int:
     _require(cfg, "plan")
     catalog, truth, predictions, scores = _load_eval_pair(cfg)
-    with _open_text(cfg.plan) as handle:
-        groups = load_plan(handle, catalog, sections=("exclusion_groups",)).exclusion_groups
+    plan = _read(cfg, "plan", load_plan, catalog, sections=("exclusion_groups",))
+    groups = plan.exclusion_groups
     if not groups:
         raise LabelKitError("plan has no exclusion groups")
     predictions = enforce_exclusion(predictions, scores, groups)
@@ -510,23 +462,15 @@ def cmd_eval_excl(cfg: RunConfig) -> int:
         sample_filter=lambda sid: bool(truth.labels_for(sid) & scope),
     )
     return _finish_eval(
-        cfg,
-        report,
-        extra={"exclusion_groups": len(groups), "exclusion_labels": len(scope)},
-        labels=cfg.labels,
-        annotations=cfg.annotations,
-        scores=cfg.scores,
-        predictions=cfg.predictions,
-        plan=cfg.plan,
+        cfg, report, extra={"exclusion_groups": len(groups), "exclusion_labels": len(scope)}
     )
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     _require(cfg, "labels", "annotations", "scores", "out")
-    catalog = _read_catalog(cfg)
-    truth = _read_annotations(catalog, cfg.annotations)
-    with _open_text(cfg.scores) as handle:
-        scores = parse_scores(handle, catalog)
+    catalog = _read(cfg, "labels", parse_labels)
+    truth = _read(cfg, "annotations", parse_annotations, catalog)
+    scores = _read(cfg, "scores", parse_scores, catalog)
     use_graph = bool(cfg.plan or cfg.graph_edges)
     graph = _build_graph(cfg, catalog) if use_graph else None
     rows = sweep(
@@ -539,43 +483,24 @@ def cmd_sweep(cfg: RunConfig) -> int:
         scope=_scope_from_category(cfg, catalog),
     )
     out_dir = Path(cfg.out)
-    buffer = io.StringIO()
-    write_sweep(rows, buffer)
-    write_text(buffer.getvalue(), out_dir / "sweep.csv")
-    doc = {
-        "rows": rows,
-        "provenance": _provenance(
-            cfg,
-            labels=cfg.labels,
-            annotations=cfg.annotations,
-            scores=cfg.scores,
-            plan=cfg.plan,
-            graph_edges=cfg.graph_edges,
-        ),
-    }
-    write_json(doc, out_dir / "sweep.json")
+    write_text(_render(write_sweep, rows), out_dir / "sweep.csv")
+    write_json({"rows": rows, "provenance": _provenance(cfg)}, out_dir / "sweep.json")
     if graph is not None:
-        family = family_from_sweep(rows)
-        buffer = io.StringIO()
-        write_family(family, buffer)
-        write_text(buffer.getvalue(), out_dir / "family.csv")
+        write_text(_render(write_family, family_from_sweep(rows)), out_dir / "family.csv")
     print(f"swept {len(rows)} thresholds; wrote {out_dir}")
     return 0
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    _require(cfg, "family")
-    with _open_text(cfg.family) as handle:
-        family = parse_family(handle)
-    report = compare(family, epsilon=cfg.epsilon)
+    report = compare(_read(cfg, "family", parse_family), epsilon=cfg.epsilon)
     doc = report.as_dict()
-    doc["provenance"] = _provenance(cfg, family=cfg.family)
+    doc["provenance"] = _provenance(cfg)
     print(
         f"doc={'undefined' if report.doc is None else f'{report.doc:.6f}'} "
         f"dod={'undefined' if report.dod is None else report.dod} "
         f"verdict={doc['verdict']}"
     )
-    _emit_json(doc, cfg.out)
+    _emit_text(render_json(doc), cfg.out)
     return 0
 
 

@@ -115,8 +115,6 @@ def _scope_ids(catalog: LabelCatalog, scope) -> frozenset[int]:
     if scope is None:
         return catalog.ids()
     if isinstance(scope, str):
-        if scope not in catalog.categories():
-            raise ValueError(f"unknown category {scope!r}")
         return catalog.category_ids(scope)
     ids = frozenset(scope)
     unknown = ids - catalog.ids()

@@ -407,6 +407,55 @@ def test_plan_round_trip(mini_catalog):
     assert loaded.exclusion_groups == plan.exclusion_groups
 
 
+def test_plan_merging_canonical_equal_duplicates_loads():
+    catalog = LabelCatalog([LabelRecord(0, "medium", "Silk"), LabelRecord(1, "medium", "silk")])
+    out = io.StringIO()
+    write_plan(TransformPlan(merges=[Merge(0, (1,))]), catalog, out)
+    assert load_plan(io.StringIO(out.getvalue()), catalog).merges == [Merge(0, (1,))]
+
+
+# Names that JSON escapes, that qualify a name twice, or that differ from
+# another only in case, spacing or NFC form.
+PLAN_NAMES = st.text(st.sampled_from(list("aA é\u0301,\"\r\n:")), min_size=1, max_size=6)
+
+
+@st.composite
+def catalogs_with_plans(draw):
+    names = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["medium", "tags"]), PLAN_NAMES),
+            min_size=2,
+            max_size=8,
+            unique=True,
+        )
+    )
+    catalog = LabelCatalog(LabelRecord(i, c, n) for i, (c, n) in enumerate(names))
+    ids = draw(st.permutations(range(len(names))))
+    rank = {label_id: i for i, label_id in enumerate(ids)}
+    n_merges = draw(st.integers(0, len(ids) // 2))
+    merges = [Merge(ids[i], (ids[n_merges + i],)) for i in range(n_merges)]
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, max_size=4, unique=True))
+    # Edges point down the drawn order, so they form a DAG.
+    hierarchy = sorted({tuple(sorted(p, key=rank.get)) for p in pairs})
+    and_splits = [AndSplit(a, (b,)) for a, b in draw(st.lists(pair, max_size=3))]
+    or_groups = [OrGroup(a, (b,)) for a, b in draw(st.lists(pair, max_size=3))]
+    excluded = draw(st.lists(st.sampled_from(ids), max_size=4, unique=True))
+    cut = draw(st.integers(0, len(excluded)))
+    exclusion_groups = [frozenset(g) for g in (excluded[:cut], excluded[cut:]) if g]
+    plan = TransformPlan(merges, hierarchy, and_splits, or_groups, exclusion_groups)
+    return catalog, plan
+
+
+@settings(max_examples=200, deadline=None)
+@given(catalogs_with_plans())
+def test_plan_round_trips_through_names(catalog_and_plan):
+    catalog, plan = catalog_and_plan
+    out = io.StringIO()
+    write_plan(plan, catalog, out)
+    assert load_plan(io.StringIO(out.getvalue()), catalog) == plan
+
+
 def test_load_plan_unknown_name(mini_catalog):
     doc = {"merges": [{"survivor": "medium::watercolor", "absorbed": ["no such label"]}]}
     with pytest.raises(PlanError, match="no such label"):

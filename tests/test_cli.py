@@ -8,7 +8,7 @@ import math
 import pytest
 
 from labelkit.cleanse import AndSplit, Merge, OrGroup, TransformPlan, write_plan
-from labelkit.cli import build_parser, main
+from labelkit.cli import _CONFIG_KEYS, build_parser, main
 from conftest import annotations_csv, build_catalog, labels_csv
 
 SCORES_CSV = """id,attribute_id,score
@@ -420,6 +420,79 @@ def test_compare_from_sweep_family(corpus, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Provenance names exactly the input files a command read
+
+EVAL_PAIR = "labels annotations"
+
+
+def provenance_cases():
+    """(command, inputs given, report file in the --out directory or None
+    for a plain --out file, inputs the provenance block lists). An input
+    written ``name=missing`` points at a file that does not exist."""
+    cases = [
+        ("inspect", "labels", None, "labels"),
+        ("inspect", "labels annotations", None, "labels annotations"),
+        ("inspect", "labels scores", None, "labels"),
+        ("inspect", "labels scores=missing plan=missing", None, "labels"),
+        ("connectives", "labels", None, "labels"),
+        ("connectives", "labels annotations plan", None, "labels"),
+        ("apply", "labels annotations plan", "summary.json", "labels annotations plan"),
+        ("apply", "labels annotations plan scores=missing", "summary.json",
+         "labels annotations plan"),
+        ("graph", "labels", "graph.json", "labels"),
+        ("graph", "labels plan", "graph.json", "labels plan"),
+        ("graph", "labels graph_edges", "graph.json", "labels graph_edges"),
+        ("graph", "labels plan graph_edges annotations", "graph.json",
+         "labels plan graph_edges"),
+        ("compare", "family", None, "family"),
+        ("compare", "family labels scores=missing", None, "family"),
+    ]
+    for source in ("scores", "predictions"):
+        pair = f"{EVAL_PAIR} {source}"
+        cases += [
+            ("eval", pair, None, pair),
+            ("eval", f"{pair} plan graph_edges", None, pair),
+            ("eval", f"{pair} plan=missing", None, pair),
+            ("eval-or", pair, None, pair),
+            ("eval-or", f"{pair} plan", None, f"{pair} plan"),
+            ("eval-or", f"{pair} graph_edges=missing", None, pair),
+            ("eval-excl", f"{pair} plan", None, f"{pair} plan"),
+            ("eval-graph", pair, None, pair),
+            ("eval-graph", f"{pair} plan", None, f"{pair} plan"),
+            ("eval-graph", f"{pair} graph_edges", None, f"{pair} graph_edges"),
+            ("eval-graph", f"{pair} plan graph_edges", None, f"{pair} plan graph_edges"),
+        ]
+    sweep = f"{EVAL_PAIR} scores"
+    cases += [
+        ("sweep", sweep, "sweep.json", sweep),
+        ("sweep", f"{sweep} predictions=missing", "sweep.json", sweep),
+        ("sweep", f"{sweep} plan", "sweep.json", f"{sweep} plan"),
+        ("sweep", f"{sweep} graph_edges", "sweep.json", f"{sweep} graph_edges"),
+        ("sweep", f"{sweep} plan graph_edges", "sweep.json", f"{sweep} plan graph_edges"),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("command, given, report, listed", provenance_cases())
+def test_provenance_lists_the_inputs_read(corpus, tmp_path, command, given, report, listed):
+    files = dict(corpus, graph_edges=corpus["edges"], family=tmp_path / "family.csv")
+    files["family"].write_text("model,f_score,g_score\na,0.0,0.0\nb,1.0,0.5\n")
+    argv = [command]
+    for item in given.split():
+        name, _, state = item.partition("=")
+        path = tmp_path / f"missing-{name}" if state == "missing" else files[name]
+        argv += [f"--{name.replace('_', '-')}", path]
+    out = tmp_path / "out"
+    argv += ["--thresholds", "0.1,0.3", "--out", out]
+    assert run(*argv) == 0
+    doc = read_json(out / report if report else out)
+    inputs = doc["provenance"]["inputs"]
+    assert sorted(inputs) == sorted(listed.split())
+    for name, entry in inputs.items():
+        assert entry == {"path": str(files[name]), "sha256": "sha256:" + digest(files[name])}
+
+
+# ---------------------------------------------------------------------------
 # Config handling
 
 
@@ -452,6 +525,20 @@ def test_config_unknown_key(corpus, tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert "thresohld" in err["error"]
+
+
+def test_config_rejects_the_inputs_record(corpus, tmp_path, capsys):
+    # The record of files a command opened is state, not a setting.
+    assert _CONFIG_KEYS == {
+        "labels", "annotations", "scores", "predictions", "plan", "graph_edges", "family",
+        "out", "threshold", "beta", "similarity", "fp_mode", "epsilon", "category",
+        "which", "threads", "thresholds", "cross_category",
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"inputs_read": {"labels": str(corpus["labels"])}}))
+    assert run("inspect", "--config", config, "--labels", corpus["labels"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == f"config file {config}: unknown keys inputs_read"
 
 
 def test_config_invalid_values(corpus, capsys):

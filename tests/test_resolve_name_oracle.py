@@ -1,6 +1,6 @@
-"""Name lookup through the catalog's one canonical index against the scans
-it replaced: the same record, or a KeyError with the same message, for any
-bare or qualified name and category."""
+"""Name lookup through the catalog's one canonical index against plain scans:
+the same record, or a KeyError with the same message, for any bare or
+qualified name and category."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,8 +10,8 @@ from labelkit.catalog import LabelCatalog, LabelRecord, canonicalize
 
 # ---------------------------------------------------------------------------
 # Oracles: the bare-name scan verbatim, and the qualified lookup as a scan for
-# the lowest id with that category and canonical form (which the
-# (category, canonical) dict it read held).
+# the lowest id whose qualified name is exactly the text, else the lowest id
+# with that category and canonical form.
 
 
 def oracle_find(self: LabelCatalog, category: str, name: str) -> LabelRecord | None:
@@ -33,6 +33,9 @@ def oracle_resolve_name(self: LabelCatalog, text: str, category: str | None = No
         record = oracle_find(self, cat.strip(), bare)
         if record is None:
             raise KeyError(f"unknown label {text!r}")
+        for r in self.records:
+            if r.qualified_name == text:
+                return r
         return record
     canonical = canonicalize(text)
     matches = [
@@ -82,6 +85,13 @@ def outcome(resolve, catalog, text, category):
     records=[("tags", "turkey"), ("country", "Turkey"), ("tags", "turkey ")],
     order=None,
     text="turkey",
+    category=None,
+)
+@example(
+    # Canonical-equal duplicates: each exact spelling names its own record.
+    records=[("medium", "Silk"), ("medium", "silk")],
+    order=None,
+    text="medium::silk",
     category=None,
 )
 def test_bare_name_index_matches_scan(records, order, text, category):
