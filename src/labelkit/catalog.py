@@ -9,7 +9,6 @@ comma-separated files.
 
 from __future__ import annotations
 
-import logging
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -17,9 +16,14 @@ from typing import IO, Iterable, Iterator
 
 from .csvio import CsvTable, csv_writer
 
-log = logging.getLogger(__name__)
-
 UNCATEGORIZED = "uncategorized"
+
+
+def _warn(message: str, *args) -> None:
+    # logging is imported only when there is a warning to give.
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def canonicalize(name: str) -> str:
@@ -114,16 +118,21 @@ class LabelCatalog:
         Accepts the qualified "category::name" form, or a bare name which must
         be unambiguous (optionally narrowed by ``category``). A qualified name
         spelled exactly as a record's ``qualified_name`` resolves to that
-        record, so canonical-equal duplicates stay apart; any other spelling
-        resolves to the lowest id with that category and canonical form.
+        record, so canonical-equal duplicates stay apart and a category with
+        outer spaces round-trips; any other spelling resolves to the lowest
+        id with the stripped category and that canonical form.
         """
         if "::" in text:
             cat, _, bare = text.partition("::")
             candidates = self._by_canonical.get(canonicalize(bare), ())
-            matches = [r for r in candidates if r.category == cat.strip()]
-            if not matches:
+            exact = next((r for r in candidates if r.qualified_name == text), None)
+            if exact is not None:
+                return exact
+            cat = cat.strip()
+            match = next((r for r in candidates if r.category == cat), None)
+            if match is None:
                 raise KeyError(f"unknown label {text!r}")
-            return next((r for r in matches if r.qualified_name == text), matches[0])
+            return match
         matches = [
             r
             for r in self._by_canonical.get(canonicalize(text), ())
@@ -250,7 +259,7 @@ def parse_labels(stream: IO[str]) -> LabelCatalog:
 
         category, separator, name = raw_name.partition("::")
         if not separator:
-            log.warning(
+            _warn(
                 "%s:%d: label %d has no %r separator, categorized as %r",
                 source,
                 table.line,
@@ -312,7 +321,7 @@ def parse_annotations(
             if label_id in labels:
                 if on_duplicate_label == "error":
                     raise table.error(f"duplicate label id {label_id} in sample {sample_id!r}")
-                log.warning(
+                _warn(
                     "%s:%d: duplicate label id %d in sample %r, deduplicated",
                     table.source,
                     table.line,

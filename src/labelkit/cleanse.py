@@ -17,6 +17,7 @@ from typing import IO, Iterable, Sequence
 
 from .catalog import AnnotationSet, LabelCatalog, LabelRecord
 from .csvio import csv_writer
+from .defaults import DEFAULT_SIMILARITY
 from .errors import PlanError
 from .textkit import (
     Connective,
@@ -27,8 +28,6 @@ from .textkit import (
     split_connective,
     tokenize,
 )
-
-DEFAULT_SIMILARITY_THRESHOLD = 0.90
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +331,7 @@ def _fold_hyphens(canonical: str) -> str:
 
 def find_duplicates(
     catalog: LabelCatalog,
-    threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
+    threshold: float = DEFAULT_SIMILARITY,
     same_category_only: bool = True,
     category: str | None = None,
 ) -> list[DuplicatePair]:

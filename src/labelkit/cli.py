@@ -14,59 +14,26 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 from . import __version__
-from .catalog import (
-    compute_stats,
-    parse_annotations,
-    parse_labels,
-    write_annotations,
-    write_labels,
-)
-from .cleanse import (
-    and_splits_from_tally,
-    apply_and_splits,
-    apply_merges,
-    classify_connectives,
-    find_duplicates,
-    find_hierarchy_candidates,
-    load_plan,
-    or_groups_from_tally,
-    propagate_supercategories,
-    tally_as_dict,
-    write_duplicate_candidates,
-    write_hierarchy_candidates,
-)
-from .errors import LabelKitError
-from .metricmp import compare, family_from_sweep, parse_family, write_family
-from .metrics import (
+from .defaults import (
     DEFAULT_BETA,
     DEFAULT_DECISION_THRESHOLD,
-    enforce_exclusion,
-    fbeta_report,
-    graph_fbeta_report,
-    or_aware_report,
-    parse_scores,
-    sweep,
-    threshold as binarize,
-    write_sweep,
+    DEFAULT_EPSILON,
+    DEFAULT_SIMILARITY,
 )
-from .metricmp import DEFAULT_EPSILON
-from .relgraph import build_graph, graph_summary, parse_curated_edges, write_edge_list
-from .reports import provenance, render_json, write_json, write_text
-from .textkit import Connective
+from .errors import LabelKitError
 
-DEFAULT_SIMILARITY = 0.90
+# Each subcommand imports the library modules (and the heavier stdlib ones)
+# it runs when it runs, so --version, --help and usage errors load none of
+# them, and no command loads another's scoring code.
 
 
-@dataclass
 class RunConfig:
-    """Effective settings after merging flags, config file, and defaults."""
+    """Effective settings after merging flags, config file, and defaults.
+    Each annotated class attribute is a setting, with its default."""
 
     labels: str | None = None
     annotations: str | None = None
@@ -86,19 +53,22 @@ class RunConfig:
     threads: int = 0  # accepted for compatibility; scoring runs in one thread
     thresholds: list[float] | None = None
     cross_category: bool = False
-    # Option name -> path of each input file the command opened; not a setting.
-    inputs_read: dict[str, str] = field(default_factory=dict, init=False)
+
+    def __init__(self) -> None:
+        # Option name -> path of each input file the command opened; not a setting.
+        self.inputs_read: dict[str, str] = {}
 
 
-_SETTINGS = [f for f in fields(RunConfig) if f.init]
-_CONFIG_KEYS = {f.name for f in _SETTINGS}
+# Setting name -> its annotation, which says what a config-file value must be.
+_SETTINGS = dict(RunConfig.__annotations__)
+_CONFIG_KEYS = set(_SETTINGS)
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# What a config-file value must be, by the annotation of its RunConfig field.
+# What a config-file value must be, by the annotation of its RunConfig setting.
 _VALUE_CHECKS = {
     "float": ("a number", _is_number),
     "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
@@ -113,6 +83,8 @@ _VALUE_CHECKS = {
 
 
 def _load_config_file(path: str) -> dict:
+    import json
+
     with open(path, encoding="utf-8-sig") as handle:
         try:
             doc = json.load(handle)
@@ -125,13 +97,13 @@ def _load_config_file(path: str) -> dict:
         raise LabelKitError(
             f"config file {path}: unknown keys {', '.join(sorted(unknown))}"
         )
-    for f in _SETTINGS:
-        if f.name in doc:
-            expected, valid = _VALUE_CHECKS[f.type]
-            if not valid(doc[f.name]):
+    for name, annotation in _SETTINGS.items():
+        if name in doc:
+            expected, valid = _VALUE_CHECKS[annotation]
+            if not valid(doc[name]):
                 raise LabelKitError(
-                    f"config file {path}: {f.name} must be {expected}, "
-                    f"got {json.dumps(doc[f.name])}"
+                    f"config file {path}: {name} must be {expected}, "
+                    f"got {json.dumps(doc[name])}"
                 )
     return doc
 
@@ -188,6 +160,8 @@ def _knob_block(cfg: RunConfig) -> dict:
 
 
 def _provenance(cfg: RunConfig) -> dict:
+    from .reports import provenance
+
     return provenance(cfg.inputs_read, _knob_block(cfg))
 
 
@@ -225,6 +199,8 @@ def _render(write, *args) -> str:
 
 
 def _emit_text(text: str, out: str | None) -> None:
+    from .reports import write_text
+
     if out is None:
         sys.stdout.write(text)
     else:
@@ -237,6 +213,9 @@ def _emit_text(text: str, out: str | None) -> None:
 
 
 def cmd_inspect(cfg: RunConfig) -> int:
+    from .catalog import compute_stats, parse_annotations, parse_labels
+    from .reports import render_json
+
     catalog = _read(cfg, "labels", parse_labels)
     doc: dict = {
         "n_labels": len(catalog),
@@ -266,6 +245,9 @@ def cmd_inspect(cfg: RunConfig) -> int:
 
 
 def cmd_dupes(cfg: RunConfig) -> int:
+    from .catalog import parse_labels
+    from .cleanse import find_duplicates, write_duplicate_candidates
+
     catalog = _read(cfg, "labels", parse_labels)
     pairs = find_duplicates(
         catalog,
@@ -279,6 +261,9 @@ def cmd_dupes(cfg: RunConfig) -> int:
 
 
 def cmd_hierarchy(cfg: RunConfig) -> int:
+    from .catalog import parse_labels
+    from .cleanse import find_hierarchy_candidates, write_hierarchy_candidates
+
     catalog = _read(cfg, "labels", parse_labels)
     candidates = find_hierarchy_candidates(catalog, category=cfg.category)
     print(f"{len(candidates)} hierarchy candidates")
@@ -287,6 +272,11 @@ def cmd_hierarchy(cfg: RunConfig) -> int:
 
 
 def cmd_connectives(cfg: RunConfig) -> int:
+    from .catalog import parse_labels
+    from .cleanse import classify_connectives, tally_as_dict
+    from .reports import render_json
+    from .textkit import Connective
+
     catalog = _read(cfg, "labels", parse_labels)
     doc: dict = {}
     wanted = ("and", "or") if cfg.which == "both" else (cfg.which,)
@@ -303,6 +293,12 @@ def cmd_connectives(cfg: RunConfig) -> int:
 
 
 def cmd_apply(cfg: RunConfig) -> int:
+    from pathlib import Path
+
+    from .catalog import parse_annotations, parse_labels, write_annotations, write_labels
+    from .cleanse import apply_and_splits, apply_merges, load_plan, propagate_supercategories
+    from .reports import write_json, write_text
+
     _require(cfg, "labels", "annotations", "plan", "out")
     catalog = _read(cfg, "labels", parse_labels)
     annotations = _read(cfg, "annotations", parse_annotations, catalog)
@@ -339,6 +335,10 @@ def _build_graph(cfg: RunConfig, catalog):
     """Graph assembly shared by graph, eval-graph, and sweep: connective
     relations from the plan when given, otherwise derived from the catalog,
     plus optional curated edges."""
+    from .cleanse import and_splits_from_tally, classify_connectives, load_plan, or_groups_from_tally
+    from .relgraph import build_graph, parse_curated_edges
+    from .textkit import Connective
+
     if cfg.plan:
         plan = _read(cfg, "plan", load_plan, catalog, sections=("or_groups", "and_splits"))
         or_groups = plan.or_groups
@@ -359,6 +359,12 @@ def _build_graph(cfg: RunConfig, catalog):
 
 
 def cmd_graph(cfg: RunConfig) -> int:
+    from pathlib import Path
+
+    from .catalog import parse_labels
+    from .relgraph import graph_summary, write_edge_list
+    from .reports import write_json, write_text
+
     _require(cfg, "labels", "out")
     catalog = _read(cfg, "labels", parse_labels)
     graph = _build_graph(cfg, catalog)
@@ -376,6 +382,9 @@ def cmd_graph(cfg: RunConfig) -> int:
 
 def _load_eval_pair(cfg: RunConfig):
     """Catalog, truth, predictions, and the score set when one was given."""
+    from .catalog import parse_annotations, parse_labels
+    from .metrics import parse_scores, threshold as binarize
+
     _require(cfg, "labels", "annotations")
     catalog = _read(cfg, "labels", parse_labels)
     truth = _read(cfg, "annotations", parse_annotations, catalog)
@@ -395,6 +404,8 @@ def _scope_from_category(cfg: RunConfig, catalog):
 
 
 def _finish_eval(cfg: RunConfig, report, extra: dict | None = None) -> int:
+    from .reports import render_json
+
     doc = report.as_dict()
     if extra:
         doc.update(extra)
@@ -408,6 +419,8 @@ def _finish_eval(cfg: RunConfig, report, extra: dict | None = None) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
+    from .metrics import fbeta_report
+
     catalog, truth, predictions, _ = _load_eval_pair(cfg)
     report = fbeta_report(
         predictions, truth, beta=cfg.beta, scope=_scope_from_category(cfg, catalog)
@@ -416,6 +429,8 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_eval_graph(cfg: RunConfig) -> int:
+    from .metrics import graph_fbeta_report
+
     catalog, truth, predictions, _ = _load_eval_pair(cfg)
     graph = _build_graph(cfg, catalog)
     report = graph_fbeta_report(
@@ -430,6 +445,10 @@ def cmd_eval_graph(cfg: RunConfig) -> int:
 
 
 def cmd_eval_or(cfg: RunConfig) -> int:
+    from .cleanse import classify_connectives, load_plan, or_groups_from_tally
+    from .metrics import or_aware_report
+    from .textkit import Connective
+
     catalog, truth, predictions, _ = _load_eval_pair(cfg)
     if cfg.plan:
         or_groups = _read(cfg, "plan", load_plan, catalog, sections=("or_groups",)).or_groups
@@ -446,6 +465,9 @@ def cmd_eval_or(cfg: RunConfig) -> int:
 
 
 def cmd_eval_excl(cfg: RunConfig) -> int:
+    from .cleanse import load_plan
+    from .metrics import enforce_exclusion, fbeta_report
+
     _require(cfg, "plan")
     catalog, truth, predictions, scores = _load_eval_pair(cfg)
     plan = _read(cfg, "plan", load_plan, catalog, sections=("exclusion_groups",))
@@ -467,6 +489,13 @@ def cmd_eval_excl(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    from pathlib import Path
+
+    from .catalog import parse_annotations, parse_labels
+    from .metricmp import family_from_sweep, write_family
+    from .metrics import parse_scores, sweep, write_sweep
+    from .reports import write_json, write_text
+
     _require(cfg, "labels", "annotations", "scores", "out")
     catalog = _read(cfg, "labels", parse_labels)
     truth = _read(cfg, "annotations", parse_annotations, catalog)
@@ -492,6 +521,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
+    from .metricmp import compare, parse_family
+    from .reports import render_json
+
     report = compare(_read(cfg, "family", parse_family), epsilon=cfg.epsilon)
     doc = report.as_dict()
     doc["provenance"] = _provenance(cfg)
@@ -582,6 +614,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _merge_config(args)
         return _COMMANDS[args.command](cfg)
     except (LabelKitError, OSError, ValueError, KeyError) as exc:
+        import json
+
         message = exc.args[0] if exc.args and isinstance(exc.args[0], str) else str(exc)
         sys.stderr.write(json.dumps({"error": message}) + "\n")
         return 2

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .csvio import CsvTable, csv_writer
+from .defaults import DEFAULT_EPSILON
 from .errors import EvalError
-
-DEFAULT_EPSILON = 1e-4
 
 F_BETTER = "F_BETTER"
 G_BETTER = "G_BETTER"

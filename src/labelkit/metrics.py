@@ -19,25 +19,22 @@ sample. Readers use its mapping interface, which plain dicts share.
 from __future__ import annotations
 
 import math
-import shutil
-import tempfile
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
-from statistics import pstdev
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .catalog import AnnotationSet, LabelCatalog, SampleTable
-from .cleanse import OrGroup
 from .csvio import CsvTable, csv_writer
+from .defaults import DEFAULT_BETA
 from .errors import EvalError, ParseError
-from .relgraph import RelationGraph
+
+if TYPE_CHECKING:
+    from .cleanse import OrGroup
+    from .relgraph import RelationGraph
 
 NAN = float("nan")
-
-DEFAULT_BETA = 2.0
-DEFAULT_DECISION_THRESHOLD = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +119,9 @@ def parse_scores(stream: IO[str], catalog: LabelCatalog) -> ScoreSet:
     source = getattr(stream, "name", "<scores>")
     if stream.seekable():
         return _parse_scores(stream, catalog, source)
+    import shutil
+    import tempfile
+
     with tempfile.TemporaryFile(
         "w+", encoding="utf-8", errors="surrogatepass", newline=""
     ) as copy:
@@ -484,6 +484,8 @@ def deviation_report(reports: Sequence[MetricReport]) -> dict:
     Per-class spread is only meaningful for classes defined in every run;
     classes undefined somewhere are counted, not averaged.
     """
+    from statistics import pstdev
+
     if len(reports) < 2:
         raise EvalError("deviation needs at least two runs")
     kinds = {r.kind for r in reports}

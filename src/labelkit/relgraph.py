@@ -12,12 +12,14 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from typing import IO, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
 from .catalog import LabelCatalog
 from .csvio import csv_errors, csv_writer
 from .errors import ParseError, PlanError
-from .cleanse import AndSplit, OrGroup
+
+if TYPE_CHECKING:
+    from .cleanse import AndSplit, OrGroup
 
 INFINITE = math.inf
 

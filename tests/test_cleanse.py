@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from labelkit.catalog import AnnotationSet, LabelCatalog, LabelRecord
+from labelkit.catalog import AnnotationSet, LabelCatalog, LabelRecord, parse_labels
 from labelkit.cleanse import (
     AndSplit,
     DuplicatePair,
@@ -412,6 +412,18 @@ def test_plan_merging_canonical_equal_duplicates_loads():
     out = io.StringIO()
     write_plan(TransformPlan(merges=[Merge(0, (1,))]), catalog, out)
     assert load_plan(io.StringIO(out.getvalue()), catalog).merges == [Merge(0, (1,))]
+
+
+def test_plan_round_trips_a_category_with_outer_spaces():
+    # parse_labels keeps the category " medium" as written, so the plan names
+    # the label " medium::silk", which must resolve back to it.
+    catalog = parse_labels(io.StringIO("attribute_id,attribute_name\n0, medium::silk\n1,medium::paper\n"))
+    assert catalog.get(0).category == " medium"
+    plan = TransformPlan(merges=[Merge(1, (0,))], hierarchy_edges=[(0, 1)])
+    out = io.StringIO()
+    write_plan(plan, catalog, out)
+    assert " medium::silk" in out.getvalue()
+    assert load_plan(io.StringIO(out.getvalue()), catalog) == plan
 
 
 # Names that JSON escapes, that qualify a name twice, or that differ from

@@ -1,14 +1,18 @@
 """End-to-end command behavior on a hand-checkable corpus."""
 
 import hashlib
+import inspect
 import io
 import json
 import math
 
 import pytest
 
-from labelkit.cleanse import AndSplit, Merge, OrGroup, TransformPlan, write_plan
-from labelkit.cli import _CONFIG_KEYS, build_parser, main
+from labelkit import defaults
+from labelkit.cleanse import AndSplit, Merge, OrGroup, TransformPlan, find_duplicates, write_plan
+from labelkit.cli import _CONFIG_KEYS, RunConfig, build_parser, main
+from labelkit.metricmp import compare
+from labelkit.metrics import fbeta_report, graph_fbeta_report, or_aware_report, sweep
 from conftest import annotations_csv, build_catalog, labels_csv
 
 SCORES_CSV = """id,attribute_id,score
@@ -539,6 +543,18 @@ def test_config_rejects_the_inputs_record(corpus, tmp_path, capsys):
     assert run("inspect", "--config", config, "--labels", corpus["labels"]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == f"config file {config}: unknown keys inputs_read"
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    # Each default is defined once, in labelkit.defaults; the CLI settings
+    # and the library signatures taking the same knob both read it.
+    cfg = RunConfig()
+    default = lambda func, name: inspect.signature(func).parameters[name].default  # noqa: E731
+    assert cfg.threshold == defaults.DEFAULT_DECISION_THRESHOLD
+    assert cfg.similarity == defaults.DEFAULT_SIMILARITY == default(find_duplicates, "threshold")
+    assert cfg.epsilon == defaults.DEFAULT_EPSILON == default(compare, "epsilon")
+    for func in (fbeta_report, or_aware_report, graph_fbeta_report, sweep):
+        assert cfg.beta == defaults.DEFAULT_BETA == default(func, "beta")
 
 
 def test_config_invalid_values(corpus, capsys):

@@ -11,7 +11,7 @@ from labelkit.catalog import LabelCatalog, LabelRecord, canonicalize
 # ---------------------------------------------------------------------------
 # Oracles: the bare-name scan verbatim, and the qualified lookup as a scan for
 # the lowest id whose qualified name is exactly the text, else the lowest id
-# with that category and canonical form.
+# with the stripped category and that canonical form.
 
 
 def oracle_find(self: LabelCatalog, category: str, name: str) -> LabelRecord | None:
@@ -29,13 +29,13 @@ def oracle_resolve_name(self: LabelCatalog, text: str, category: str | None = No
     be unambiguous (optionally narrowed by ``category``).
     """
     if "::" in text:
+        for r in self.records:
+            if r.qualified_name == text:
+                return r
         cat, _, bare = text.partition("::")
         record = oracle_find(self, cat.strip(), bare)
         if record is None:
             raise KeyError(f"unknown label {text!r}")
-        for r in self.records:
-            if r.qualified_name == text:
-                return r
         return record
     canonical = canonicalize(text)
     matches = [
@@ -70,7 +70,7 @@ def outcome(resolve, catalog, text, category):
 @settings(max_examples=400, deadline=None)
 @given(
     records=st.lists(
-        st.tuples(st.sampled_from(CATEGORIES), st.sampled_from(NAMES)), max_size=12
+        st.tuples(st.sampled_from(CATEGORIES + [" tags "]), st.sampled_from(NAMES)), max_size=12
     ),
     order=st.randoms(use_true_random=False),
     text=st.one_of(
@@ -92,6 +92,13 @@ def outcome(resolve, catalog, text, category):
     records=[("medium", "Silk"), ("medium", "silk")],
     order=None,
     text="medium::silk",
+    category=None,
+)
+@example(
+    # A category kept with its outer spaces resolves from its exact spelling.
+    records=[(" tags ", "turkey"), ("tags", "turkey")],
+    order=None,
+    text=" tags ::turkey",
     category=None,
 )
 def test_bare_name_index_matches_scan(records, order, text, category):
