@@ -217,7 +217,7 @@ class AnnotationSet(SampleTable):
     def label_frequency(self) -> Counter[int]:
         """Positive-sample count per label id."""
         freq: Counter[int] = Counter()
-        for labels in self._index.values():
+        for _, labels in self:
             freq.update(labels)
         return freq
 

@@ -24,7 +24,7 @@ from .defaults import (
     DEFAULT_EPSILON,
     DEFAULT_SIMILARITY,
 )
-from .errors import LabelKitError
+from .errors import LabelKitError, undecodable
 
 # Each subcommand imports the library modules (and the heavier stdlib ones)
 # it runs when it runs, so --version, --help and usage errors load none of
@@ -610,12 +610,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    cfg = None
     try:
         cfg = _merge_config(args)
         return _COMMANDS[args.command](cfg)
     except (LabelKitError, OSError, ValueError, KeyError) as exc:
         import json
 
+        if isinstance(exc, UnicodeDecodeError):
+            # The file being decoded is the last one opened: the config
+            # file, then each input in turn.
+            opened = [args.config, *(cfg.inputs_read.values() if cfg else ())]
+            exc = undecodable(opened[-1])
         message = exc.args[0] if exc.args and isinstance(exc.args[0], str) else str(exc)
         sys.stderr.write(json.dumps({"error": message}) + "\n")
         return 2

@@ -24,6 +24,19 @@ class ParseError(LabelKitError):
         super().__init__(prefix + message)
 
 
+def undecodable(path: str) -> ParseError:
+    """The error naming the first non-UTF-8 byte of ``path`` and its line. No
+    UTF-8 sequence holds a newline byte, so each line decodes on its own."""
+    with open(path, "rb") as handle:
+        for line, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                message = f"invalid UTF-8 byte 0x{raw[exc.start]:02x}"
+                return ParseError(message, source=path, line=line)
+    return ParseError("invalid UTF-8", source=path)
+
+
 class PlanError(LabelKitError):
     """An invalid transformation plan."""
 

@@ -180,6 +180,8 @@ def parse_family(stream: IO[str]) -> ModelFamily:
     # tag or a non-finite score is raised while the table stands at its row.
     try:
         return ModelFamily((model, float(f), float(g)) for model, f, g in table)
+    except UnicodeDecodeError:
+        raise
     except ValueError as exc:
         raise table.error(str(exc)) from None
 

@@ -14,6 +14,10 @@ A parsed score set keeps each sample's scores as two columns in file order
 (:class:`ScoreRow`: a list of the catalog's label ids and an ``array('d')``
 of scores), the CSR sparse layout split by sample, rather than a dict per
 sample. Readers use its mapping interface, which plain dicts share.
+
+Predictions are not stored (late materialization, as in column stores):
+:func:`threshold` and :func:`enforce_exclusion` return a
+:class:`PredictionView` that computes a sample's labels when it is read.
 """
 
 from __future__ import annotations
@@ -199,6 +203,24 @@ def _reject_duplicates(
             counts[sid] += 1
 
 
+class PredictionView(AnnotationSet):
+    """Read-only predictions, never stored: :meth:`labels_for` and iteration
+    call ``predict(sample id, value)`` on every read, where ``index`` maps
+    each sample id to its source value (a score row, or a sample of another
+    set). Ids, their order, ``len`` and ``in`` are those of ``index``, which
+    the view shares."""
+
+    def __init__(self, index: Mapping, known_labels: frozenset[int], predict: Callable) -> None:
+        self._index, self.known_labels, self._predict = index, known_labels, predict
+
+    def labels_for(self, sample_id: str) -> frozenset[int]:
+        return self._predict(sample_id, super().labels_for(sample_id))
+
+    def __iter__(self) -> Iterator[tuple[str, frozenset[int]]]:
+        predict = self._predict
+        return ((sid, predict(sid, value)) for sid, value in self._index.items())
+
+
 def threshold(
     scores: ScoreSet,
     decision_threshold: float,
@@ -207,27 +229,28 @@ def threshold(
     """Binarize scores into predictions; a label is on when its score is at
     least the threshold (inclusive, so threshold 0.0 predicts every scored
     label). The labels come from a validated score set, so only repeated
-    ``sample_ids`` are checked."""
+    ``sample_ids`` are checked.
+
+    The result is a :class:`PredictionView` over the score rows, so each read
+    of a sample builds its predictions again. The reports, the exclusion view
+    and ``write_annotations`` read each sample once; ``compute_stats`` reads
+    it three times."""
     _check_decision_threshold(decision_threshold)
     if sample_ids is None:
-        wanted = scores.sample_ids()
+        index = scores._index
     else:
         wanted = list(sample_ids)
         _require_scored(scores, wanted)
-    predicted: dict[str, frozenset[int]] = {}
-    for sid in wanted:
-        if sid in predicted:
-            raise ValueError(f"duplicate sample id {sid!r}")
-        # Built from a set, a frozenset's table is sized to fit; grown from a
-        # generator one item at a time, it can be twice as large.
-        predicted[sid] = frozenset(
-            {
-                label
-                for label, score in scores.scores_for(sid).items()
-                if score >= decision_threshold
-            }
-        )
-    return AnnotationSet._trusted(predicted, scores.known_labels)
+        index = {}
+        for sid in wanted:
+            if sid in index:
+                raise ValueError(f"duplicate sample id {sid!r}")
+            index[sid] = scores.scores_for(sid)
+
+    def predict(_: str, row: Mapping[int, float]) -> frozenset[int]:
+        return frozenset({label for label, score in row.items() if score >= decision_threshold})
+
+    return PredictionView(index, scores.known_labels, predict)
 
 
 def _check_decision_threshold(decision_threshold: float) -> None:
@@ -251,7 +274,9 @@ def enforce_exclusion(
 ) -> AnnotationSet:
     """Keep at most one label per mutual-exclusion group per sample: the one
     with the highest score, ties to the lowest id. Without scores every
-    candidate ties. Applying the result again changes nothing."""
+    candidate ties. Applying the result again changes nothing. The groups are
+    checked here; the result is a :class:`PredictionView` that prunes a
+    sample of ``predictions`` each time it is read."""
     seen: set[int] = set()
     for group in groups:
         if not group:
@@ -261,7 +286,8 @@ def enforce_exclusion(
             raise EvalError(f"label {min(clash)} appears in two exclusion groups")
         seen |= group
 
-    def prune(sample_id: str, labels: frozenset[int]) -> frozenset[int]:
+    def prune(sample_id: str, _: object) -> frozenset[int]:
+        labels = predictions.labels_for(sample_id)
         row_scores = scores.scores_for(sample_id) if scores and sample_id in scores else {}
         dropped: set[int] = set()
         for group in groups:
@@ -272,10 +298,8 @@ def enforce_exclusion(
             dropped |= hits - {keep}
         return labels - dropped if dropped else labels
 
-    # Pruning only removes labels, so every row stays valid.
-    return AnnotationSet._trusted(
-        {sid: prune(sid, labels) for sid, labels in predictions}, predictions.known_labels
-    )
+    # Pruning only removes labels, so every sample stays valid.
+    return PredictionView(predictions._index, predictions.known_labels, prune)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from typing import IO, TYPE_CHECKING, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .catalog import LabelCatalog
-from .csvio import csv_errors, csv_writer
+from .csvio import csv_errors
 from .errors import ParseError, PlanError
 
 if TYPE_CHECKING:
@@ -167,20 +167,21 @@ def build_graph(
 
 
 def parse_curated_edges(stream: IO[str], catalog: LabelCatalog) -> list[tuple[int, int]]:
-    """Read a reviewed edge file: two comma-separated label names per line,
-    bare or category-qualified; '#' outside a quoted field starts a comment.
-    What is left of a line is split by CSV rules, so a quoted name may hold a
-    comma or a '#'."""
+    """Read a reviewed edge file: two comma-separated label names per record,
+    bare or category-qualified, split by CSV rules (RFC 4180); '#' outside a
+    quoted field starts a comment. A quoted name may hold a comma, a '#', a
+    quote or a line break and is kept as written; an unquoted one is stripped.
+    A first record ``label_a,label_b`` is the header :func:`write_edge_list`
+    writes. Errors name the line a record starts on."""
     edges: list[tuple[int, int]] = []
     source = getattr(stream, "name", "<edges>")
-    for lineno, raw in enumerate(stream, start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
+    for n, (lineno, record, quoted) in enumerate(_edge_records(stream)):
         with csv_errors(source, lambda: lineno):
-            cells = next(csv.reader((line,)))
-        parts = [p.strip() for p in cells]
-        if len(parts) != 2 or not all(parts):
+            cells = next(csv.reader((record,)))
+        parts = [cell if q else cell.strip() for cell, q in zip(cells, quoted)]
+        if n == 0 and parts == ["label_a", "label_b"]:
+            continue
+        if len(parts) != 2 or not all(p.strip() for p in parts):
             raise ParseError(
                 "expected two comma-separated label names",
                 source=source,
@@ -195,34 +196,52 @@ def parse_curated_edges(stream: IO[str], catalog: LabelCatalog) -> list[tuple[in
     return edges
 
 
-def _strip_comment(raw: str) -> str:
-    """``raw``, left-stripped, up to its first '#' that the csv reader would
-    read outside a quoted field. As in the default dialect, a '"' opens a
-    quoted field only as the first character of a field; inside one, '""' is
-    a quote and a lone '"' closes it. Any other '"' is a literal character."""
-    line = raw.lstrip()
+def _edge_records(stream: IO[str]) -> Iterator[tuple[int, str, list[bool]]]:
+    """(first line, text without comments, whether each field is quoted) of
+    each non-blank record. As in the csv reader's default dialect, a '"'
+    opens a quoted field only as a field's first character; inside one, '""'
+    is a quote, a lone '"' closes it, and a line break continues the record."""
     state = "start"  # of a field; or "plain", "quoted", "closing" (a '"' in a quoted field)
-    for i, c in enumerate(line):
-        if state == "quoted":
-            if c == '"':
-                state = "closing"
-        elif state == "closing" and c == '"':
-            state = "quoted"
-        elif c == "#":
-            return line[:i]
-        elif c == ",":
-            state = "start"
-        else:
-            state = "quoted" if c == '"' and state == "start" else "plain"
-    return line
+    for lineno, raw in enumerate(stream, start=1):
+        if state != "quoted":
+            start, text, quoted, state = lineno, "", [False], "start"
+            raw = raw.lstrip()
+        cut = len(raw)
+        for i, c in enumerate(raw):
+            if state == "quoted":
+                if c == '"':
+                    state = "closing"
+            elif state == "closing" and c == '"':
+                state = "quoted"
+            elif c == "#":
+                cut = i
+                break
+            elif c == ",":
+                state = "start"
+                quoted.append(False)
+            elif c == '"' and state == "start":
+                state, quoted[-1] = "quoted", True
+            else:
+                state = "plain"
+        text += raw[:cut]
+        if state != "quoted" and text.strip():
+            yield start, text.strip(), quoted
+    if state == "quoted":
+        yield start, text.strip(), quoted
 
 
 def write_edge_list(graph: RelationGraph, catalog: LabelCatalog, stream: IO[str]) -> None:
-    """Edge list as CSV of qualified names, ascending id order."""
-    writer = csv_writer(stream)
-    writer.writerow(["label_a", "label_b"])
-    for a, b in graph.edges():
-        writer.writerow([catalog.get(a).qualified_name, catalog.get(b).qualified_name])
+    """Edge list as CSV of qualified names, ascending id order. A name is
+    quoted when it holds a comma, a quote, a line break or a '#', or has
+    outer whitespace, so :func:`parse_curated_edges` reads it as written."""
+
+    def cell(name: str) -> str:
+        plain = name == name.strip() and not any(c in name for c in ',"\r\n#')
+        return name if plain else '"' + name.replace('"', '""') + '"'
+
+    stream.write("label_a,label_b\n")
+    for edge in graph.edges():
+        stream.write(",".join(cell(catalog.get(i).qualified_name) for i in edge) + "\n")
 
 
 def graph_summary(graph: RelationGraph) -> dict:

@@ -496,6 +496,64 @@ def test_provenance_lists_the_inputs_read(corpus, tmp_path, command, given, repo
         assert entry == {"path": str(files[name]), "sha256": "sha256:" + digest(files[name])}
 
 
+def decode_cases():
+    """(command, inputs given, input to break): every input option each
+    command reads, the config file included, with inputs that let the
+    command reach it."""
+    cases = {}
+    for command, given, _, listed in provenance_cases():
+        cases.setdefault((command, "config"), "")
+        for name in listed.split():
+            cases.setdefault((command, name), given)
+    for command in ("dupes", "hierarchy"):
+        cases[(command, "config")] = ""
+        cases[(command, "labels")] = "labels"
+    return [(command, given, bad) for (command, bad), given in cases.items()]
+
+
+@pytest.mark.parametrize("command, given, bad", decode_cases())
+def test_undecodable_input_names_its_file_and_line(corpus, tmp_path, capsys, command, given, bad):
+    files = dict(corpus, graph_edges=corpus["edges"], family=tmp_path / "family.csv")
+    files["family"].write_text("model,f_score,g_score\na,0.0,0.0\nb,1.0,0.5\n")
+    files["config"] = tmp_path / "config.json"
+    files["config"].write_text('{\n  "beta": 2.0\n}\n')
+    # The input to break is a copy with byte 0xe9 inside its second line.
+    lines = files[bad].read_bytes().split(b"\n")
+    lines[1] = lines[1][:1] + b"\xe9" + lines[1][1:]
+    broken = tmp_path / f"broken-{bad}"
+    broken.write_bytes(b"\n".join(lines))
+    files[bad] = broken
+    argv = [command]
+    for name in {*given.split(), bad}:
+        argv += [f"--{name.replace('_', '-')}", files[name]]
+    assert run(*argv, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == f"{broken}:2: invalid UTF-8 byte 0xe9"
+
+
+@pytest.mark.parametrize(
+    "command, name, header, row",
+    [
+        ("eval", "scores", "id,attribute_id,score", "x{},0,0.5"),
+        ("compare", "family", "model,f_score,g_score", "m{},0.5,0.5"),
+    ],
+)
+def test_undecodable_byte_past_the_first_read_names_its_line(
+    corpus, tmp_path, capsys, command, name, header, row
+):
+    # Far enough in that the rows before it are parsed before it is decoded.
+    rows = [(row.format(i) + "\n").encode() for i in range(3000)]
+    rows[2498] = rows[2498].replace(b"0.5", b"0.\xff5", 1)
+    broken = tmp_path / f"{name}.csv"
+    broken.write_bytes(header.encode() + b"\n" + b"".join(rows))
+    argv = ["--labels", corpus["labels"], "--annotations", corpus["annotations"]]
+    assert run(command, *argv, f"--{name}", broken) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        f"{broken}:2500: invalid UTF-8 byte 0xff"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Config handling
 
@@ -962,3 +1020,16 @@ def test_graph_edges_quoted_name_holds_a_comma(tmp_path, capsys):
     assert run(*args) == 0
     lines = (tmp_path / "g" / "edges.txt").read_text().splitlines()
     assert lines == ["label_a,label_b", '"medium::ink, color",medium::paper']
+
+
+def test_graph_reads_its_own_edge_list_back(corpus, tmp_path):
+    first, second = tmp_path / "g1", tmp_path / "g2"
+    assert run("graph", "--labels", corpus["labels"], "--graph-edges", corpus["edges"],
+               "--out", first) == 0
+    assert run("graph", "--labels", corpus["labels"], "--graph-edges", first / "edges.txt",
+               "--out", second) == 0
+    assert (second / "edges.txt").read_bytes() == (first / "edges.txt").read_bytes()
+    summaries = [read_json(out / "graph.json") for out in (first, second)]
+    for summary in summaries:
+        del summary["provenance"]
+    assert summaries[0] == summaries[1]

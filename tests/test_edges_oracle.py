@@ -1,8 +1,11 @@
 """Curated edge lines split by CSV rules, against the comma-splitting parser
 they replaced: a quoted name may hold a comma, and any line holding no quote
-character parses exactly as before. Lines with quotes are checked against a
-comment cut found by the csv module itself: a '#' starts a comment where a ','
-in its place would end a cell.
+character parses exactly as before, unless it is a first line
+``label_a,label_b`` (the header ``write_edge_list`` writes), which the
+generator of those lines does not produce. Lines with quotes are checked against records read
+off the csv module itself: a '#' starts a comment where a ',' in its place
+would end a cell, a record runs on while csv reads inside a quoted field, and
+a quoted cell is kept as csv reads it.
 
 The csv module ends a record at a bare carriage return (the CLI's reader
 already ends the line there) and, before Python 3.11, rejects NUL; an
@@ -128,34 +131,62 @@ def test_lines_without_quotes_parse_as_before(lines, end):
 
 
 # ---------------------------------------------------------------------------
-# Lines with quotes, against a comment cut read off the csv module
+# Lines with quotes, against records read off the csv module
 
 
-def csv_comment_cut(raw: str) -> str:
-    """``raw``, left-stripped, up to its first '#' that csv reads outside a
-    quoted field: one where a ',' in its place would end a cell."""
-    line = raw.lstrip()
-    for i, c in enumerate(line):
-        if c == "#":
-            head = line[:i]
-            if len(next(csv.reader([head + ","]))) > len(next(csv.reader([head]))):
-                return head
-    return line
+def outside_quotes(prefix: str) -> bool:
+    """Whether csv reads the end of ``prefix`` outside a quoted field: a ','
+    in that place would end a cell."""
+
+    def cells(text):
+        return sum(map(len, csv.reader((text,))))
+
+    return cells(prefix + ",") > cells(prefix)
 
 
-def csv_cut_parse_curated_edges(stream: IO[str], catalog: LabelCatalog) -> list[tuple[int, int]]:
+def csv_records(stream: IO[str]):
+    """``(line, record)`` for each non-blank record: each line left-stripped
+    where a record starts, cut at its first '#' outside a quoted field, and
+    joined to the next line while csv still reads inside a quoted field."""
+    record, start = None, 0
+    for lineno, raw in enumerate(stream, start=1):
+        if record is None:
+            record, start, raw = "", lineno, raw.lstrip()
+        for i, c in enumerate(raw):
+            if c == "#" and outside_quotes(record + raw[:i]):
+                raw = raw[:i]
+                break
+        record += raw
+        if outside_quotes(record.rstrip("\n")):
+            if record.strip():
+                yield start, record.strip()
+            record = None
+    if record is not None and record.strip():
+        yield start, record.strip()
+
+
+def csv_parse_curated_edges(stream: IO[str], catalog: LabelCatalog) -> list[tuple[int, int]]:
+    """Each record split by the csv module; a cell whose field opens with a
+    quote is kept as csv reads it, any other cell is stripped, and a first
+    record ``label_a,label_b`` is a header."""
     edges: list[tuple[int, int]] = []
     source = getattr(stream, "name", "<edges>")
-    for lineno, raw in enumerate(stream, start=1):
-        line = csv_comment_cut(raw).strip()
-        if not line:
-            continue
+    for n, (lineno, record) in enumerate(csv_records(stream)):
         try:
-            cells = next(csv.reader((line,)))
+            cells = next(csv.reader((record,)))
         except csv.Error as exc:
             raise ParseError(str(exc), source=source, line=lineno) from None
-        parts = [p.strip() for p in cells]
-        if len(parts) != 2 or not all(parts):
+        starts = [0] + [
+            i + 1 for i, c in enumerate(record) if c == "," and outside_quotes(record[:i])
+        ]
+        assert len(starts) == len(cells)
+        parts = [
+            cell if record.startswith('"', at) else cell.strip()
+            for cell, at in zip(cells, starts)
+        ]
+        if n == 0 and parts == ["label_a", "label_b"]:
+            continue
+        if len(parts) != 2 or not all(p.strip() for p in parts):
             raise ParseError(
                 "expected two comma-separated label names",
                 source=source,
@@ -176,7 +207,8 @@ QUOTED_CATALOG = build_catalog(
 )
 QUOTED_PIECE = st.one_of(
     st.sampled_from(
-        ['"', '""', "#", ",", " ", "paper", "tags::no. #5", '"no. #5"', '5" frame', '"5"" frame"']
+        ['"', '""', "#", ",", " ", "\n", "paper", "tags::no. #5", '"no. #5"', '5" frame',
+         '"5"" frame"', '" medium::paper"', "label_a,label_b"]
     ),
     st.text(OTHER, max_size=3),
 )
@@ -195,4 +227,4 @@ def test_lines_with_quotes_cut_comments_where_csv_leaves_a_field(lines):
         except ParseError as exc:
             return ("error", str(exc))
 
-    assert outcome_in(parse_curated_edges) == outcome_in(csv_cut_parse_curated_edges)
+    assert outcome_in(parse_curated_edges) == outcome_in(csv_parse_curated_edges)

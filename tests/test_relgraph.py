@@ -6,7 +6,9 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from labelkit.catalog import LabelCatalog, LabelRecord
 from labelkit.cleanse import AndSplit, OrGroup
 from labelkit.errors import ParseError, PlanError
 from labelkit.relgraph import (
@@ -203,6 +205,62 @@ def test_parse_curated_edges_errors(mini_catalog):
         parse_curated_edges(io.StringIO("only one name\n"), mini_catalog)
     with pytest.raises(ParseError, match="nonexistent"):
         parse_curated_edges(io.StringIO("nonexistent, france\n"), mini_catalog)
+
+
+def test_parse_curated_edges_reads_the_header_only_first(mini_catalog):
+    text = "# written by graph\nlabel_a , label_b\nfrench,france\n"
+    assert parse_curated_edges(io.StringIO(text), mini_catalog) == [(5, 6)]
+    with pytest.raises(ParseError, match=r"^<edges>:2: unknown label 'label_a'$"):
+        parse_curated_edges(io.StringIO("french,france\nlabel_a,label_b\n"), mini_catalog)
+
+
+def test_names_with_outer_spaces_or_hash_round_trip():
+    catalog = build_catalog([(0, " medium", "silk"), (1, "medium", "paper"), (2, "tags", "no. #5")])
+    assert parse_curated_edges(io.StringIO('" medium::silk",medium::paper\n'), catalog) == [(0, 1)]
+    # An unquoted cell is still stripped.
+    with pytest.raises(ParseError, match=r"^<edges>:1: unknown label 'medium::silk'$"):
+        parse_curated_edges(io.StringIO(" medium::silk,medium::paper\n"), catalog)
+    graph = build_graph(catalog, curated_edges=[(0, 1), (1, 2)])
+    out = io.StringIO()
+    write_edge_list(graph, catalog, out)
+    assert out.getvalue() == (
+        'label_a,label_b\n" medium::silk",medium::paper\nmedium::paper,"tags::no. #5"\n'
+    )
+    assert parse_curated_edges(io.StringIO(out.getvalue()), catalog) == [(0, 1), (1, 2)]
+
+
+NAME_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(['#', '"', ",", "\r", "\n", " ", "\t", ":", "a", "B"]),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    names=st.lists(
+        st.tuples(NAME_TEXT.filter(lambda c: ":" not in c), NAME_TEXT),
+        min_size=2,
+        max_size=6,
+        unique_by=lambda pair: "::".join(pair),
+    ),
+    data=st.data(),
+    newline=st.sampled_from(["\n", ""]),
+)
+@example(names=[(" medium", "silk"), ("medium", "paper")], data=None, newline="")
+@example(names=[("tags", "no. #5"), ("a", ' "q"\r\n ')], data=None, newline="\n")
+def test_write_edge_list_reads_back(names, data, newline):
+    catalog = LabelCatalog(LabelRecord(i, cat, name) for i, (cat, name) in enumerate(names))
+    pairs = [(a, b) for a in range(len(names)) for b in range(a + 1, len(names))]
+    edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1)) if data else pairs
+    graph = build_graph(catalog, curated_edges=edges)
+    out = io.StringIO()
+    write_edge_list(graph, catalog, out)
+    # newline="" splits lines at "\r" as well, as the CLI's reader does.
+    read = parse_curated_edges(io.StringIO(out.getvalue(), newline=newline), catalog)
+    assert read == graph.edges()
 
 
 def test_write_edge_list(mini_catalog):

@@ -1,11 +1,11 @@
 """Hand-over of already-valid rows to the shared sample table.
 
-``parse_annotations``, ``threshold``, ``enforce_exclusion`` and
-``propagate_supercategories`` build their dicts themselves and adopt them
-through ``_trusted`` instead of running the validating constructor. Each test
-here rebuilds the result through that constructor (or through the code it
-replaced) and requires the same samples, in the same order, as the same
-immutable sets.
+``parse_annotations`` and ``propagate_supercategories`` build their dicts
+themselves and adopt them through ``_trusted`` instead of running the
+validating constructor; ``threshold`` and ``enforce_exclusion`` return views
+that build each sample's set when it is read. Each test here rebuilds the
+result through that constructor (or through the code it replaced) and
+requires the same samples, in the same order, as the same immutable sets.
 """
 
 import csv
