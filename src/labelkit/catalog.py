@@ -112,15 +112,15 @@ class LabelCatalog:
             raise ValueError(f"unknown category {category!r}")
         return ids
 
-    def resolve_name(self, text: str, category: str | None = None) -> LabelRecord:
+    def resolve_name(self, text: str) -> LabelRecord:
         """Resolve a human-written label reference to a record.
 
         Accepts the qualified "category::name" form, or a bare name which must
-        be unambiguous (optionally narrowed by ``category``). A qualified name
-        spelled exactly as a record's ``qualified_name`` resolves to that
-        record, so canonical-equal duplicates stay apart and a category with
-        outer spaces round-trips; any other spelling resolves to the lowest
-        id with the stripped category and that canonical form.
+        be unambiguous. A qualified name spelled exactly as a record's
+        ``qualified_name`` resolves to that record, so canonical-equal
+        duplicates stay apart and a category with outer spaces round-trips;
+        any other spelling resolves to the lowest id with the stripped
+        category and that canonical form.
         """
         if "::" in text:
             cat, _, bare = text.partition("::")
@@ -133,11 +133,7 @@ class LabelCatalog:
             if match is None:
                 raise KeyError(f"unknown label {text!r}")
             return match
-        matches = [
-            r
-            for r in self._by_canonical.get(canonicalize(text), ())
-            if category is None or r.category == category
-        ]
+        matches = self._by_canonical.get(canonicalize(text), ())
         if not matches:
             raise KeyError(f"unknown label {text!r}")
         if len(matches) > 1:

@@ -578,7 +578,7 @@ def apply_merges(
     """Rewrite absorbed labels to their survivors and drop them from the
     catalog. Per-sample sets deduplicate naturally, so a sample carrying both
     sides of a merge counts once afterwards."""
-    _validate_merges_only(merges, catalog)
+    validate_plan(TransformPlan(merges=list(merges)), catalog)
     rewrite: dict[int, int] = {}
     for merge in merges:
         for absorbed in merge.absorbed:
@@ -590,11 +590,6 @@ def apply_merges(
         for sid, labels in annotations
     )
     return AnnotationSet(new_samples, new_catalog.ids()), new_catalog
-
-
-def _validate_merges_only(merges: Sequence[Merge], catalog: LabelCatalog) -> None:
-    probe = TransformPlan(merges=list(merges))
-    validate_plan(probe, catalog)
 
 
 def supercategory_closure(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import os
 import sys
 
 from . import __version__
@@ -55,13 +56,21 @@ class RunConfig:
     cross_category: bool = False
 
     def __init__(self) -> None:
-        # Option name -> path of each input file the command opened; not a setting.
-        self.inputs_read: dict[str, str] = {}
+        # Option name -> (path given, file holding the bytes read) of each
+        # input file the command opened; not a setting.
+        self.inputs_read: dict[str, tuple[str, str]] = {}
 
 
 # Setting name -> its annotation, which says what a config-file value must be.
 _SETTINGS = dict(RunConfig.__annotations__)
 _CONFIG_KEYS = set(_SETTINGS)
+# Settings that provenance leaves out of its config block: the files, which
+# it lists by path and digest, and threads, which has no effect on results,
+# so reports are byte-identical at any --threads.
+_NOT_KNOBS = {
+    "labels", "annotations", "scores", "predictions", "plan", "graph_edges", "family", "out",
+    "threads",
+}
 
 
 def _is_number(value) -> bool:
@@ -143,26 +152,11 @@ def _validate_config(cfg: RunConfig) -> None:
                 raise LabelKitError(f"sweep threshold {value} outside [0, 1]")
 
 
-def _knob_block(cfg: RunConfig) -> dict:
-    # Result-affecting knobs only; threads has no effect on results and
-    # stays out so reports are byte-identical at any --threads.
-    return {
-        "threshold": cfg.threshold,
-        "beta": cfg.beta,
-        "similarity": cfg.similarity,
-        "fp_mode": cfg.fp_mode,
-        "epsilon": cfg.epsilon,
-        "category": cfg.category,
-        "which": cfg.which,
-        "thresholds": cfg.thresholds,
-        "cross_category": cfg.cross_category,
-    }
-
-
 def _provenance(cfg: RunConfig) -> dict:
     from .reports import provenance
 
-    return provenance(cfg.inputs_read, _knob_block(cfg))
+    knobs = {name: getattr(cfg, name) for name in _SETTINGS if name not in _NOT_KNOBS}
+    return provenance(cfg.inputs_read, knobs)
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -175,13 +169,25 @@ def _require(cfg: RunConfig, *names: str) -> None:
 
 def _open_text(cfg: RunConfig, name: str):
     """Open the input file given as option ``name`` and record it, so the
-    provenance block lists exactly the files the command read. utf-8-sig
+    provenance block lists exactly the files the command read. An input
+    that is not a regular file, such as a pipe, can be read only once: it is
+    first copied to a temporary file, which :func:`main` removes, so the
+    digest and a decode error read the bytes that were parsed. utf-8-sig
     drops a leading byte-order mark, which would otherwise become part of
     the first header name."""
     _require(cfg, name)
-    path = getattr(cfg, name)
-    handle = open(path, encoding="utf-8-sig", newline="")
-    cfg.inputs_read[name] = path
+    path = source = getattr(cfg, name)
+    if not os.path.isfile(path):
+        import shutil
+        import tempfile
+
+        fd, source = tempfile.mkstemp(prefix="labelkit-")
+        cfg.inputs_read[name] = (path, source)  # main removes it even if the copy fails
+        with os.fdopen(fd, "wb") as copy, open(path, "rb") as stream:
+            shutil.copyfileobj(stream, copy)
+    handle = open(source, encoding="utf-8-sig", newline="")
+    handle.buffer.raw.name = path  # parse errors name the input as given
+    cfg.inputs_read[name] = (path, source)
     return handle
 
 
@@ -620,11 +626,15 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, UnicodeDecodeError):
             # The file being decoded is the last one opened: the config
             # file, then each input in turn.
-            opened = [args.config, *(cfg.inputs_read.values() if cfg else ())]
-            exc = undecodable(opened[-1])
+            opened = [(args.config, args.config), *(cfg.inputs_read.values() if cfg else ())]
+            exc = undecodable(*opened[-1])
         message = exc.args[0] if exc.args and isinstance(exc.args[0], str) else str(exc)
         sys.stderr.write(json.dumps({"error": message}) + "\n")
         return 2
+    finally:
+        for path, source in cfg.inputs_read.values() if cfg else ():
+            if source != path:
+                os.unlink(source)
 
 
 if __name__ == "__main__":

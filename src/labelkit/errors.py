@@ -24,16 +24,23 @@ class ParseError(LabelKitError):
         super().__init__(prefix + message)
 
 
-def undecodable(path: str) -> ParseError:
-    """The error naming the first non-UTF-8 byte of ``path`` and its line. No
-    UTF-8 sequence holds a newline byte, so each line decodes on its own."""
-    with open(path, "rb") as handle:
-        for line, raw in enumerate(handle, start=1):
+def undecodable(path: str, source: str) -> ParseError:
+    """The error naming the input ``path``, its first non-UTF-8 byte and that
+    byte's line, read from ``source``, the file holding the bytes that were
+    parsed (``path`` itself, or the copy of a pipe). Lines are counted as the
+    csv reader counts them: each ends at "\\n", "\\r\\n" or a bare "\\r". No
+    UTF-8 sequence holds a line-end byte, so each line decodes on its own."""
+    line = 1
+    with open(source, "rb") as handle:
+        for raw in handle:  # pieces that end at b"\n"
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 message = f"invalid UTF-8 byte 0x{raw[exc.start]:02x}"
+                # Each "\r" before the bad byte is a bare one: a line end.
+                line += raw.count(b"\r", 0, exc.start)
                 return ParseError(message, source=path, line=line)
+            line += raw.count(b"\r") + raw.endswith(b"\n") - raw.endswith(b"\r\n")
     return ParseError("invalid UTF-8", source=path)
 
 

@@ -608,7 +608,6 @@ def graph_fbeta_report(
     beta: float = DEFAULT_BETA,
     fp_mode: str = "literal",
     scope: Iterable[int] | None = None,
-    sample_filter: Callable[[str], bool] | None = None,
     threads: int = 1,
 ) -> MetricReport:
     """F-beta with graph partial credit: a true label earns 1/(d+1) for the
@@ -628,7 +627,7 @@ def graph_fbeta_report(
     accepted for compatibility and must be positive; it has no effect.
     """
     _check_graph_args(fp_mode, threads)
-    ids = _aligned_sample_ids(predictions, truth, sample_filter)
+    ids = _aligned_sample_ids(predictions, truth, None)
     classes = _class_universe(predictions.known_labels | truth.known_labels, scope)
     class_set = frozenset(classes)
     rows = []
@@ -672,15 +671,12 @@ def _exact(value: float) -> int:
     return num << (_EXACT_BITS + 1 - den.bit_length())
 
 
-def default_threshold_grid(
-    n: int = 64, lo: float = 0.0025, hi: float = 0.5
-) -> list[float]:
-    """Log-spaced decision thresholds from lo to hi inclusive."""
-    if n < 2 or not 0.0 < lo < hi <= 1.0:
-        raise ValueError("need n >= 2 and 0 < lo < hi <= 1")
-    ratio = hi / lo
-    grid = [lo * ratio ** (i / (n - 1)) for i in range(n - 1)]
-    grid.append(hi)
+def default_threshold_grid() -> list[float]:
+    """The sweep's 64 log-spaced decision thresholds from 0.0025 to 0.5
+    inclusive."""
+    ratio = 0.5 / 0.0025
+    grid = [0.0025 * ratio ** (i / 63) for i in range(63)]
+    grid.append(0.5)
     return grid
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
 from .catalog import LabelCatalog
 from .csvio import csv_errors
@@ -39,20 +39,13 @@ class RelationGraph:
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]]):
         self._nodes = frozenset(nodes)
         adjacency: dict[int, set[int]] = {node: set() for node in self._nodes}
-        edge_set: set[tuple[int, int]] = set()
         for a, b in edges:
             if a == b:
                 raise ValueError(f"self-loop on node {a}")
             if a not in self._nodes or b not in self._nodes:
                 raise ValueError(f"edge ({a}, {b}) references a node outside the graph")
-            if a > b:
-                a, b = b, a
-            if (a, b) in edge_set:
-                continue
-            edge_set.add((a, b))
             adjacency[a].add(b)
             adjacency[b].add(a)
-        self._edges = frozenset(edge_set)
         self._adjacency = {node: tuple(sorted(peers)) for node, peers in adjacency.items()}
         self._balls: dict[int, dict[int, int]] = {}
 
@@ -61,7 +54,8 @@ class RelationGraph:
         return self._nodes
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(self._edges)
+        """Each edge once as ``(low id, high id)``, in ascending order."""
+        return [(a, b) for a in sorted(self._adjacency) for b in self._adjacency[a] if a < b]
 
     @property
     def n_nodes(self) -> int:
@@ -69,7 +63,7 @@ class RelationGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._adjacency.values())) // 2
 
     def __contains__(self, node: int) -> bool:
         return node in self._nodes
@@ -113,35 +107,24 @@ class RelationGraph:
         return components
 
 
-def _scope_ids(catalog: LabelCatalog, scope) -> frozenset[int]:
-    if scope is None:
-        return catalog.ids()
-    if isinstance(scope, str):
-        return catalog.category_ids(scope)
-    ids = frozenset(scope)
-    unknown = ids - catalog.ids()
-    if unknown:
-        raise ValueError(f"scope references unknown label ids {sorted(unknown)}")
-    return ids
-
-
 def build_graph(
     catalog: LabelCatalog,
     or_groups: Iterable[OrGroup] = (),
     and_splits: Iterable[AndSplit] = (),
     curated_edges: Iterable[tuple[int, int]] = (),
-    scope=None,
+    scope: str | None = None,
 ) -> RelationGraph:
     """Assemble the relatedness graph for a catalog.
 
     Connective-derived relations contribute an edge from each composite
     source to every resolved token. Curated edges are trusted pairs from a
     reviewed file; they must reference known labels and may not be
-    self-edges. Edges with an endpoint outside ``scope`` (None, a category
-    name, or an id collection) are dropped, not errors, so one curated file
-    can serve differently-scoped graphs.
+    self-edges. The graph's nodes are the labels of the category ``scope``,
+    or every label when it is None; edges with an endpoint outside it are
+    dropped, not errors, so one curated file can serve differently-scoped
+    graphs.
     """
-    nodes = _scope_ids(catalog, scope)
+    nodes = catalog.ids() if scope is None else catalog.category_ids(scope)
     edges: list[tuple[int, int]] = []
 
     def add(a: int, b: int) -> None:
@@ -172,7 +155,8 @@ def parse_curated_edges(stream: IO[str], catalog: LabelCatalog) -> list[tuple[in
     quoted field starts a comment. A quoted name may hold a comma, a '#', a
     quote or a line break and is kept as written; an unquoted one is stripped.
     A first record ``label_a,label_b`` is the header :func:`write_edge_list`
-    writes. Errors name the line a record starts on."""
+    writes. A pair naming one label twice is an error. Errors name the line
+    a record starts on."""
     edges: list[tuple[int, int]] = []
     source = getattr(stream, "name", "<edges>")
     for n, (lineno, record, quoted) in enumerate(_edge_records(stream)):
@@ -192,6 +176,8 @@ def parse_curated_edges(stream: IO[str], catalog: LabelCatalog) -> list[tuple[in
             b = catalog.resolve_name(parts[1]).id
         except KeyError as exc:
             raise ParseError(exc.args[0], source=source, line=lineno) from None
+        if a == b:
+            raise ParseError(f"self-edge on label {parts[0]!r}", source=source, line=lineno)
         edges.append((a, b))
     return edges
 

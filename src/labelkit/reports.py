@@ -32,19 +32,21 @@ def tool_version() -> str:
     return __version__
 
 
-def provenance(inputs: Mapping[str, str | os.PathLike], config: Mapping) -> dict:
+def provenance(inputs: Mapping[str, tuple[str, str]], config: Mapping) -> dict:
     """Provenance block tying a report to its exact inputs.
 
-    ``config`` must hold only result-affecting knobs; performance knobs like
-    thread counts stay out so reruns at different parallelism produce the
-    same bytes.
+    ``inputs`` maps each input's name to the path it was given as and the
+    file holding the bytes that were read (the path itself, or the copy of a
+    pipe), which is the file digested. ``config`` must hold only
+    result-affecting knobs; performance knobs like thread counts stay out so
+    reruns at different parallelism produce the same bytes.
     """
     return {
         "tool": "labelkit",
         "tool_version": tool_version(),
         "inputs": {
-            name: {"path": str(path), "sha256": file_digest(path)}
-            for name, path in sorted(inputs.items())
+            name: {"path": str(path), "sha256": file_digest(source)}
+            for name, (path, source) in sorted(inputs.items())
         },
         "config": sanitize(dict(config)),
     }

@@ -5,6 +5,10 @@ import inspect
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -1033,3 +1037,82 @@ def test_graph_reads_its_own_edge_list_back(corpus, tmp_path):
     for summary in summaries:
         del summary["provenance"]
     assert summaries[0] == summaries[1]
+
+
+# ---------------------------------------------------------------------------
+# Inputs that are not regular files, and the lines errors name
+
+
+def run_piped(argv, data, tmp_path):
+    """Run the CLI in a child process with ``data`` on a pipe as its stdin
+    and its own empty temporary directory."""
+    tmp = tmp_path / "tmp"
+    tmp.mkdir(exist_ok=True)
+    src = Path(defaults.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "labelkit", *map(str, argv)],
+        input=data,
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(src), TMPDIR=str(tmp)),
+    )
+
+
+def test_piped_input_digest_is_that_of_the_bytes_parsed(corpus, tmp_path):
+    data = corpus["scores"].read_bytes()
+    pair = ("--labels", corpus["labels"], "--annotations", corpus["annotations"])
+    piped = tmp_path / "piped.json"
+    done = run_piped(["eval", *pair, "--scores", "/dev/stdin", "--out", piped], data, tmp_path)
+    assert done.returncode == 0, done.stderr
+    doc = read_json(piped)
+    assert doc["provenance"]["inputs"]["scores"] == {
+        "path": "/dev/stdin",
+        "sha256": "sha256:" + hashlib.sha256(data).hexdigest(),
+    }
+    assert list((tmp_path / "tmp").iterdir()) == []  # the copy of the pipe is removed
+    # The same report as from the file itself, but for the path it names.
+    assert run("eval", *pair, "--scores", corpus["scores"], "--out", tmp_path / "file.json") == 0
+    doc["provenance"]["inputs"]["scores"]["path"] = str(corpus["scores"])
+    assert doc == read_json(tmp_path / "file.json")
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        (b"s1,1\xe96,0.5", "/dev/stdin:3: invalid UTF-8 byte 0xe9"),
+        (b"s1,99,0.5", "/dev/stdin:3: unknown label id 99"),
+    ],
+)
+def test_piped_input_errors_name_the_pipe_and_line(corpus, tmp_path, row, error):
+    lines = corpus["scores"].read_bytes().split(b"\n")
+    lines[2] = row
+    pair = ("--labels", corpus["labels"], "--annotations", corpus["annotations"])
+    done = run_piped(["eval", *pair, "--scores", "/dev/stdin"], b"\n".join(lines), tmp_path)
+    assert done.returncode == 2
+    assert json.loads(done.stderr)["error"] == error
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "ends",
+    [[b"\r"] * 4, [b"\r\n"] * 4, [b"\n"] * 4, [b"\r\n", b"\r", b"\n", b"\r"]],
+)
+def test_decode_error_counts_lines_as_the_csv_reader(tmp_path, capsys, ends):
+    # Line 4 holds a bad byte in one file and a bad id in the other; the
+    # decode error and the csv reader must name the same line.
+    for row, error in [(b"2,medium::p\xe9per", "invalid UTF-8 byte 0xe9"),
+                       (b"x,medium::pepper", "bad label id 'x'")]:
+        rows = [b"attribute_id,attribute_name", b"0,medium::silk", b"1,medium::paper", row]
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"".join(r + end for r, end in zip(rows, ends)))
+        assert run("inspect", "--labels", labels) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == f"{labels}:4: {error}"
+
+
+@pytest.mark.parametrize("pair", ["medium::black,medium::black", "black, medium::black"])
+def test_curated_self_edge_names_its_file_and_line(corpus, tmp_path, capsys, pair):
+    edges = tmp_path / "e.txt"
+    edges.write_text(f"# c\nfrench, france\n\nunited kingdom, england\n{pair}\n")
+    assert run("graph", "--labels", corpus["labels"], "--graph-edges", edges,
+               "--out", tmp_path / "g") == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"{edges}:5: self-edge on label {pair.split(',')[0]!r}"

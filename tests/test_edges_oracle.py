@@ -30,7 +30,8 @@ CATALOG = build_catalog(MINI_LABEL_ROWS + [(30, "medium", "ink, color"), (31, "m
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the comma-splitting parser, verbatim.
+# Oracle: the comma-splitting parser, verbatim but for the self-edge check,
+# which the parser gained after it was replaced.
 
 
 def oracle_parse_curated_edges(stream: IO[str], catalog: LabelCatalog) -> list[tuple[int, int]]:
@@ -54,6 +55,8 @@ def oracle_parse_curated_edges(stream: IO[str], catalog: LabelCatalog) -> list[t
             b = catalog.resolve_name(parts[1]).id
         except KeyError as exc:
             raise ParseError(exc.args[0], source=source, line=lineno) from None
+        if a == b:
+            raise ParseError(f"self-edge on label {parts[0]!r}", source=source, line=lineno)
         edges.append((a, b))
     return edges
 
@@ -167,8 +170,9 @@ def csv_records(stream: IO[str]):
 
 def csv_parse_curated_edges(stream: IO[str], catalog: LabelCatalog) -> list[tuple[int, int]]:
     """Each record split by the csv module; a cell whose field opens with a
-    quote is kept as csv reads it, any other cell is stripped, and a first
-    record ``label_a,label_b`` is a header."""
+    quote is kept as csv reads it, any other cell is stripped, a first
+    record ``label_a,label_b`` is a header, and a pair naming one label twice
+    is an error."""
     edges: list[tuple[int, int]] = []
     source = getattr(stream, "name", "<edges>")
     for n, (lineno, record) in enumerate(csv_records(stream)):
@@ -197,6 +201,8 @@ def csv_parse_curated_edges(stream: IO[str], catalog: LabelCatalog) -> list[tupl
             b = catalog.resolve_name(parts[1]).id
         except KeyError as exc:
             raise ParseError(exc.args[0], source=source, line=lineno) from None
+        if a == b:
+            raise ParseError(f"self-edge on label {parts[0]!r}", source=source, line=lineno)
         edges.append((a, b))
     return edges
 

@@ -170,16 +170,9 @@ def test_build_graph_scope_category(mini_catalog):
     assert 5 not in graph
 
 
-def test_build_graph_scope_ids(mini_catalog):
-    graph = build_graph(mini_catalog, or_groups=[OrGroup(2, (0, 1))], scope=[0, 1, 2])
-    assert graph.nodes == frozenset({0, 1, 2})
-
-
 def test_build_graph_scope_errors(mini_catalog):
     with pytest.raises(ValueError):
         build_graph(mini_catalog, scope="nonexistent category")
-    with pytest.raises(ValueError):
-        build_graph(mini_catalog, scope=[99999])
 
 
 def test_build_graph_curated_validation(mini_catalog):

@@ -1,6 +1,6 @@
 """Name lookup through the catalog's one canonical index against plain scans:
 the same record, or a KeyError with the same message, for any bare or
-qualified name and category."""
+qualified name."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,11 +22,11 @@ def oracle_find(self: LabelCatalog, category: str, name: str) -> LabelRecord | N
     return None
 
 
-def oracle_resolve_name(self: LabelCatalog, text: str, category: str | None = None) -> LabelRecord:
+def oracle_resolve_name(self: LabelCatalog, text: str) -> LabelRecord:
     """Resolve a human-written label reference to a record.
 
     Accepts the qualified "category::name" form, or a bare name which must
-    be unambiguous (optionally narrowed by ``category``).
+    be unambiguous.
     """
     if "::" in text:
         for r in self.records:
@@ -38,11 +38,7 @@ def oracle_resolve_name(self: LabelCatalog, text: str, category: str | None = No
             raise KeyError(f"unknown label {text!r}")
         return record
     canonical = canonicalize(text)
-    matches = [
-        r
-        for r in self.records
-        if r.canonical == canonical and (category is None or r.category == category)
-    ]
+    matches = [r for r in self.records if r.canonical == canonical]
     if not matches:
         raise KeyError(f"unknown label {text!r}")
     if len(matches) > 1:
@@ -60,9 +56,9 @@ NAMES = [
 ]
 
 
-def outcome(resolve, catalog, text, category):
+def outcome(resolve, catalog, text):
     try:
-        return ("ok", resolve(catalog, text, category))
+        return ("ok", resolve(catalog, text))
     except KeyError as exc:
         return ("error", exc.args[0])
 
@@ -79,32 +75,28 @@ def outcome(resolve, catalog, text, category):
             st.sampled_from(CATEGORIES + [" tags ", "Tags", ""]), st.sampled_from(NAMES)
         ).map("::".join),
     ),
-    category=st.one_of(st.none(), st.sampled_from(CATEGORIES + ["dimension"])),
 )
 @example(
     records=[("tags", "turkey"), ("country", "Turkey"), ("tags", "turkey ")],
     order=None,
     text="turkey",
-    category=None,
 )
 @example(
     # Canonical-equal duplicates: each exact spelling names its own record.
     records=[("medium", "Silk"), ("medium", "silk")],
     order=None,
     text="medium::silk",
-    category=None,
 )
 @example(
     # A category kept with its outer spaces resolves from its exact spelling.
     records=[(" tags ", "turkey"), ("tags", "turkey")],
     order=None,
     text=" tags ::turkey",
-    category=None,
 )
-def test_bare_name_index_matches_scan(records, order, text, category):
+def test_bare_name_index_matches_scan(records, order, text):
     rows = [LabelRecord(i, cat, name) for i, (cat, name) in enumerate(records)]
     if order is not None:
         order.shuffle(rows)  # the catalog sorts by id whatever order it is given
     catalog = LabelCatalog(rows)
-    got = outcome(LabelCatalog.resolve_name, catalog, text, category)
-    assert got == outcome(oracle_resolve_name, catalog, text, category)
+    got = outcome(LabelCatalog.resolve_name, catalog, text)
+    assert got == outcome(oracle_resolve_name, catalog, text)
