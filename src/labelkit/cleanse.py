@@ -24,7 +24,6 @@ from .textkit import (
     ConnectiveSplit,
     SplitClass,
     edit_distance_capped,
-    resolve_split,
     split_connective,
     tokenize,
 )
@@ -104,9 +103,7 @@ def validate_plan(plan: TransformPlan, catalog: LabelCatalog) -> None:
         check_known(sub_id, "hierarchy edge")
         if super_id == sub_id:
             raise PlanError(f"hierarchy self-edge on label {super_id}")
-    cycle = _find_cycle(plan.hierarchy_edges)
-    if cycle is not None:
-        raise PlanError(f"hierarchy edges contain a cycle through labels {cycle}")
+    supercategory_closure(plan.hierarchy_edges, transitive=False)  # the cycle check
 
     removed = {s.source for s in plan.and_splits if s.remove_source}
     for split in plan.and_splits:
@@ -148,38 +145,6 @@ def validate_plan(plan: TransformPlan, catalog: LabelCatalog) -> None:
             if label_id in seen_exclusive:
                 raise PlanError(f"label {label_id} appears in two exclusion groups")
             seen_exclusive.add(label_id)
-
-
-def _find_cycle(edges: Iterable[tuple[int, int]]) -> list[int] | None:
-    """Return one cycle (as a node list) in the directed edge set, or None."""
-    children: dict[int, list[int]] = {}
-    for parent, child in edges:
-        children.setdefault(parent, []).append(child)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-    stack_path: list[int] = []
-
-    def visit(node: int) -> list[int] | None:
-        color[node] = GRAY
-        stack_path.append(node)
-        for child in children.get(node, ()):
-            c = color.get(child, WHITE)
-            if c == GRAY:
-                return stack_path[stack_path.index(child):] + [child]
-            if c == WHITE:
-                found = visit(child)
-                if found is not None:
-                    return found
-        stack_path.pop()
-        color[node] = BLACK
-        return None
-
-    for node in list(children):
-        if color.get(node, WHITE) == WHITE:
-            found = visit(node)
-            if found is not None:
-                return found
-    return None
 
 
 def load_plan(
@@ -487,17 +452,18 @@ def find_hierarchy_candidates(
 def split_label(
     record: LabelRecord, connective: Connective, catalog: LabelCatalog
 ) -> ConnectiveSplit | None:
-    """Split one label at a connective and resolve its tokens, or None when
-    the name contains no connective."""
+    """Split one label at a connective and look each token up by canonical
+    form among the labels of its category, or None when the name does not
+    split in two or more tokens."""
     tokens = split_connective(record.canonical, connective)
     if len(tokens) < 2:
         return None
-    return resolve_split(
-        tokens,
-        record.category,
-        catalog,
-        source_id=record.id,
+    found = [catalog.find(record.category, token) for token in tokens]
+    return ConnectiveSplit(
+        source=record.id,
         connective=connective,
+        tokens=tuple(tokens),
+        resolution=tuple(None if match is None else match.id for match in found),
     )
 
 
@@ -597,36 +563,34 @@ def supercategory_closure(
 ) -> dict[int, frozenset[int]]:
     """Map each sub label to the super labels it implies.
 
-    Raises :class:`PlanError` on a cycle. With ``transitive=False`` only
-    direct parents are returned (ablation mode).
+    Raises :class:`PlanError` on a cycle, naming one from its lowest id, with
+    that id repeated last. With ``transitive=False`` only direct parents are
+    returned (ablation mode). One topological sort (Kahn's algorithm) finds
+    the cycle or orders every label after its parents, so the closure is
+    built without recursion, however deep the hierarchy.
     """
-    edges = list(hierarchy_edges)
-    cycle = _find_cycle(edges)
-    if cycle is not None:
-        raise PlanError(f"hierarchy edges contain a cycle through labels {cycle}")
+    from graphlib import CycleError, TopologicalSorter
+
     parents: dict[int, set[int]] = {}
-    for super_id, sub_id in edges:
+    for super_id, sub_id in hierarchy_edges:
         parents.setdefault(sub_id, set()).add(super_id)
+    try:
+        order = list(TopologicalSorter(parents).static_order())
+    except CycleError as exc:
+        # Each id of the cycle is a parent of the next; the first is repeated last.
+        cycle = exc.args[1][:-1]
+        start = cycle.index(min(cycle))
+        cycle = cycle[start:] + cycle[:start + 1]
+        raise PlanError(f"hierarchy edges contain a cycle through labels {cycle}") from None
     if not transitive:
         return {sub: frozenset(sups) for sub, sups in parents.items()}
 
     closure: dict[int, frozenset[int]] = {}
-
-    def ancestors(node: int) -> frozenset[int]:
-        cached = closure.get(node)
-        if cached is not None:
-            return cached
-        result: set[int] = set()
-        for parent in parents.get(node, ()):
-            result.add(parent)
-            result |= ancestors(parent)
-        frozen = frozenset(result)
-        closure[node] = frozen
-        return frozen
-
-    for sub in list(parents):
-        ancestors(sub)
-    return {sub: sups for sub, sups in closure.items() if sups}
+    for node in order:
+        sups = parents.get(node)
+        if sups:
+            closure[node] = frozenset(sups).union(*(closure.get(s, ()) for s in sups))
+    return closure
 
 
 def propagate_supercategories(

@@ -55,9 +55,11 @@ class RunConfig:
     thresholds: list[float] | None = None
     cross_category: bool = False
 
-    def __init__(self) -> None:
-        # Option name -> (path given, file holding the bytes read) of each
-        # input file the command opened; not a setting.
+    def __init__(self, config: str | None = None) -> None:
+        # Neither is a setting: the config file the settings come from, and
+        # option name -> (path given, file holding the bytes read) of each
+        # file read, the config file included.
+        self.config = config
         self.inputs_read: dict[str, tuple[str, str]] = {}
 
 
@@ -91,14 +93,14 @@ _VALUE_CHECKS = {
 }
 
 
-def _load_config_file(path: str) -> dict:
+def _parse_config(handle) -> dict:
     import json
 
-    with open(path, encoding="utf-8-sig") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise LabelKitError(f"config file {path}: not valid JSON: {exc}") from exc
+    path = handle.name
+    try:
+        doc = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise LabelKitError(f"config file {path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise LabelKitError(f"config file {path}: expected a JSON object")
     unknown = set(doc) - _CONFIG_KEYS
@@ -117,10 +119,9 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
+def _merge_config(cfg: RunConfig, args: argparse.Namespace) -> None:
     """Flags beat the config file, the config file beats defaults."""
-    file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    cfg = RunConfig()
+    file_values = _read(cfg, "config", _parse_config) if cfg.config else {}
     for name in _CONFIG_KEYS:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
@@ -128,7 +129,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         elif name in file_values:
             setattr(cfg, name, file_values[name])
     _validate_config(cfg)
-    return cfg
 
 
 def _validate_config(cfg: RunConfig) -> None:
@@ -156,7 +156,9 @@ def _provenance(cfg: RunConfig) -> dict:
     from .reports import provenance
 
     knobs = {name: getattr(cfg, name) for name in _SETTINGS if name not in _NOT_KNOBS}
-    return provenance(cfg.inputs_read, knobs)
+    # The config file's settings are listed as knobs, not the file itself.
+    inputs = {name: read for name, read in cfg.inputs_read.items() if name != "config"}
+    return provenance(inputs, knobs)
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -167,14 +169,14 @@ def _require(cfg: RunConfig, *names: str) -> None:
         )
 
 
-def _open_text(cfg: RunConfig, name: str):
-    """Open the input file given as option ``name`` and record it, so the
-    provenance block lists exactly the files the command read. An input
-    that is not a regular file, such as a pipe, can be read only once: it is
-    first copied to a temporary file, which :func:`main` removes, so the
-    digest and a decode error read the bytes that were parsed. utf-8-sig
-    drops a leading byte-order mark, which would otherwise become part of
-    the first header name."""
+def _read(cfg: RunConfig, name: str, parse, *args, **kwargs):
+    """``parse`` applied to the file given as option ``name``, which is
+    recorded so the provenance block lists exactly the files the command
+    read. A file that is not a regular one, such as a pipe, can be read only
+    once: it is first copied to a temporary file, which :func:`main`
+    removes, so the digest and a decode error read the bytes that were
+    parsed. utf-8-sig drops a leading byte-order mark, which would otherwise
+    become part of the first header name."""
     _require(cfg, name)
     path = source = getattr(cfg, name)
     if not os.path.isfile(path):
@@ -185,16 +187,13 @@ def _open_text(cfg: RunConfig, name: str):
         cfg.inputs_read[name] = (path, source)  # main removes it even if the copy fails
         with os.fdopen(fd, "wb") as copy, open(path, "rb") as stream:
             shutil.copyfileobj(stream, copy)
-    handle = open(source, encoding="utf-8-sig", newline="")
-    handle.buffer.raw.name = path  # parse errors name the input as given
     cfg.inputs_read[name] = (path, source)
-    return handle
-
-
-def _read(cfg: RunConfig, name: str, parse, *args, **kwargs):
-    """``parse`` applied to the input file given as option ``name``."""
-    with _open_text(cfg, name) as handle:
-        return parse(handle, *args, **kwargs)
+    with open(source, encoding="utf-8-sig", newline="") as handle:
+        handle.buffer.raw.name = path  # parse errors name the input as given
+        try:
+            return parse(handle, *args, **kwargs)
+        except UnicodeDecodeError:
+            raise undecodable(path, source) from None
 
 
 def _render(write, *args) -> str:
@@ -614,25 +613,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = None
+    args = build_parser().parse_args(argv)
+    cfg = RunConfig(args.config)
     try:
-        cfg = _merge_config(args)
+        _merge_config(cfg, args)
         return _COMMANDS[args.command](cfg)
     except (LabelKitError, OSError, ValueError, KeyError) as exc:
         import json
 
-        if isinstance(exc, UnicodeDecodeError):
-            # The file being decoded is the last one opened: the config
-            # file, then each input in turn.
-            opened = [(args.config, args.config), *(cfg.inputs_read.values() if cfg else ())]
-            exc = undecodable(*opened[-1])
         message = exc.args[0] if exc.args and isinstance(exc.args[0], str) else str(exc)
         sys.stderr.write(json.dumps({"error": message}) + "\n")
         return 2
     finally:
-        for path, source in cfg.inputs_read.values() if cfg else ():
+        for path, source in cfg.inputs_read.values():
             if source != path:
                 os.unlink(source)
 

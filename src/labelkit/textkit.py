@@ -14,10 +14,6 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .catalog import LabelCatalog
 
 # Name of the edit-distance implementation, recorded in benchmark run metadata.
 EDITDIST_BACKEND = "python"
@@ -163,32 +159,6 @@ def split_connective(name: str, connective: Connective) -> list[str]:
             if token:
                 tokens.append(token)
     return tokens
-
-
-def resolve_split(
-    tokens: list[str],
-    category: str,
-    catalog: LabelCatalog,
-    *,
-    source_id: int,
-    connective: Connective,
-) -> ConnectiveSplit:
-    """Look each split token up as a same-category label.
-
-    Tokens are matched by canonical form within ``category``.
-    """
-    if len(tokens) < 2:
-        raise ValueError("resolve_split needs at least two tokens")
-    resolution = []
-    for token in tokens:
-        record = catalog.find(category, token)
-        resolution.append(None if record is None else record.id)
-    return ConnectiveSplit(
-        source=source_id,
-        connective=connective,
-        tokens=tuple(tokens),
-        resolution=tuple(resolution),
-    )
 
 
 def tokenize(name: str) -> list[str]:

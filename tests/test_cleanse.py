@@ -33,7 +33,7 @@ from labelkit.cleanse import (
 )
 from labelkit.errors import PlanError
 from labelkit.textkit import Connective, SplitClass, edit_distance_capped, similarity_ratio
-from conftest import build_annotations, build_catalog
+from conftest import MINI_LABEL_ROWS, build_annotations, build_catalog
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +321,40 @@ def test_classify_connectives_itemization(mini_catalog):
 
 def test_split_label_none_for_plain_names(mini_catalog):
     assert split_label(mini_catalog.get(4), Connective.AND, mini_catalog) is None
+    # A connective that leaves fewer than two tokens does not split either.
+    dangling = LabelRecord(30, "medium", "silk and ,")
+    assert split_label(dangling, Connective.AND, mini_catalog) is None
+
+
+# The mini corpus plus an AND label none of whose tokens is a label, and an
+# OR label one of whose tokens is a label of another category only.
+SPLIT_ROWS = MINI_LABEL_ROWS + [(30, "medium", "velvet and lace"),
+                                (31, "country", "french or egypt")]
+
+
+def test_split_label_classes():
+    catalog = build_catalog(SPLIT_ROWS)
+    all_resolved = split_label(catalog.get(3), Connective.AND, catalog)
+    assert all_resolved.split_class is SplitClass.ALL_RESOLVED
+    assert all_resolved.resolved_ids == (4, 0)
+    assert (all_resolved.source, all_resolved.connective) == (3, Connective.AND)
+    assert all_resolved.tokens == ("sudan", "egypt")
+
+    none = split_label(catalog.get(30), Connective.AND, catalog)
+    assert none.split_class is SplitClass.NONE_RESOLVED
+    assert none.resolved_ids == ()
+
+    partial = split_label(catalog.get(26), Connective.AND, catalog)
+    assert partial.split_class is SplitClass.PARTIAL
+    assert partial.resolved_ids == (27,)
+
+
+def test_split_label_same_category_only():
+    catalog = build_catalog(SPLIT_ROWS)
+    # "french" exists in culture, not in country, so a country label's token
+    # must not resolve against it.
+    split = split_label(catalog.get(31), Connective.OR, catalog)
+    assert split.resolution == (None, 0)
 
 
 def test_plan_entries_from_tallies(mini_catalog):

@@ -218,6 +218,41 @@ def test_apply_command(corpus, tmp_path):
     assert rows["s7"] == {24, 26, 27}
 
 
+DEPTH = 1200  # deeper than Python's recursion limit
+
+
+def deep_chain_apply(tmp_path, closed):
+    """Run apply with a plan whose hierarchy is a chain of DEPTH labels, each
+    the parent of the next, closed into a cycle when ``closed``."""
+    name = lambda i: f"medium::level {i}"  # noqa: E731
+    labels = tmp_path / "labels.csv"
+    labels.write_text(labels_csv([(i, "medium", f"level {i}") for i in range(DEPTH)]))
+    annotations = tmp_path / "annotations.csv"
+    annotations.write_text(annotations_csv([("deep", {DEPTH - 1}), ("top", {0})]))
+    edges = [{"super": name(i), "sub": name(i + 1)} for i in range(DEPTH - 1)]
+    if closed:
+        edges.append({"super": name(DEPTH - 1), "sub": name(0)})
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"hierarchy_edges": edges}))
+    return run("apply", "--labels", labels, "--annotations", annotations, "--plan", plan,
+               "--out", tmp_path / "out")
+
+
+def test_apply_deep_hierarchy_chain(tmp_path):
+    assert deep_chain_apply(tmp_path, closed=False) == 0
+    lines = (tmp_path / "out" / "annotations.csv").read_text().splitlines()
+    assert lines[1:] == ["deep," + " ".join(map(str, range(DEPTH))), "top,0"]
+
+
+def test_apply_deep_hierarchy_cycle(tmp_path, capsys):
+    assert deep_chain_apply(tmp_path, closed=True) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == (
+        f"hierarchy edges contain a cycle through labels {[*range(DEPTH), 0]}"
+    )
+
+
 def test_graph_command(corpus, tmp_path):
     out_dir = tmp_path / "graph"
     code = run(
@@ -534,6 +569,12 @@ def test_undecodable_input_names_its_file_and_line(corpus, tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == f"{broken}:2: invalid UTF-8 byte 0xe9"
+    if bad == "config":  # a piped config file is copied and named like any input
+        argv[argv.index(broken)] = "/dev/stdin"
+        done = run_piped([*argv, "--out", tmp_path / "out"], broken.read_bytes(), tmp_path)
+        assert done.returncode == 2
+        assert json.loads(done.stderr)["error"] == "/dev/stdin:2: invalid UTF-8 byte 0xe9"
+        assert list((tmp_path / "tmp").iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -1073,6 +1114,25 @@ def test_piped_input_digest_is_that_of_the_bytes_parsed(corpus, tmp_path):
     assert run("eval", *pair, "--scores", corpus["scores"], "--out", tmp_path / "file.json") == 0
     doc["provenance"]["inputs"]["scores"]["path"] = str(corpus["scores"])
     assert doc == read_json(tmp_path / "file.json")
+
+
+def test_piped_config_is_applied_and_not_listed(corpus, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"threshold": 0.3, "beta": 1.0}))
+    argv = ["eval", "--labels", corpus["labels"], "--annotations", corpus["annotations"],
+            "--scores", corpus["scores"], "--beta", "2"]
+    piped = tmp_path / "piped.json"
+    done = run_piped([*argv, "--config", "/dev/stdin", "--out", piped], config.read_bytes(),
+                     tmp_path)
+    assert done.returncode == 0, done.stderr
+    doc = read_json(piped)
+    assert doc["provenance"]["config"]["threshold"] == 0.3  # from the piped file
+    assert doc["provenance"]["config"]["beta"] == 2.0  # the flag wins
+    assert sorted(doc["provenance"]["inputs"]) == ["annotations", "labels", "scores"]
+    assert list((tmp_path / "tmp").iterdir()) == []  # the copy of the pipe is removed
+    # The same report as from the config file itself.
+    assert run(*argv, "--config", config, "--out", tmp_path / "file.json") == 0
+    assert piped.read_bytes() == (tmp_path / "file.json").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -111,7 +111,7 @@ EXPORTS = {
     "relgraph": ["INFINITE", "RelationGraph", "build_graph", "graph_summary", "parse_curated_edges"],
     "textkit": [
         "EDITDIST_BACKEND", "Connective", "ConnectiveSplit", "SplitClass", "edit_distance",
-        "edit_distance_capped", "resolve_split", "similarity_ratio", "split_connective", "tokenize",
+        "edit_distance_capped", "similarity_ratio", "split_connective", "tokenize",
     ],
 }
 SUBMODULES = ["catalog", "cleanse", "cli", "csvio", "defaults", "errors", "metricmp",

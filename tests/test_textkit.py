@@ -1,4 +1,4 @@
-"""Edit distance kernels, string splitting, and token resolution.
+"""Edit distance kernels, string splitting, and tokenization.
 
 The distance oracle here is an independent textbook recursion; the shipped
 kernel must agree with it exactly.
@@ -16,14 +16,12 @@ from labelkit import textkit
 from labelkit.textkit import (
     Connective,
     ConnectiveSplit,
-    SplitClass,
     edit_distance,
     edit_distance_capped,
     similarity_ratio,
     split_connective,
     tokenize,
 )
-from conftest import build_catalog
 
 
 def oracle_distance(a: str, b: str) -> int:
@@ -168,37 +166,6 @@ def test_split_no_cross_connective():
 
 def test_split_edge_whitespace():
     assert split_connective("wool  and  silk", Connective.AND) == ["wool", "silk"]
-
-
-def test_resolve_split_classes():
-    catalog = build_catalog()
-    all_resolved = textkit.resolve_split(
-        ["sudan", "egypt"], "country", catalog, source_id=3, connective=Connective.AND
-    )
-    assert all_resolved.split_class is SplitClass.ALL_RESOLVED
-    assert all_resolved.resolved_ids == (4, 0)
-
-    none = textkit.resolve_split(
-        ["velvet", "lace"], "medium", catalog, source_id=26, connective=Connective.AND
-    )
-    assert none.split_class is SplitClass.NONE_RESOLVED
-    assert none.resolved_ids == ()
-
-    partial = textkit.resolve_split(
-        ["wool", "silk"], "medium", catalog, source_id=26, connective=Connective.AND
-    )
-    assert partial.split_class is SplitClass.PARTIAL
-    assert partial.resolved_ids == (27,)
-
-
-def test_resolve_split_same_category_only():
-    catalog = build_catalog()
-    # "french" exists in culture, not in country, so a country-scoped token
-    # must not resolve against it.
-    split = textkit.resolve_split(
-        ["french", "egypt"], "country", catalog, source_id=2, connective=Connective.OR
-    )
-    assert split.resolution == (None, 0)
 
 
 def test_connective_split_validation():
