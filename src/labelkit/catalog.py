@@ -42,13 +42,12 @@ class LabelRecord:
     id: int
     category: str
     name: str
-    canonical: str = field(default="")
+    canonical: str = field(init=False)
 
     def __post_init__(self) -> None:
         if self.id < 0:
             raise ValueError(f"label id must be non-negative, got {self.id}")
-        if not self.canonical:
-            object.__setattr__(self, "canonical", canonicalize(self.name))
+        object.__setattr__(self, "canonical", canonicalize(self.name))
 
     @property
     def qualified_name(self) -> str:

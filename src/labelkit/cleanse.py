@@ -565,9 +565,10 @@ def supercategory_closure(
 
     Raises :class:`PlanError` on a cycle, naming one from its lowest id, with
     that id repeated last. With ``transitive=False`` only direct parents are
-    returned (ablation mode). One topological sort (Kahn's algorithm) finds
-    the cycle or orders every label after its parents, so the closure is
-    built without recursion, however deep the hierarchy.
+    returned, which :func:`validate_plan` uses as its cycle check. One
+    topological sort (Kahn's algorithm) finds the cycle or orders every label
+    after its parents, so the closure is built without recursion, however
+    deep the hierarchy.
     """
     from graphlib import CycleError, TopologicalSorter
 
@@ -596,11 +597,10 @@ def supercategory_closure(
 def propagate_supercategories(
     annotations: AnnotationSet,
     hierarchy_edges: Iterable[tuple[int, int]],
-    transitive: bool = True,
 ) -> AnnotationSet:
-    """Add every (transitively) implied super label to each sample carrying a
+    """Add every transitively implied super label to each sample carrying a
     sub label. No labels are removed; applying twice equals applying once."""
-    closure = supercategory_closure(hierarchy_edges, transitive=transitive)
+    closure = supercategory_closure(hierarchy_edges)
     referenced = set(closure) | {s for sups in closure.values() for s in sups}
     unknown = referenced - annotations.known_labels
     if unknown:

@@ -116,6 +116,12 @@ def _parse_config(handle) -> dict:
                     f"config file {path}: {name} must be {expected}, "
                     f"got {json.dumps(doc[name])}"
                 )
+            # A number becomes the float its flag gives for the same digits
+            # (1 -> 1.0, too large -> inf), so both write the same bytes.
+            if annotation == "float":
+                doc[name] = float(str(doc[name]))
+            elif annotation == "list[float] | None" and doc[name] is not None:
+                doc[name] = [float(str(value)) for value in doc[name]]
     return doc
 
 
@@ -145,7 +151,7 @@ def _validate_config(cfg: RunConfig) -> None:
     if cfg.which not in ("and", "or", "both"):
         raise LabelKitError(f"--which must be and, or, or both, got {cfg.which!r}")
     if cfg.threads < 0:
-        raise LabelKitError(f"threads must be positive, got {cfg.threads}")
+        raise LabelKitError(f"threads must be nonnegative, got {cfg.threads}")
     if cfg.thresholds is not None:
         for value in cfg.thresholds:
             if not 0.0 <= value <= 1.0:
@@ -582,10 +588,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--family", help="model family CSV for compare")
     common.add_argument("--out", help="output file (or directory for apply/graph/sweep)")
     common.add_argument("--config", help="JSON config file; flags take precedence")
-    common.add_argument("--threshold", type=float, help="decision threshold (default 0.1)")
-    common.add_argument("--beta", type=float, help="F-beta weight (default 2)")
     common.add_argument(
-        "--similarity", type=float, help="duplicate similarity threshold (default 0.9)"
+        "--threshold", type=float, help=f"decision threshold (default {DEFAULT_DECISION_THRESHOLD})"
+    )
+    common.add_argument("--beta", type=float, help=f"F-beta weight (default {DEFAULT_BETA})")
+    common.add_argument(
+        "--similarity", type=float,
+        help=f"duplicate similarity threshold (default {DEFAULT_SIMILARITY})",
     )
     common.add_argument("--fp-mode", dest="fp_mode", choices=["literal", "complement"])
     common.add_argument("--epsilon", type=float, help="tie tolerance for compare")

@@ -11,7 +11,7 @@ discriminating than (dod > 1) the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Iterable, Sequence
 
 from .csvio import CsvTable, csv_writer
@@ -33,18 +33,16 @@ class FamilyEntry:
 class ModelFamily:
     """At least two models, each scored once by both measures."""
 
-    def __init__(self, entries: Iterable[FamilyEntry | tuple[str, float, float]]):
+    def __init__(self, entries: Iterable[tuple[str, float, float]]):
         self.entries: list[FamilyEntry] = []
         tags: set[str] = set()
-        for entry in entries:
-            if not isinstance(entry, FamilyEntry):
-                entry = FamilyEntry(*entry)
-            if entry.tag in tags:
-                raise ValueError(f"duplicate model tag {entry.tag!r}")
-            if not (math.isfinite(entry.f_score) and math.isfinite(entry.g_score)):
-                raise ValueError(f"model {entry.tag!r} has a non-finite score")
-            tags.add(entry.tag)
-            self.entries.append(entry)
+        for tag, f_score, g_score in entries:
+            if tag in tags:
+                raise ValueError(f"duplicate model tag {tag!r}")
+            if not (math.isfinite(f_score) and math.isfinite(g_score)):
+                raise ValueError(f"model {tag!r} has a non-finite score")
+            tags.add(tag)
+            self.entries.append(FamilyEntry(tag, f_score, g_score))
         if len(self.entries) < 2:
             raise ValueError("a model family needs at least two models")
 
@@ -68,18 +66,7 @@ class ComparisonReport:
     dod: float | None  # math.inf when only f separates pairs
 
     def as_dict(self) -> dict:
-        return {
-            "r_count": self.r_count,
-            "s_count": self.s_count,
-            "p_count": self.p_count,
-            "q_count": self.q_count,
-            "skipped": self.skipped,
-            "pair_total": self.pair_total,
-            "epsilon": self.epsilon,
-            "doc": self.doc,
-            "dod": self.dod,
-            "verdict": interpret(self),
-        }
+        return {**asdict(self), "verdict": interpret(self)}
 
 
 def compare(family: ModelFamily, epsilon: float = DEFAULT_EPSILON) -> ComparisonReport:
@@ -165,7 +152,7 @@ def family_from_sweep(rows: Sequence[dict]) -> ModelFamily:
         g = row["flat_micro_f"]
         if not (math.isfinite(f) and math.isfinite(g)):
             continue
-        entries.append(FamilyEntry(f"t{index:03d}@{row['threshold']:.6g}", f, g))
+        entries.append((f"t{index:03d}@{row['threshold']:.6g}", f, g))
     if len(entries) < 2:
         raise EvalError("fewer than two sweep rows have defined scores")
     return ModelFamily(entries)

@@ -7,8 +7,9 @@ the smaller of the ball and the sample's true labels, with no per-pair
 distance lookup. Per-sample graph values are summed in ascending label order
 and their totals are correctly rounded (``math.fsum``, or the exact integer
 sums of :func:`sweep`), so a report is byte-identical across repeated runs
-and does not depend on sample order. Scoring runs in one thread; the
-``threads`` parameters are accepted for compatibility and have no effect.
+and does not depend on sample order. Scoring runs in one thread;
+:func:`graph_fbeta_report` accepts ``threads`` for compatibility, and it has
+no effect.
 
 A parsed score set keeps each sample's scores as two columns in file order
 (:class:`ScoreRow`: a list of the catalog's label ids and an ``array('d')``
@@ -72,13 +73,6 @@ class ScoreRow(Mapping):
         except ValueError:
             raise KeyError(label_id) from None
 
-    def __setitem__(self, label_id: int, score: float) -> None:
-        if label_id in self.labels:
-            self.scores[self.labels.index(label_id)] = score
-        else:
-            self.labels.append(label_id)
-            self.scores.append(score)
-
     def items(self) -> Iterator[tuple[int, float]]:
         return zip(self.labels, self.scores)
 
@@ -118,23 +112,8 @@ def parse_scores(stream: IO[str], catalog: LabelCatalog) -> ScoreSet:
     order the file is in. Repeated cells are looked for once the rows are
     read (or when a row fails, so the first error in the file is the one
     reported), one sample at a time; only when one is found is the file read
-    again, to name its line. A stream that cannot seek is first copied to a
-    temporary file for that."""
+    again, to name its line, so the stream must be able to seek."""
     source = getattr(stream, "name", "<scores>")
-    if stream.seekable():
-        return _parse_scores(stream, catalog, source)
-    import shutil
-    import tempfile
-
-    with tempfile.TemporaryFile(
-        "w+", encoding="utf-8", errors="surrogatepass", newline=""
-    ) as copy:
-        shutil.copyfileobj(stream, copy)
-        copy.seek(0)
-        return _parse_scores(copy, catalog, source)
-
-
-def _parse_scores(stream: IO[str], catalog: LabelCatalog, source: str) -> ScoreSet:
     start = stream.tell()
     table = CsvTable(stream, ("id", "attribute_id", "score"), source)
     # Each id maps to the catalog's own int object, so the parsed cells share
@@ -224,28 +203,25 @@ class PredictionView(AnnotationSet):
 def threshold(
     scores: ScoreSet,
     decision_threshold: float,
-    sample_ids: Iterable[str] | None = None,
+    sample_ids: Iterable[str],
 ) -> AnnotationSet:
-    """Binarize scores into predictions; a label is on when its score is at
-    least the threshold (inclusive, so threshold 0.0 predicts every scored
-    label). The labels come from a validated score set, so only repeated
-    ``sample_ids`` are checked.
+    """Binarize the scores of ``sample_ids`` into predictions; a label is on
+    when its score is at least the threshold (inclusive, so threshold 0.0
+    predicts every scored label). The labels come from a validated score
+    set, so only missing and repeated ``sample_ids`` are checked.
 
     The result is a :class:`PredictionView` over the score rows, so each read
     of a sample builds its predictions again. The reports, the exclusion view
     and ``write_annotations`` read each sample once; ``compute_stats`` reads
     it three times."""
     _check_decision_threshold(decision_threshold)
-    if sample_ids is None:
-        index = scores._index
-    else:
-        wanted = list(sample_ids)
-        _require_scored(scores, wanted)
-        index = {}
-        for sid in wanted:
-            if sid in index:
-                raise ValueError(f"duplicate sample id {sid!r}")
-            index[sid] = scores.scores_for(sid)
+    wanted = list(sample_ids)
+    _require_scored(scores, wanted)
+    index = {}
+    for sid in wanted:
+        if sid in index:
+            raise ValueError(f"duplicate sample id {sid!r}")
+        index[sid] = scores.scores_for(sid)
 
     def predict(_: str, row: Mapping[int, float]) -> frozenset[int]:
         return frozenset({label for label, score in row.items() if score >= decision_threshold})
@@ -555,11 +531,9 @@ def deviation_report(reports: Sequence[MetricReport]) -> dict:
 # Graph-aware report
 
 
-def _check_graph_args(fp_mode: str, threads: int) -> None:
+def _check_fp_mode(fp_mode: str) -> None:
     if fp_mode not in ("literal", "complement"):
         raise EvalError(f"unknown fp_mode {fp_mode!r}")
-    if threads < 1:
-        raise EvalError(f"threads must be positive, got {threads}")
 
 
 def _add_prediction(
@@ -626,7 +600,9 @@ def graph_fbeta_report(
     correctly, so the totals do not depend on sample order. ``threads`` is
     accepted for compatibility and must be positive; it has no effect.
     """
-    _check_graph_args(fp_mode, threads)
+    _check_fp_mode(fp_mode)
+    if threads < 1:
+        raise EvalError(f"threads must be positive, got {threads}")
     ids = _aligned_sample_ids(predictions, truth, None)
     classes = _class_universe(predictions.known_labels | truth.known_labels, scope)
     class_set = frozenset(classes)
@@ -715,7 +691,6 @@ def sweep(
     beta: float = DEFAULT_BETA,
     fp_mode: str = "literal",
     scope: Iterable[int] | None = None,
-    threads: int = 1,
 ) -> list[dict]:
     """Evaluate a score set at each decision threshold, reading each score
     row once.
@@ -724,7 +699,7 @@ def sweep(
     the graph micro score, so metric families for consistency comparison can
     be read straight off the sweep. Rows and errors are those of
     thresholding at each grid point and running :func:`fbeta_report` and
-    :func:`graph_fbeta_report` on the result; ``threads`` has no effect.
+    :func:`graph_fbeta_report` on the result.
 
     A score row is predicted at every grid point up to the highest one it
     reaches (``bisect_right``: thresholding is inclusive). Walking the grid
@@ -741,7 +716,7 @@ def sweep(
     _require_scored(scores, truth_ids)
     classes = _class_universe(scores.known_labels | truth.known_labels, scope)
     if graph is not None:
-        _check_graph_args(fp_mode, threads)
+        _check_fp_mode(fp_mode)
     for t in grid:
         _check_decision_threshold(t)
     class_set = frozenset(classes)

@@ -26,12 +26,6 @@ def file_digest(path: str | os.PathLike) -> str:
     return f"sha256:{digest.hexdigest()}"
 
 
-def tool_version() -> str:
-    from . import __version__
-
-    return __version__
-
-
 def provenance(inputs: Mapping[str, tuple[str, str]], config: Mapping) -> dict:
     """Provenance block tying a report to its exact inputs.
 
@@ -41,9 +35,11 @@ def provenance(inputs: Mapping[str, tuple[str, str]], config: Mapping) -> dict:
     result-affecting knobs; performance knobs like thread counts stay out so
     reruns at different parallelism produce the same bytes.
     """
+    from . import __version__
+
     return {
         "tool": "labelkit",
-        "tool_version": tool_version(),
+        "tool_version": __version__,
         "inputs": {
             name: {"path": str(path), "sha256": file_digest(source)}
             for name, (path, source) in sorted(inputs.items())

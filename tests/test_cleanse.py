@@ -599,18 +599,8 @@ def test_propagation_transitive(mini_catalog, mini_annotations):
     result = propagate_supercategories(mini_annotations, edges)
     assert result.labels_for("s5") == frozenset({16, 17, 18})
     assert result.labels_for("s1") == frozenset({12, 16, 17, 19})
-
-
-def test_propagation_direct_only(mini_annotations):
-    edges = [(17, 16), (16, 18)]
-    result = propagate_supercategories(mini_annotations, edges, transitive=False)
-    # s5 holds 18; only the direct parent 16 is added in one hop, and 16 was
-    # already present, pulling in 17 via its own direct edge.
-    assert result.labels_for("s5") == frozenset({16, 17, 18})
+    # A sample holding only the leaf gains its grandparent too.
     only_leaf = AnnotationSet([("x", frozenset({18}))], mini_annotations.known_labels)
-    assert propagate_supercategories(only_leaf, edges, transitive=False).labels_for(
-        "x"
-    ) == frozenset({16, 18})
     assert propagate_supercategories(only_leaf, edges).labels_for("x") == frozenset(
         {16, 17, 18}
     )

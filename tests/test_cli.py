@@ -737,6 +737,45 @@ def test_config_accepts_ints_and_nulls(corpus, tmp_path):
     assert run("dupes", "--config", config, "--labels", corpus["labels"]) == 0
 
 
+@pytest.mark.parametrize(
+    "command, doc, flags, outputs",
+    [
+        ("eval", {"threshold": 0, "beta": 1}, ("--threshold", "0", "--beta", "1"), None),
+        (
+            "sweep",
+            {"thresholds": [1, 0.5], "beta": 2},
+            ("--thresholds", "1,0.5", "--beta", "2"),
+            ("sweep.csv", "sweep.json", "family.csv"),
+        ),
+    ],
+)
+def test_config_integers_write_the_bytes_of_their_flags(corpus, tmp_path, command, doc, flags,
+                                                        outputs):
+    # A float setting given as an integer in the config file is the float its
+    # flag parses to, so both spellings write the same report bytes.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    inputs = ("--labels", corpus["labels"], "--annotations", corpus["annotations"],
+              "--scores", corpus["scores"], "--plan", corpus["plan"])
+    by_config, by_flags = tmp_path / "config-run", tmp_path / "flag-run"
+    assert run(command, *inputs, "--config", config, "--out", by_config) == 0
+    assert run(command, *inputs, *flags, "--out", by_flags) == 0
+    if outputs is None:
+        assert by_config.read_bytes() == by_flags.read_bytes()
+    else:
+        for name in outputs:
+            assert (by_config / name).read_bytes() == (by_flags / name).read_bytes()
+
+
+def test_threads_error_says_nonnegative(corpus, capsys):
+    argv = ("dupes", "--labels", corpus["labels"], "--threads")
+    assert run(*argv, "0") == 0
+    capsys.readouterr()
+    assert run(*argv, "-1") == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == "threads must be nonnegative, got -1"
+
+
 # ---------------------------------------------------------------------------
 # Failure modes
 

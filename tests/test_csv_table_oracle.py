@@ -30,7 +30,7 @@ from labelkit.catalog import (
     parse_labels,
 )
 from labelkit.errors import ParseError
-from labelkit.metricmp import FamilyEntry, ModelFamily, parse_family
+from labelkit.metricmp import ModelFamily, parse_family
 from conftest import build_catalog
 
 log = logging.getLogger("labelkit.catalog")
@@ -201,7 +201,7 @@ def oracle_parse_family(stream: IO[str]) -> ModelFamily:
             if model is None or f_score is None or g_score is None:
                 raise ParseError("wrong number of fields", source=source, line=line)
             try:
-                entries.append(FamilyEntry(model, float(f_score), float(g_score)))
+                entries.append((model, float(f_score), float(g_score)))
             except ValueError as exc:
                 raise ParseError(str(exc), source=source, line=line) from None
     try:

@@ -209,9 +209,9 @@ def test_parse_scores_and_errors(mini_catalog):
 
 def test_threshold_is_inclusive():
     scores = ScoreSet([("a", {0: 0.1, 1: 0.0999999, 2: 0.0})], {0, 1, 2})
-    preds = threshold(scores, 0.1)
+    preds = threshold(scores, 0.1, ["a"])
     assert preds.labels_for("a") == frozenset({0})
-    all_on = threshold(scores, 0.0)
+    all_on = threshold(scores, 0.0, ["a"])
     assert all_on.labels_for("a") == frozenset({0, 1, 2})
 
 
@@ -222,7 +222,7 @@ def test_threshold_sample_selection():
     with pytest.raises(EvalError):
         threshold(scores, 0.1, sample_ids=["missing"])
     with pytest.raises(ValueError):
-        threshold(scores, 1.5)
+        threshold(scores, 1.5, ["a"])
 
 
 def test_enforce_exclusion_top1():

@@ -41,18 +41,15 @@ KNOWN = frozenset(range(8))
 def oracle_threshold(
     scores: ScoreSet,
     decision_threshold: float,
-    sample_ids: Iterable[str] | None = None,
+    sample_ids: Iterable[str],
 ) -> AnnotationSet:
-    """Binarize scores into predictions; a label is on when its score is at
-    least the threshold (inclusive, so threshold 0.0 predicts every scored
-    label). The labels come from a validated score set, so only repeated
-    ``sample_ids`` are checked."""
+    """Binarize the scores of ``sample_ids`` into predictions; a label is on
+    when its score is at least the threshold (inclusive, so threshold 0.0
+    predicts every scored label). The labels come from a validated score
+    set, so only missing and repeated ``sample_ids`` are checked."""
     _check_decision_threshold(decision_threshold)
-    if sample_ids is None:
-        wanted = scores.sample_ids()
-    else:
-        wanted = list(sample_ids)
-        _require_scored(scores, wanted)
+    wanted = list(sample_ids)
+    _require_scored(scores, wanted)
     predicted: dict[str, frozenset[int]] = {}
     for sid in wanted:
         if sid in predicted:
@@ -188,10 +185,10 @@ def reports(predictions, truth, graph, or_groups, groups):
 @given(
     rows=SCORE_ROWS,
     cut=st.sampled_from(GRID + [-0.1, 1.5]),
-    wanted=st.none() | st.lists(st.sampled_from(SIDS + ["zz"]), max_size=7),
+    wanted=st.lists(st.sampled_from(SIDS + ["zz"]), max_size=7),
 )
 @example(rows={"a": {0: 0.1}, "b": {}}, cut=0.1, wanted=["b", "a"])
-@example(rows={"a": {0: 1.0, 1: 0.5}}, cut=1.0, wanted=None)
+@example(rows={"a": {0: 1.0, 1: 0.5}}, cut=1.0, wanted=["a"])
 @example(rows={"a": {}, "b": {}}, cut=0.0, wanted=["a", "b", "a"])
 @example(rows={"a": {}}, cut=0.5, wanted=["a", "a", "zz"])
 @example(rows={"a": {}}, cut=1.5, wanted=["zz", "a", "a"])
@@ -214,14 +211,6 @@ def test_threshold_errors_keep_their_order():
         threshold(scores, 0.1, ["a", "a", "missing"])
     with pytest.raises(ValueError, match=r"^duplicate sample id 'a'$"):
         threshold(scores, 0.1, ["a", "b", "a"])
-
-
-def test_default_view_shares_the_score_index():
-    scores = ScoreSet([("a", {0: 0.5}), ("b", {1: 0.05})], KNOWN)
-    view = threshold(scores, 0.1)
-    assert view._index is scores._index
-    assert view.labels_for("a") == frozenset({0})
-    assert view.labels_for("b") == frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -298,5 +287,5 @@ def test_exclusion_errors_are_raised_when_called(groups, message):
     scores = ScoreSet([("a", {0: 0.5})], KNOWN)
     for call in (enforce_exclusion, oracle_enforce_exclusion):
         with pytest.raises(EvalError) as info:
-            call(threshold(scores, 0.1), scores, groups)
+            call(threshold(scores, 0.1, ["a"]), scores, groups)
         assert str(info.value) == message

@@ -112,16 +112,13 @@ def test_parse_annotations_equals_validating_constructor(rows):
 # threshold
 
 
-def oracle_threshold(scores, decision_threshold, sample_ids=None):
+def oracle_threshold(scores, decision_threshold, sample_ids):
     """Binarize scores into predictions; a label is on when its score is at
     least the threshold (inclusive, so threshold 0.0 predicts every scored
     label)."""
     _check_decision_threshold(decision_threshold)
-    if sample_ids is None:
-        wanted = scores.sample_ids()
-    else:
-        wanted = list(sample_ids)
-        _require_scored(scores, wanted)
+    wanted = list(sample_ids)
+    _require_scored(scores, wanted)
     samples = (
         (
             sid,
@@ -159,7 +156,7 @@ def outcome(call):
 @given(
     rows=SCORE_ROWS,
     cut=st.sampled_from(GRID + [1.5]),
-    wanted=st.none() | st.lists(st.sampled_from(["a", "b", "c", "d", "e", "zz"]), max_size=7),
+    wanted=st.lists(st.sampled_from(["a", "b", "c", "d", "e", "zz"]), max_size=7),
 )
 def test_threshold_matches_constructor_oracle(rows, cut, wanted):
     scores = ScoreSet(rows.items(), KNOWN)
@@ -222,17 +219,16 @@ def test_enforce_exclusion_output_is_its_validated_copy(rows, groups, with_score
         st.tuples(st.sampled_from(sorted(KNOWN | {UNKNOWN})), st.sampled_from(sorted(KNOWN))),
         max_size=6,
     ),
-    transitive=st.booleans(),
 )
-def test_propagation_output_is_its_validated_copy(rows, pairs, transitive):
+def test_propagation_output_is_its_validated_copy(rows, pairs):
     # Edges run from a lower to a higher id, so they never form a cycle.
     edges = [(min(a, b), max(a, b)) for a, b in pairs if a != b]
     annotations = AnnotationSet(rows.items(), KNOWN)
     if any(UNKNOWN in edge for edge in edges):
         with pytest.raises(PlanError, match="unknown label ids"):
-            propagate_supercategories(annotations, edges, transitive)
+            propagate_supercategories(annotations, edges)
         return
-    expanded = propagate_supercategories(annotations, edges, transitive)
+    expanded = propagate_supercategories(annotations, edges)
     assert_validated_copy(expanded)
     assert expanded.sample_ids() == annotations.sample_ids()
     for sid, labels in expanded:

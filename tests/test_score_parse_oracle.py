@@ -224,7 +224,7 @@ def test_parsed_set_owns_its_dicts():
     assert len({id(cells) for cells in held}) == 2
     assert not {id(cells) for cells in held} & {id(cells) for _, cells in second}
     assert not {id(cells) for cells in held} & {id(v) for v in vars(CATALOG).values()}
-    first.scores_for("a")[0] = 0.75
+    first.scores_for("a").scores[0] = 0.75
     assert second.scores_for("a") == {0: 0.5, 1: 0.25}
     assert first.scores_for("b") == {0: 0.5}
     assert first.known_labels == CATALOG.ids()

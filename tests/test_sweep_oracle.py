@@ -37,7 +37,6 @@ def oracle_sweep(
     beta=DEFAULT_BETA,
     fp_mode="literal",
     scope=None,
-    threads=1,
 ):
     """Evaluate a score set at each decision threshold, one full evaluation
     per grid point."""
@@ -61,7 +60,6 @@ def oracle_sweep(
                 beta=beta,
                 fp_mode=fp_mode,
                 scope=scope,
-                threads=threads,
             )
             row["graph_micro_f"] = g.micro_f
         rows.append(row)
@@ -214,7 +212,8 @@ def _parity_corpus():
         (dict(thresholds=[0.1, 1.5]), ValueError, "outside [0, 1]"),
         (dict(thresholds=[-0.1, 0.5]), ValueError, "outside [0, 1]"),
         (dict(fp_mode="bogus"), EvalError, "fp_mode"),
-        (dict(threads=0), EvalError, "threads"),
+        # A bad fp_mode is reported before an out-of-range top threshold.
+        (dict(fp_mode="bogus", thresholds=[0.1, 1.5]), EvalError, "fp_mode"),
         (dict(scope={0, 7, 9}), EvalError, "unknown label ids"),
         # An unknown scope is reported before an out-of-range top threshold.
         (dict(scope={7}, thresholds=[0.5, 2.0]), EvalError, "unknown label ids"),
@@ -236,7 +235,7 @@ def test_sweep_error_parity(change, expected, fragment):
 
 def test_sweep_checks_graph_args_only_with_a_graph():
     scores, truth, _ = _parity_corpus()
-    kwargs = dict(thresholds=[0.5], fp_mode="bogus", threads=0)
+    kwargs = dict(thresholds=[0.5], fp_mode="bogus")
     assert repr(sweep(scores, truth, **kwargs)) == repr(oracle_sweep(scores, truth, **kwargs))
 
 
