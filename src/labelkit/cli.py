@@ -626,7 +626,17 @@ def main(argv: list[str] | None = None) -> int:
     cfg = RunConfig(args.config)
     try:
         _merge_config(cfg, args)
-        return _COMMANDS[args.command](cfg)
+        status = _COMMANDS[args.command](cfg)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()  # so a reader that closed early is seen here, not at exit
+        return status
+    except BrokenPipeError:
+        # Stdout is the one pipe labelkit writes to. Its reader stopped early
+        # (`| head`), which is not an error; what is left goes nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the flush at exit cannot fail again
+        os.close(devnull)
+        return 0
     except (LabelKitError, OSError, ValueError, KeyError) as exc:
         import json
 

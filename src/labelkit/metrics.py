@@ -14,7 +14,9 @@ no effect.
 A parsed score set keeps each sample's scores as two columns in file order
 (:class:`ScoreRow`: a list of the catalog's label ids and an ``array('d')``
 of scores), the CSR sparse layout split by sample, rather than a dict per
-sample. Readers use its mapping interface, which plain dicts share.
+sample. Readers use its mapping interface, which plain dicts share. A plain
+score file is parsed in blocks, a column at a time; any other is parsed a
+row at a time, and only that path reports errors (:func:`parse_scores`).
 
 Predictions are not stored (late materialization, as in column stores):
 :func:`threshold` and :func:`enforce_exclusion` return a
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .catalog import AnnotationSet, LabelCatalog, SampleTable
-from .csvio import CsvTable, csv_writer
+from .csvio import CsvTable, csv_writer, plain_blocks
 from .defaults import DEFAULT_BETA
 from .errors import EvalError, ParseError
 
@@ -101,55 +103,98 @@ class ScoreSet(SampleTable):
         return self._index[sample_id]
 
 
+_SCORE_COLUMNS = ("id", "attribute_id", "score")
+
+
 def parse_scores(stream: IO[str], catalog: LabelCatalog) -> ScoreSet:
     """Read a score file with header id,attribute_id,score. Rows for one
     sample need not be contiguous; a repeated (sample, label) cell is a hard
     error because silently keeping either value would hide a producer bug.
     Every row is validated here, once, and errors name its physical line.
 
+    A plain file is read in blocks of whole lines (:func:`csvio.plain_blocks`)
+    that are checked and converted a column at a time. A file with a quote,
+    CR, NUL or blank line anywhere, an id cell not in canonical form (" 5",
+    "05") or any invalid row is read again from its start one row at a time.
+    Only that row loop raises errors, so each keeps its message, its line and
+    its place in file order.
+
     Each sample's cells are appended to its :class:`ScoreRow` in file order;
     no per-sample dict is built, and each row does the same work whatever
     order the file is in. Repeated cells are looked for once the rows are
     read (or when a row fails, so the first error in the file is the one
     reported), one sample at a time; only when one is found is the file read
-    again, to name its line, so the stream must be able to seek."""
+    again, to name its line. Both re-reads need a stream that can seek."""
     source = getattr(stream, "name", "<scores>")
     start = stream.tell()
-    table = CsvTable(stream, ("id", "attribute_id", "score"), source)
     # Each id maps to the catalog's own int object, so the parsed cells share
     # those few thousand ints instead of holding one new int per row. An id
     # cell in canonical form (str(id)) resolves in one lookup; any other
     # spelling (" 5", "05", "٥") goes through int(), which accepts or rejects it.
     known = {label_id: label_id for label_id in catalog.ids()}
     by_text = {str(label_id): label_id for label_id in known}
-    samples: dict[str, ScoreRow] = {}
-    try:
-        for sid, raw_label, raw_score in table:
-            label_id = by_text.get(raw_label)
-            if label_id is None:
-                try:
-                    number = int(raw_label)
-                except ValueError:
-                    raise table.error(f"bad attribute id {raw_label!r}") from None
-                label_id = known.get(number)
-                if label_id is None:
-                    raise table.error(f"unknown label id {number}")
-            try:
-                score = float(raw_score)
-            except ValueError:
-                raise table.error(f"bad score {raw_score!r}") from None
-            if not 0.0 <= score <= 1.0:  # NaN fails both comparisons, so it is rejected too
-                raise table.error(f"score {score!r} outside [0, 1]")
-            held = samples.get(sid)
-            if held is None:
-                samples[sid] = held = ScoreRow()
-            held.labels.append(label_id)
-            held.scores.append(score)
-    except ParseError:
-        _reject_duplicates(samples, stream, start, source)
-        raise
+    samples = _read_blocks(stream, by_text)
+    if samples is None:
+        stream.seek(start)
+        samples = {}
+        try:
+            _read_rows(CsvTable(stream, _SCORE_COLUMNS, source), known, by_text, samples)
+        except ParseError:
+            _reject_duplicates(samples, stream, start, source)
+            raise
     _reject_duplicates(samples, stream, start, source)
     return ScoreSet._trusted(samples, frozenset(known))
+
+
+def _read_blocks(stream: IO[str], by_text: dict[str, int]) -> dict[str, ScoreRow] | None:
+    """The rows of a plain score file, read a block at a time; None at the
+    first block that is not plain or holds a cell that is not a canonical
+    known id or a score in [0, 1], or that cannot be read at all."""
+    samples: dict[str, ScoreRow] = {}
+    try:
+        for sids, raw_labels, raw_scores in plain_blocks(stream, _SCORE_COLUMNS):
+            labels = list(map(by_text.get, raw_labels))
+            scores = list(map(float, raw_scores))
+            total = sum(scores)  # NaN if any score is NaN
+            if None in labels or total != total or min(scores) < 0.0 or max(scores) > 1.0:
+                return None
+            for sid, label_id, score in zip(sids, labels, scores):
+                held = samples.get(sid)
+                if held is None:
+                    samples[sid] = held = ScoreRow()
+                held.labels.append(label_id)
+                held.scores.append(score)
+    except ValueError:  # not plain CSV, a bad score or an undecodable byte
+        return None
+    return samples
+
+
+def _read_rows(
+    table: CsvTable, known: dict[int, int], by_text: dict[str, int], samples: dict[str, ScoreRow]
+) -> None:
+    """Append the rows of any score file to ``samples`` one at a time,
+    raising at the physical line of the first invalid row."""
+    for sid, raw_label, raw_score in table:
+        label_id = by_text.get(raw_label)
+        if label_id is None:
+            try:
+                number = int(raw_label)
+            except ValueError:
+                raise table.error(f"bad attribute id {raw_label!r}") from None
+            label_id = known.get(number)
+            if label_id is None:
+                raise table.error(f"unknown label id {number}")
+        try:
+            score = float(raw_score)
+        except ValueError:
+            raise table.error(f"bad score {raw_score!r}") from None
+        if not 0.0 <= score <= 1.0:  # NaN fails both comparisons, so it is rejected too
+            raise table.error(f"score {score!r} outside [0, 1]")
+        held = samples.get(sid)
+        if held is None:
+            samples[sid] = held = ScoreRow()
+        held.labels.append(label_id)
+        held.scores.append(score)
 
 
 def _reject_duplicates(

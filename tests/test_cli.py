@@ -1215,3 +1215,33 @@ def test_curated_self_edge_names_its_file_and_line(corpus, tmp_path, capsys, pai
                "--out", tmp_path / "g") == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == f"{edges}:5: self-edge on label {pair.split(',')[0]!r}"
+
+
+@pytest.mark.parametrize("command", ["eval", "dupes"])
+def test_reader_that_closes_stdout_early_is_not_an_error(corpus, tmp_path, command):
+    # The child's stdout is a pipe whose reader has already gone, as after
+    # `| head -1`: every write fails with EPIPE.
+    argv = {
+        "eval": ["eval", "--labels", corpus["labels"], "--annotations", corpus["annotations"],
+                 "--scores", corpus["scores"]],
+        "dupes": ["dupes", "--labels", corpus["labels"], "--similarity", "0.3"],
+    }[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(defaults.__file__).resolve().parents[1]
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "labelkit", *map(str, argv)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
+def test_other_os_errors_stay_json_errors(corpus, tmp_path, capsys):
+    assert run("eval", "--labels", corpus["labels"], "--annotations", corpus["annotations"],
+               "--scores", tmp_path / "missing.csv") == 2
+    assert "No such file" in json.loads(capsys.readouterr().err)["error"]
