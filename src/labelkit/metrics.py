@@ -4,12 +4,14 @@ variants, run-to-run deviation, and threshold sweeps.
 Counts for the flat reports are plain integers. The graph reports credit a
 prediction from its distance ball in the graph's ball table: one walk over
 the smaller of the ball and the sample's true labels, with no per-pair
-distance lookup. Per-sample graph values are summed in ascending label order
-and their totals are correctly rounded (``math.fsum``, or the exact integer
-sums of :func:`sweep`), so a report is byte-identical across repeated runs
-and does not depend on sample order. Scoring runs in one thread;
-:func:`graph_fbeta_report` accepts ``threads`` for compatibility, and it has
-no effect.
+distance lookup. A prediction with no edge needs no ball: it earns full
+credit when it is a true label and none otherwise. Per-sample graph values
+are summed left to right in ascending label order and their totals are
+correctly rounded (``math.fsum``, or the exact integer sums of
+:func:`sweep`), so a report is byte-identical across repeated runs and
+Python versions and does not depend on sample order. Scoring runs in one
+thread; :func:`graph_fbeta_report` accepts ``threads`` for compatibility,
+and it has no effect.
 
 A parsed score set keeps each sample's scores as two columns in file order
 (:class:`ScoreRow`: a list of the catalog's label ids and an ``array('d')``
@@ -588,10 +590,18 @@ def _add_prediction(
     ``{label: position in label_best}``: raise each label's best credit in
     ``label_best`` and return the prediction's own best credit.
 
-    Only the true labels in the prediction's ball earn credit; any other
-    label is out of reach, and its credit of 0.0 would raise no best. Graph
+    A prediction with no edge reaches only itself: it earns 1.0 if it is a
+    true label and 0.0 otherwise, and no ball is built for it. Any other is
+    credited from its ball, where only the true labels inside earn credit;
+    a label out of reach would earn 0.0, which raises no best. Graph
     distance is symmetric, so the ball serves both sides. Intersecting the
     two key views walks the smaller of the ball and the labels."""
+    if not graph.peers(pred):
+        j = index.get(pred)
+        if j is None:
+            return 0.0
+        label_best[j] = 1.0
+        return 1.0
     ball = graph.ball(pred)
     best = 0.0
     for label in ball.keys() & index.keys():
@@ -604,18 +614,24 @@ def _add_prediction(
     return best
 
 
+def _in_order_sum(values: list[float]) -> float:
+    """``values`` added left to right. Not ``sum()``, which compensates its
+    rounding from Python 3.12 on, and not ``math.fsum``: every caller must
+    round the same way on every supported Python."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _graph_counts(
     label_best: list[float], pred_best: list[float], fp_mode: str
 ) -> tuple[float, float, float]:
     """One sample's (tp, fp, fn) from the best credits of its true labels and
     of its predictions, each list in ascending label order. Both sums run in
     that order, so every caller gets the same floats for the same sets."""
-    tp = 0.0
-    for credit in label_best:
-        tp += credit
-    matched = 0.0
-    for credit in pred_best:
-        matched += credit
+    tp = _in_order_sum(label_best)
+    matched = _in_order_sum(pred_best)
     fp = matched if fp_mode == "literal" else len(pred_best) - matched
     return tp, fp, len(label_best) - tp
 
@@ -710,22 +726,43 @@ def _graph_sweep_steps(
 ) -> None:
     """Add one sample's graph (tp, fp, fn) to ``steps`` as exact changes:
     at the last index its values with nothing predicted, at index i the
-    change when the predictions ``entering[i]`` join at grid point i."""
+    change when the predictions ``entering[i]`` join at grid point i.
+
+    The values are those of :func:`_graph_counts` on the predictions so far,
+    but a sum is taken again only when one of its terms can have changed.
+    tp and the matched credit are taken again only when an entering
+    prediction earned credit: only then can a label's best credit rise, and
+    a credit of 0.0 leaves an in-order sum bit-identical. fn follows tp; in
+    "complement" mode fp counts the predictions, so it changes at every
+    step."""
     index = {label: j for j, label in enumerate(sorted(t))}
     label_best = [0.0] * len(index)
     preds: list[int] = []
     pred_best: list[float] = []
-    before = (0, 0, 0)
-    for i in (len(steps) - 1, *sorted(entering, reverse=True)):
-        for pred in entering.get(i, ()):
+    matched = 0.0
+    exact_tp, exact_fp, exact_fn = 0, 0, _exact(float(len(label_best)))
+    steps[-1][2] += exact_fn
+    for i in sorted(entering, reverse=True):
+        credited = False
+        for pred in entering[i]:
             at = bisect_left(preds, pred)
             preds.insert(at, pred)
-            pred_best.insert(at, _add_prediction(pred, index, label_best, graph))
-        after = tuple(_exact(v) for v in _graph_counts(label_best, pred_best, fp_mode))
+            credit = _add_prediction(pred, index, label_best, graph)
+            pred_best.insert(at, credit)
+            credited = credited or credit > 0.0
         step = steps[i]
-        for j in range(3):
-            step[j] += after[j] - before[j]
-        before = after
+        if credited:
+            tp = _in_order_sum(label_best)
+            matched = _in_order_sum(pred_best)
+            after_tp, after_fn = _exact(tp), _exact(len(label_best) - tp)
+            step[0] += after_tp - exact_tp
+            step[2] += after_fn - exact_fn
+            exact_tp, exact_fn = after_tp, after_fn
+        if credited or fp_mode != "literal":
+            fp = matched if fp_mode == "literal" else len(pred_best) - matched
+            after_fp = _exact(fp)
+            step[1] += after_fp - exact_fp
+            exact_fp = after_fp
 
 
 def sweep(
@@ -748,10 +785,12 @@ def sweep(
 
     A score row is predicted at every grid point up to the highest one it
     reaches (``bisect_right``: thresholding is inclusive). Walking the grid
-    from high to low, per-class tallies of those positions give the flat
-    counts, and a sample's graph values are recomputed only where its
-    predictions grow. Graph totals are exact integer sums, which round to
-    the same floats as ``math.fsum``.
+    from high to low, the work at a grid point follows what changes there:
+    the flat totals are kept as integers, and only the classes first
+    predicted at that point have their F computed again. A sample's graph
+    sums are taken again only where an entering prediction can change them
+    (:func:`_graph_sweep_steps`). Graph totals are exact integer sums, which
+    round to the same floats as ``math.fsum``.
     """
     grid = sorted(thresholds) if thresholds is not None else default_threshold_grid()
     if not grid:
@@ -787,8 +826,24 @@ def sweep(
         if graph is not None:
             _graph_sweep_steps(t, entering, graph, fp_mode, graph_steps)
 
+    # The flat counts as they stand at the current grid point, and the F of
+    # exactly the classes whose F is defined (``fbeta`` is not NaN); only
+    # the classes first predicted at a grid point change there.
     tp = dict.fromkeys(classes, 0)
     fp = dict.fromkeys(classes, 0)
+    total_tp, total_fp, total_fn = 0, 0, sum(fn.values())
+    defined: dict[int, float] = {}
+
+    def refresh(changed: Iterable[int]) -> None:
+        for c in changed:
+            f = fbeta(tp[c], fp[c], fn[c], beta)
+            if math.isnan(f):
+                defined.pop(c, None)
+            else:
+                defined[c] = f
+
+    refresh(classes)
+    cells = len(truth_ids) * len(classes)
     graph_totals = graph_steps[n]
     rows: list[dict] = []
     for i in range(n - 1, -1, -1):
@@ -797,12 +852,15 @@ def sweep(
             fn[label] -= 1
         for label in misses[i]:
             fp[label] += 1
-        flat = _finish_flat_report("flat", beta, classes, tp, fp, fn, len(truth_ids))
+        total_tp += len(hits[i])
+        total_fn -= len(hits[i])
+        total_fp += len(misses[i])
+        refresh({*hits[i], *misses[i]})
         row = {
             "threshold": grid[i],
-            "flat_micro_f": flat.micro_f,
-            "flat_macro_f": flat.macro_f,
-            "micro_accuracy": flat.micro_accuracy,
+            "flat_micro_f": fbeta(total_tp, total_fp, total_fn, beta),
+            "flat_macro_f": math.fsum(defined.values()) / len(defined) if defined else NAN,
+            "micro_accuracy": (cells - total_fp - total_fn) / cells if cells else NAN,
         }
         if graph is not None:
             graph_totals = [a + b for a, b in zip(graph_totals, graph_steps[i])]

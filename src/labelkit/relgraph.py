@@ -28,8 +28,9 @@ class RelationGraph:
     """Immutable undirected graph with a ball table: each source's ball maps
     every node it reaches to its BFS hop count, the source itself at 0 (even
     off the graph), and is built on first use and kept. Distances and
-    components read the table, and the graph-aware report credits a
-    prediction from its ball alone.
+    components read the table. The graph-aware report credits a prediction
+    from its ball alone, and asks for no ball for a label without
+    :meth:`peers`, which reaches only itself.
 
     Duplicate edges collapse (the same relation often arrives from several
     generators); self-loops are rejected because they would award distance
@@ -67,6 +68,11 @@ class RelationGraph:
 
     def __contains__(self, node: int) -> bool:
         return node in self._nodes
+
+    def peers(self, node: int) -> tuple[int, ...]:
+        """The nodes one edge from ``node``, ascending; empty for a node with
+        no edge or off the graph."""
+        return self._adjacency.get(node, ())
 
     def ball(self, source: int) -> dict[int, int]:
         """``{node: hops}`` for every node reachable from ``source``,

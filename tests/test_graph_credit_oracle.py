@@ -3,7 +3,9 @@
 The oracle is the graph-aware report as it was before balls: one BFS-cached
 ``distance()`` call per (true label, prediction) pair. Both must give the
 same totals, float for float, on random graphs whose nodes include labels
-out of scope, ids no sample uses, and labels off the graph altogether.
+out of scope, ids no sample uses, and labels off the graph altogether. The
+oracle sums each sample's credits with its own left-to-right loop, so a
+change to the library's rounding cannot pass on both sides.
 """
 
 import math
@@ -82,6 +84,19 @@ def oracle_add_prediction(pred, labels, label_best, graph) -> float:
     return best
 
 
+def oracle_graph_counts(label_best, pred_best, fp_mode):
+    """One sample's (tp, fp, fn); each sum is taken left to right in the
+    lists' (ascending label) order."""
+    tp = 0.0
+    for credit in label_best:
+        tp += credit
+    matched = 0.0
+    for credit in pred_best:
+        matched += credit
+    fp = matched if fp_mode == "literal" else len(pred_best) - matched
+    return tp, fp, len(label_best) - tp
+
+
 def oracle_graph_fbeta_report(
     predictions, truth, graph, beta=DEFAULT_BETA, fp_mode="literal", scope=None
 ) -> MetricReport:
@@ -97,7 +112,7 @@ def oracle_graph_fbeta_report(
             oracle_add_prediction(pred, labels, label_best, graph)
             for pred in sorted(predictions.labels_for(sid) & class_set)
         ]
-        rows.append(_graph_counts(label_best, pred_best, fp_mode))
+        rows.append(oracle_graph_counts(label_best, pred_best, fp_mode))
     total_tp = math.fsum(r[0] for r in rows)
     total_fp = math.fsum(r[1] for r in rows)
     total_fn = math.fsum(r[2] for r in rows)
@@ -170,6 +185,18 @@ def case(truth_rows, pred_rows, graph, fp_mode="literal", scope=None, labels=ran
 @example(
     case([("a", frozenset({2, 5, 6}))], [("a", frozenset({0, 5}))], chain(3), scope={0, 2, 5})
 )
+# No edge at all, so no ball is built; every label on one path.
+@example(
+    case([("a", frozenset({0, 3})), ("b", frozenset({5}))],
+         [("a", frozenset({0, 1, 6})), ("b", frozenset({5, 7}))], RelationGraph(range(8), []))
+)
+@example(
+    case([("a", frozenset({0, 3})), ("b", frozenset({5}))],
+         [("a", frozenset({0, 1, 6})), ("b", frozenset({5, 7}))], RelationGraph(range(8), []),
+         "complement")
+)
+@example(case([("a", frozenset({0, 4, 7}))], [("a", frozenset({1, 2, 6}))], chain(8)))
+@example(case([("a", frozenset({0, 4, 7}))], [("a", frozenset({1, 2, 6}))], chain(8), "complement"))
 def test_ball_credit_matches_pairwise_oracle(case):
     got = graph_fbeta_report(**case)
     want = oracle_graph_fbeta_report(**case)
@@ -187,3 +214,12 @@ def test_ball_holds_the_bfs_distances(case, source):
     assert ball == {source: 0, **oracle._distances_from(source)}
     for node in [*graph.nodes, source, 999]:
         assert graph.distance(source, node) == oracle.distance(source, node)
+
+
+def test_sample_sums_run_left_to_right():
+    # Correctly rounded, these credits sum to 2.5095238095238095; only a
+    # left-to-right float sum gives ...809, on every supported Python.
+    credits = [1 / 6, 1 / 7, 1 / 5, 1 / 2, 1 / 3, 1.0, 1 / 6]
+    assert _graph_counts(credits, [], "literal")[0] == 2.509523809523809
+    assert oracle_graph_counts(credits, [], "literal")[0] == 2.509523809523809
+    assert _graph_counts([], credits, "literal")[1] == 2.509523809523809

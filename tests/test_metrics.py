@@ -472,6 +472,21 @@ def test_graph_rejects_bad_args():
         graph_fbeta_report(preds, truth, graph, threads=0)
 
 
+def test_graph_scoring_builds_no_ball_for_a_label_without_an_edge():
+    # 0 has no edge, 4 is off the graph, 1-2-3 is a path; every label is
+    # predicted somewhere and 0 is both true and predicted.
+    known = {0, 1, 2, 3, 4}
+    truth = annset([("x", {0, 1}), ("y", {3, 4})], known)
+    scores = ScoreSet([("x", {0: 0.9, 2: 0.6, 4: 0.3}), ("y", {1: 0.8, 3: 0.2})], known)
+    preds = threshold(scores, 0.0, ["x", "y"])
+    graph = RelationGraph([0, 1, 2, 3], [(1, 2), (2, 3)])
+    sweep(scores, truth, thresholds=[0.0, 0.5], graph=graph)
+    graph_fbeta_report(preds, truth, graph)
+    graph_fbeta_report(preds, truth, graph, fp_mode="complement")
+    assert sorted(graph._balls) == [1, 2, 3]
+    assert all(graph.peers(source) for source in graph._balls)
+
+
 # ---------------------------------------------------------------------------
 # Deviation
 

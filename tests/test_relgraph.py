@@ -117,6 +117,14 @@ def test_duplicate_edges_collapse():
     assert graph.n_edges == 1
 
 
+def test_peers_are_one_edge_away_in_ascending_order():
+    graph = RelationGraph([1, 2, 3, 4], [(3, 1), (1, 2)])
+    assert graph.peers(1) == (2, 3)
+    assert graph.peers(3) == (1,)
+    assert graph.peers(4) == ()
+    assert graph.peers(99) == ()
+
+
 def test_thread_safety_matches_serial():
     rng = random.Random(3)
     nodes, edges = random_graph(rng, max_nodes=40)

@@ -70,6 +70,9 @@ def oracle_sweep(
 # Strategies
 
 GRID_POINTS = (0.0, 0.1, 0.25, 1 / 3, 0.5, 0.75, 1.0)
+# At 1e-200, beta * beta underflows to 0.0, so a class with only false
+# negatives is undefined; at 1e200 it overflows, and every score is NaN.
+BETAS = (0.5, 1.0, DEFAULT_BETA, 1e-200, 1e200)
 # Off-scope graph nodes: never scored, never true, only reachable as hops.
 OFF_SCOPE = (100, 101, 102)
 
@@ -117,7 +120,7 @@ def sweep_cases(draw):
         truth=truth,
         thresholds=grid,
         graph=graph,
-        beta=draw(st.sampled_from([0.5, 1.0, DEFAULT_BETA])),
+        beta=draw(st.sampled_from(BETAS)),
         fp_mode=draw(st.sampled_from(["literal", "complement"])),
         scope=scope,
     )
@@ -153,6 +156,55 @@ def test_sweep_matches_oracle_on_default_grid():
     for fp_mode in ("literal", "complement"):
         case = dict(graph=graph, fp_mode=fp_mode)
         assert repr(sweep(scores, truth, **case)) == repr(oracle_sweep(scores, truth, **case))
+
+
+@pytest.mark.parametrize(
+    "truth_rows, score_rows, beta, macro",
+    [
+        # Class 3 has a false negative and nothing else. At beta 1e-200 its
+        # F is NaN, so it stays out of the macro mean: 1/3 at 0.2, not 1/4.
+        (
+            [("a", {0}), ("b", {3})],
+            [("a", {0: 0.9, 1: 0.3}), ("b", {2: 0.5})],
+            1e-200,
+            [1 / 3, 1.0],
+        ),
+        # At beta 1e154, beta * beta is 1e308: class 0's F is 0.0 (1e308 /
+        # inf) with one of its two true labels hit, and NaN (inf / inf) with
+        # both, so a defined class leaves the macro mean at 0.2.
+        (
+            [("a", {0}), ("b", {0}), ("c", {1})],
+            [("a", {0: 0.9}), ("b", {0: 0.5}), ("c", {1: 0.9})],
+            1e154,
+            [1.0, 0.5],
+        ),
+    ],
+)
+def test_sweep_matches_oracle_where_fbeta_is_undefined(truth_rows, score_rows, beta, macro):
+    truth = AnnotationSet([(sid, frozenset(t)) for sid, t in truth_rows], range(4))
+    scores = ScoreSet(score_rows, range(4))
+    case = dict(thresholds=[0.2, 0.6], beta=beta)
+    rows = sweep(scores, truth, **case)
+    assert [row["flat_macro_f"] for row in rows] == macro
+    assert repr(rows) == repr(oracle_sweep(scores, truth, **case))
+
+
+@pytest.mark.parametrize("fp_mode", ["literal", "complement"])
+@pytest.mark.parametrize("edges", ["none", "one path"])
+def test_sweep_matches_oracle_without_edges_and_on_one_path(fp_mode, edges):
+    # With no edge, every prediction is credited without a ball; on one path
+    # every label has a ball that reaches all the others.
+    labels = list(range(6))
+    truth = AnnotationSet(
+        [(f"s{i}", frozenset({i % 6, (i * 5 + 2) % 6})) for i in range(12)], labels
+    )
+    scores = ScoreSet(
+        [(f"s{i}", {c: ((i + 2) * (c + 5) % 31) / 30 for c in labels}) for i in range(12)],
+        labels,
+    )
+    pairs = [] if edges == "none" else [(c, c + 1) for c in labels[:-1]]
+    case = dict(graph=RelationGraph(labels, pairs), fp_mode=fp_mode)
+    assert repr(sweep(scores, truth, **case)) == repr(oracle_sweep(scores, truth, **case))
 
 
 @pytest.mark.parametrize("fp_mode", ["literal", "complement"])
