@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "catalog": (
         "AnnotationSet", "CorpusStats", "LabelCatalog", "LabelRecord", "canonicalize",
-        "compute_stats", "cooccurrence", "coverage", "parse_annotations", "parse_labels",
-        "write_annotations", "write_labels",
+        "compute_stats", "cooccurrence", "parse_annotations", "parse_labels", "write_annotations",
+        "write_labels",
     ),
     "cleanse": (
         "AndSplit", "ConnectiveTally", "DuplicatePair", "HierarchyCandidate", "Merge", "OrGroup",
@@ -30,14 +30,14 @@ _EXPORTS = {
         "interpret", "parse_family", "write_family",
     ),
     "metrics": (
-        "MetricReport", "ScoreSet", "default_threshold_grid", "deviation_report",
-        "enforce_exclusion", "fbeta", "fbeta_report", "graph_fbeta_report", "or_aware_report",
-        "parse_scores", "sweep", "threshold",
+        "MetricReport", "ScoreSet", "default_threshold_grid", "enforce_exclusion", "fbeta",
+        "fbeta_report", "graph_fbeta_report", "or_aware_report", "parse_scores", "sweep",
+        "threshold",
     ),
-    "relgraph": ("INFINITE", "RelationGraph", "build_graph", "graph_summary", "parse_curated_edges"),
+    "relgraph": ("RelationGraph", "build_graph", "graph_summary", "parse_curated_edges"),
     "textkit": (
-        "EDITDIST_BACKEND", "Connective", "ConnectiveSplit", "SplitClass", "edit_distance",
-        "edit_distance_capped", "similarity_ratio", "split_connective", "tokenize",
+        "EDITDIST_BACKEND", "Connective", "ConnectiveSplit", "SplitClass", "edit_distance_capped",
+        "split_connective", "tokenize",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -221,9 +221,7 @@ class AnnotationSet(SampleTable):
 class CorpusStats:
     """Corpus-level statistics of a catalog/annotation pair."""
 
-    n_labels: int
     n_samples: int
-    per_category_counts: dict[str, int]
     per_label_frequency: dict[int, int]
     labels_per_sample_histogram: dict[int, int]
     median_labels_per_sample: int
@@ -337,10 +335,8 @@ def write_annotations(annotations: AnnotationSet, stream: IO[str]) -> None:
 
 
 def compute_stats(annotations: AnnotationSet, catalog: LabelCatalog) -> CorpusStats:
-    """Exact corpus statistics: category sizes, label frequencies, the
-    labels-per-sample histogram with its (lower) median, and per-category
-    sample coverage."""
-    per_category = Counter(r.category for r in catalog)
+    """Exact corpus statistics: label frequencies, the labels-per-sample
+    histogram with its (lower) median, and per-category sample coverage."""
     frequency = annotations.label_frequency()
 
     histogram: Counter[int] = Counter()
@@ -354,9 +350,7 @@ def compute_stats(annotations: AnnotationSet, catalog: LabelCatalog) -> CorpusSt
         cat_coverage.update(cats)
 
     return CorpusStats(
-        n_labels=len(catalog),
         n_samples=len(annotations),
-        per_category_counts=dict(per_category),
         per_label_frequency={i: frequency.get(i, 0) for i in sorted(catalog.ids())},
         labels_per_sample_histogram=dict(histogram),
         median_labels_per_sample=_histogram_median(histogram),
@@ -376,17 +370,6 @@ def _histogram_median(histogram: Counter[int]) -> int:
         if running >= rank:
             return value
     raise AssertionError("histogram exhausted before median rank")
-
-
-def coverage(annotations: AnnotationSet, labels: Iterable[int]) -> tuple[int, float]:
-    """(count, fraction) of samples holding at least one label from ``labels``."""
-    subset = frozenset(labels)
-    unknown = subset - annotations.known_labels
-    if unknown:
-        raise ValueError(f"unknown label ids {sorted(unknown)}")
-    count = sum(1 for _, sample_labels in annotations if sample_labels & subset)
-    n = len(annotations)
-    return count, (count / n if n else 0.0)
 
 
 def cooccurrence(annotations: AnnotationSet, a: int, b: int) -> tuple[int, int, int]:

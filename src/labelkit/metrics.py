@@ -1,5 +1,5 @@
 """Multi-label scoring: flat F-beta reports, or-aware and graph-aware
-variants, run-to-run deviation, and threshold sweeps.
+variants, and threshold sweeps.
 
 Counts for the flat reports are plain integers. The graph reports credit a
 prediction from its distance ball in the graph's ball table: one walk over
@@ -522,56 +522,6 @@ def or_aware_report(
         for c in p - t:
             fp[c] += 1
     return _finish_flat_report("or_aware", beta, classes, tp, fp, fn, len(ids))
-
-
-def deviation_report(reports: Sequence[MetricReport]) -> dict:
-    """Run-to-run spread of repeated evaluations (population standard
-    deviation, so two runs scoring 0 and 1 deviate by exactly 0.5).
-
-    Per-class spread is only meaningful for classes defined in every run;
-    classes undefined somewhere are counted, not averaged.
-    """
-    from statistics import pstdev
-
-    if len(reports) < 2:
-        raise EvalError("deviation needs at least two runs")
-    kinds = {r.kind for r in reports}
-    if len(kinds) > 1:
-        raise EvalError(f"cannot mix report kinds {sorted(kinds)}")
-
-    def spread(values: list[float]) -> float | None:
-        usable = [v for v in values if v is not None and not math.isnan(v)]
-        if len(usable) < 2:
-            return None
-        return pstdev(usable)
-
-    micro_std = spread([r.micro_f for r in reports])
-    macro_std = spread([r.macro_f for r in reports])
-
-    per_class_std: dict[int, float] = {}
-    skipped = 0
-    shared = set(reports[0].per_class_f)
-    for r in reports[1:]:
-        shared &= set(r.per_class_f)
-    for c in sorted(shared):
-        values = [r.per_class_f[c] for r in reports]
-        if any(math.isnan(v) for v in values):
-            skipped += 1
-            continue
-        per_class_std[c] = pstdev(values)
-    mean_class_std = (
-        math.fsum(per_class_std.values()) / len(per_class_std) if per_class_std else None
-    )
-    return {
-        "runs": len(reports),
-        "kind": reports[0].kind,
-        "micro_f_std": micro_std,
-        "macro_f_std": macro_std,
-        "mean_class_std": mean_class_std,
-        "classes_compared": len(per_class_std),
-        "classes_skipped": skipped,
-        "per_class_std": {str(c): v for c, v in sorted(per_class_std.items())},
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,14 @@
 
 Supplies the graph distances behind the graph-aware score report, one
 distance ball per source (:meth:`RelationGraph.ball`). Distance semantics: a
-node is at distance 0 from itself, connected nodes are at BFS hop count, and
-everything else (including ids outside the graph) is :data:`INFINITE`, which
-the scoring side turns into zero credit: a node outside a ball earns none.
+node is at distance 0 from itself and connected nodes are at BFS hop count;
+everything else (including ids outside the graph) is outside the ball, which
+the scoring side turns into zero credit.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from collections import deque
 from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
@@ -21,15 +20,13 @@ from .errors import ParseError, PlanError
 if TYPE_CHECKING:
     from .cleanse import AndSplit, OrGroup
 
-INFINITE = math.inf
-
 
 class RelationGraph:
     """Immutable undirected graph with a ball table: each source's ball maps
     every node it reaches to its BFS hop count, the source itself at 0 (even
-    off the graph), and is built on first use and kept. Distances and
-    components read the table. The graph-aware report credits a prediction
-    from its ball alone, and asks for no ball for a label without
+    off the graph), and is built on first use and kept. The graph-aware
+    report credits a prediction from its ball alone, and neither it nor
+    :meth:`connected_components` asks for a ball for a label without
     :meth:`peers`, which reaches only itself.
 
     Duplicate edges collapse (the same relation often arrives from several
@@ -94,11 +91,6 @@ class RelationGraph:
         self._balls[source] = ball
         return ball
 
-    def distance(self, a: int, b: int) -> float:
-        """Shortest-path length between two ids, 0 for a == b even off the
-        graph, :data:`INFINITE` when no path exists."""
-        return self.ball(a).get(b, INFINITE)
-
     def connected_components(self) -> list[frozenset[int]]:
         """Components sorted by descending size, ties by smallest member."""
         seen: set[int] = set()
@@ -106,8 +98,8 @@ class RelationGraph:
         for node in sorted(self._nodes):
             if node in seen:
                 continue
-            reached = self.ball(node).keys()
-            seen |= reached
+            reached = self.ball(node).keys() if self._adjacency[node] else (node,)
+            seen.update(reached)
             components.append(frozenset(reached))
         components.sort(key=lambda c: (-len(c), min(c)))
         return components

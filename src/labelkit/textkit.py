@@ -1,8 +1,8 @@
 """String algorithms behind label cleaning.
 
-Edit distance and similarity ratio drive duplicate detection; connective
-splitting ("and" / "or") and word tokenization drive label decomposition and
-hierarchy candidate search.
+Capped edit distance drives duplicate detection; connective splitting
+("and" / "or") and word tokenization drive label decomposition and hierarchy
+candidate search.
 
 The Levenshtein kernel is a single pure-Python implementation. Duplicate
 detection keeps it off the quadratic path: it verifies only the pairs that
@@ -77,18 +77,11 @@ def _trim(a: str, b: str) -> tuple[str, str]:
     return a[lo:hi_a], b[lo:hi_b]
 
 
-def edit_distance(a: str, b: str) -> int:
-    """Standard Levenshtein distance over Unicode code points.
-
-    Insertions, deletions and substitutions all cost 1.
-    """
-    # No distance exceeds the longer length, so this cap never cuts short.
-    return edit_distance_capped(a, b, max(len(a), len(b)))
-
-
 def edit_distance_capped(a: str, b: str, cap: int) -> int:
-    """Like :func:`edit_distance`, but returns ``cap + 1`` once the distance
-    provably exceeds ``cap``. Used by pairwise scans to skip hopeless pairs.
+    """Levenshtein distance over Unicode code points (insertions, deletions
+    and substitutions all cost 1), or ``cap + 1`` once the distance provably
+    exceeds ``cap``. Used by pairwise scans to skip hopeless pairs; a cap of
+    ``max(len(a), len(b))`` never cuts short.
 
     Any alignment of the full strings passes through one cell per DP row, so
     once every entry of a row exceeds ``cap`` the final distance must too.
@@ -125,18 +118,6 @@ def edit_distance_capped(a: str, b: str, cap: int) -> int:
             return cap + 1
         prev = cur
     return prev[-1] if prev[-1] <= cap else cap + 1
-
-
-def similarity_ratio(a: str, b: str) -> float:
-    """Edit-distance similarity in [0, 1].
-
-    Defined as ``1 - d(a, b) / max(len(a), len(b))``; two empty strings score
-    1.0. Symmetric, and exactly 1.0 iff the strings are equal.
-    """
-    if a == b:
-        return 1.0
-    longest = max(len(a), len(b))
-    return 1.0 - edit_distance(a, b) / longest
 
 
 def split_connective(name: str, connective: Connective) -> list[str]:

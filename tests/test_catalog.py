@@ -13,7 +13,6 @@ from labelkit.catalog import (
     canonicalize,
     compute_stats,
     cooccurrence,
-    coverage,
     parse_annotations,
     parse_labels,
     write_annotations,
@@ -170,11 +169,7 @@ def test_parse_annotations_duplicate_label_knob(mini_catalog, caplog):
 
 def test_compute_stats(mini_catalog, mini_annotations):
     stats = compute_stats(mini_annotations, mini_catalog)
-    assert stats.n_labels == 30
     assert stats.n_samples == 8
-    assert stats.per_category_counts == {
-        "country": 11, "culture": 3, "dimension": 5, "medium": 9, "tags": 2
-    }
     assert stats.labels_per_sample_histogram == {2: 6, 3: 2}
     assert stats.median_labels_per_sample == 2
     assert stats.per_label_frequency[16] == 2
@@ -197,14 +192,6 @@ def test_median_is_lower_median():
     )
     stats = compute_stats(annotations, catalog)
     assert stats.median_labels_per_sample == 1
-
-
-def test_coverage(mini_catalog, mini_annotations):
-    count, fraction = coverage(mini_annotations, mini_catalog.category_ids("dimension"))
-    assert count == 3
-    assert fraction == pytest.approx(3 / 8)
-    with pytest.raises(ValueError):
-        coverage(mini_annotations, [99999])
 
 
 def test_cooccurrence(mini_annotations):

@@ -32,12 +32,21 @@ from labelkit.cleanse import (
     _fold_hyphens,
 )
 from labelkit.errors import PlanError
-from labelkit.textkit import Connective, SplitClass, edit_distance_capped, similarity_ratio
+from labelkit.textkit import Connective, SplitClass, edit_distance_capped
 from conftest import MINI_LABEL_ROWS, build_annotations, build_catalog
 
 
 # ---------------------------------------------------------------------------
 # Duplicate candidates
+
+
+def similarity_ratio(a, b):
+    """``1 - d / L`` with L the longer length, 1.0 for equal strings; the cap
+    L never cuts the distance short."""
+    if a == b:
+        return 1.0
+    longest = max(len(a), len(b))
+    return 1.0 - edit_distance_capped(a, b, longest) / longest
 
 
 def brute_force_duplicates(catalog, threshold, same_category_only=True):

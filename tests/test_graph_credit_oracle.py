@@ -24,7 +24,7 @@ from labelkit.metrics import (
     fbeta,
     graph_fbeta_report,
 )
-from labelkit.relgraph import INFINITE, RelationGraph
+from labelkit.relgraph import RelationGraph
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +63,11 @@ class PairwiseDistances:
 
     def distance(self, a: int, b: int) -> float:
         """Shortest-path length between two ids, 0 for a == b even off the
-        graph, :data:`INFINITE` when no path exists."""
+        graph, ``math.inf`` when no path exists."""
         if a == b:
             return 0
         d = self._distances_from(a).get(b)
-        return INFINITE if d is None else d
+        return math.inf if d is None else d
 
 
 def oracle_add_prediction(pred, labels, label_best, graph) -> float:
@@ -213,7 +213,7 @@ def test_ball_holds_the_bfs_distances(case, source):
     assert ball[source] == 0
     assert ball == {source: 0, **oracle._distances_from(source)}
     for node in [*graph.nodes, source, 999]:
-        assert graph.distance(source, node) == oracle.distance(source, node)
+        assert ball.get(node, math.inf) == oracle.distance(source, node)
 
 
 def test_sample_sums_run_left_to_right():

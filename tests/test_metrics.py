@@ -12,7 +12,6 @@ from labelkit.errors import EvalError, ParseError
 from labelkit.metrics import (
     ScoreSet,
     default_threshold_grid,
-    deviation_report,
     enforce_exclusion,
     fbeta,
     fbeta_report,
@@ -421,11 +420,15 @@ def oracle_graph_counts(preds, truth, graph, fp_mode):
         t = truth.labels_for(sid)
         p = preds.labels_for(sid)
         for label in t:
-            best = max((1.0 / (graph.distance(label, q) + 1.0) for q in p), default=0.0)
+            best = max(
+                (1.0 / (graph.ball(label).get(q, math.inf) + 1.0) for q in p), default=0.0
+            )
             tp += best
             fn += 1.0 - best
         for q in p:
-            best = max((1.0 / (graph.distance(q, label) + 1.0) for label in t), default=0.0)
+            best = max(
+                (1.0 / (graph.ball(q).get(label, math.inf) + 1.0) for label in t), default=0.0
+            )
             fp += best if fp_mode == "literal" else 1.0 - best
     return tp, fp, fn
 
@@ -485,43 +488,6 @@ def test_graph_scoring_builds_no_ball_for_a_label_without_an_edge():
     graph_fbeta_report(preds, truth, graph, fp_mode="complement")
     assert sorted(graph._balls) == [1, 2, 3]
     assert all(graph.peers(source) for source in graph._balls)
-
-
-# ---------------------------------------------------------------------------
-# Deviation
-
-
-def make_report(micro, per_class):
-    truth = annset([("x", set(per_class))], set(per_class) or {0})
-    preds = annset([("x", set(per_class))], set(per_class) or {0})
-    report = fbeta_report(preds, truth)
-    report.micro_f = micro
-    report.per_class_f = dict(per_class)
-    return report
-
-
-def test_deviation_population_std():
-    reports = [make_report(0.0, {0: 0.0}), make_report(1.0, {0: 1.0})]
-    doc = deviation_report(reports)
-    assert doc["micro_f_std"] == pytest.approx(0.5, abs=1e-15)
-    assert doc["per_class_std"]["0"] == pytest.approx(0.5, abs=1e-15)
-    assert doc["mean_class_std"] == pytest.approx(0.5, abs=1e-15)
-
-
-def test_deviation_skips_undefined_classes():
-    reports = [
-        make_report(0.5, {0: 0.4, 1: float("nan")}),
-        make_report(0.7, {0: 0.6, 1: 0.5}),
-    ]
-    doc = deviation_report(reports)
-    assert doc["classes_compared"] == 1
-    assert doc["classes_skipped"] == 1
-    assert doc["per_class_std"] == {"0": pytest.approx(0.1, abs=1e-12)}
-
-
-def test_deviation_needs_two_runs():
-    with pytest.raises(EvalError):
-        deviation_report([make_report(0.5, {0: 0.5})])
 
 
 # ---------------------------------------------------------------------------

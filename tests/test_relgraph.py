@@ -12,7 +12,6 @@ from labelkit.catalog import LabelCatalog, LabelRecord
 from labelkit.cleanse import AndSplit, OrGroup
 from labelkit.errors import ParseError, PlanError
 from labelkit.relgraph import (
-    INFINITE,
     RelationGraph,
     build_graph,
     graph_summary,
@@ -20,6 +19,12 @@ from labelkit.relgraph import (
     write_edge_list,
 )
 from conftest import build_catalog
+
+
+def distance(graph, a, b):
+    """Hop count from ``a`` to ``b`` read from ``a``'s ball; inf when ``b``
+    is outside it."""
+    return graph.ball(a).get(b, math.inf)
 
 
 def floyd_warshall(nodes, edges):
@@ -60,20 +65,20 @@ def test_distance_matches_floyd_warshall():
         oracle = floyd_warshall(nodes, edges)
         for a in nodes:
             for b in nodes:
-                assert graph.distance(a, b) == oracle[a][b], (a, b)
+                assert distance(graph, a, b) == oracle[a][b], (a, b)
 
 
 def test_distance_identity_and_infinite():
     graph = RelationGraph([1, 2, 3], [(1, 2)])
-    assert graph.distance(1, 1) == 0
-    assert graph.distance(3, 3) == 0
-    assert graph.distance(1, 2) == 1
-    assert graph.distance(1, 3) == INFINITE
+    assert distance(graph, 1, 1) == 0
+    assert distance(graph, 3, 3) == 0
+    assert distance(graph, 1, 2) == 1
+    assert distance(graph, 1, 3) == math.inf
     # Ids outside the graph: identical ids still coincide, distinct ones
     # cannot be connected.
-    assert graph.distance(99, 99) == 0
-    assert graph.distance(1, 99) == INFINITE
-    assert graph.distance(99, 98) == INFINITE
+    assert distance(graph, 99, 99) == 0
+    assert distance(graph, 1, 99) == math.inf
+    assert distance(graph, 99, 98) == math.inf
 
 
 def test_distance_symmetry():
@@ -82,7 +87,7 @@ def test_distance_symmetry():
     graph = RelationGraph(nodes, edges)
     for _ in range(200):
         a, b = rng.choice(nodes), rng.choice(nodes)
-        assert graph.distance(a, b) == graph.distance(b, a)
+        assert distance(graph, a, b) == distance(graph, b, a)
 
 
 def test_edge_addition_never_increases_distance():
@@ -102,7 +107,7 @@ def test_edge_addition_never_increases_distance():
         bigger = RelationGraph(nodes, list(edges) + [extra])
         for _ in range(40):
             a, b = rng.choice(nodes), rng.choice(nodes)
-            assert bigger.distance(a, b) <= graph.distance(a, b)
+            assert distance(bigger, a, b) <= distance(graph, a, b)
 
 
 def test_graph_rejects_bad_edges():
@@ -130,9 +135,9 @@ def test_thread_safety_matches_serial():
     nodes, edges = random_graph(rng, max_nodes=40)
     graph = RelationGraph(nodes, edges)
     queries = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(500)]
-    serial = [RelationGraph(nodes, edges).distance(a, b) for a, b in queries]
+    serial = [distance(RelationGraph(nodes, edges), a, b) for a, b in queries]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        threaded = list(pool.map(lambda q: graph.distance(*q), queries))
+        threaded = list(pool.map(lambda q: distance(graph, *q), queries))
     assert threaded == serial
 
 
@@ -148,6 +153,38 @@ def test_connected_components():
     assert summary["isolated_nodes"] == 1
 
 
+def union_find_components(nodes, edges):
+    parent = {node: node for node in nodes}
+
+    def root(node):
+        while parent[node] != node:
+            node = parent[node]
+        return node
+
+    for a, b in edges:
+        parent[root(a)] = root(b)
+    groups = {}
+    for node in nodes:
+        groups.setdefault(root(node), set()).add(node)
+    return sorted(map(frozenset, groups.values()), key=lambda c: (-len(c), min(c)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=30),
+    pairs=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=25),
+)
+@example(n=5, pairs=[])
+def test_components_match_union_find_and_cache_no_one_entry_ball(n, pairs):
+    # At most 25 edges among up to 30 nodes leave most nodes isolated.
+    edges = [(a, b) for a, b in pairs if a != b and a < n and b < n]
+    graph = RelationGraph(range(n), edges)
+    assert graph.connected_components() == union_find_components(range(n), edges)
+    summary = graph_summary(graph)
+    assert summary["isolated_nodes"] == sum(not graph.peers(node) for node in range(n))
+    assert all(len(ball) > 1 for ball in graph._balls.values())
+
+
 # ---------------------------------------------------------------------------
 # Building from catalog relations
 
@@ -159,11 +196,11 @@ def test_build_graph_from_connectives(mini_catalog):
         and_splits=[AndSplit(3, (4, 0))],
         curated_edges=[(5, 6), (6, 7)],
     )
-    assert graph.distance(0, 2) == 1
-    assert graph.distance(1, 0) == 2  # iraq - (egypt or iraq) - egypt
-    assert graph.distance(4, 0) == 2  # sudan - (sudan and egypt) - egypt
-    assert graph.distance(5, 7) == 2  # french - france - present-day france
-    assert graph.distance(8, 0) == INFINITE  # china is isolated
+    assert distance(graph, 0, 2) == 1
+    assert distance(graph, 1, 0) == 2  # iraq - (egypt or iraq) - egypt
+    assert distance(graph, 4, 0) == 2  # sudan - (sudan and egypt) - egypt
+    assert distance(graph, 5, 7) == 2  # french - france - present-day france
+    assert distance(graph, 8, 0) == math.inf  # china is isolated
 
 
 def test_build_graph_scope_category(mini_catalog):
@@ -174,7 +211,7 @@ def test_build_graph_scope_category(mini_catalog):
         scope="country",
     )
     assert graph.nodes == mini_catalog.category_ids("country")
-    assert graph.distance(0, 2) == 1
+    assert distance(graph, 0, 2) == 1
     assert 5 not in graph
 
 
