@@ -12,6 +12,7 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Iterable, Iterator
 
 from .csvio import CsvTable, csv_writer
@@ -184,37 +185,54 @@ class SampleTable:
 
 class AnnotationSet(SampleTable):
     """Ordered sample -> label-id-set mapping. Every label of a sample must
-    belong to ``known_labels``; the constructor checks this and stores each
-    set as a ``frozenset``. :func:`parse_annotations` checks every id while
-    reading, with file and line, and adopts its rows without a second pass.
+    belong to ``known_labels``; the constructor checks this.
+
+    Each sample is stored as an ascending ``tuple`` of its label ids, which
+    costs 8 bytes a label where a ``frozenset`` of five or more costs a
+    728-byte table; :func:`parse_annotations` fills the tuples with the
+    catalog's own int objects. :meth:`labels_for` and iteration build a
+    ``frozenset`` each time a sample is read (late materialization); the
+    frequency, statistics and writer functions here and the cleanse
+    transforms read the tuples themselves (:meth:`_rows`).
+    :func:`parse_annotations` checks every id while reading, with file and
+    line, and adopts its rows without a second pass.
     """
 
-    def _checked(self, sample_id: str, labels: Iterable[int]) -> frozenset[int]:
-        labels = frozenset(labels)
-        unknown = labels - self.known_labels
-        if unknown:
+    def _checked(self, sample_id: str, labels: Iterable[int]) -> tuple[int, ...]:
+        labels = set(labels)
+        if not labels <= self.known_labels:
             raise ValueError(
-                f"sample {sample_id!r} references unknown label ids {sorted(unknown)}"
+                f"sample {sample_id!r} references unknown label ids "
+                f"{sorted(labels - self.known_labels)}"
             )
-        return labels
+        return tuple(sorted(labels))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AnnotationSet):
             return NotImplemented
         return list(self) == list(other) and self.known_labels == other.known_labels
 
-    def labels_for(self, sample_id: str) -> frozenset[int]:
+    def __iter__(self) -> Iterator[tuple[str, frozenset[int]]]:
+        return ((sid, frozenset(labels)) for sid, labels in self._index.items())
+
+    def _stored(self, sample_id: str):
+        """The value stored for ``sample_id``, as it is."""
         try:
             return self._index[sample_id]
         except KeyError:
             raise KeyError(f"unknown sample id {sample_id!r}") from None
 
+    def _rows(self) -> Iterable[tuple[str, tuple[int, ...]]]:
+        """``(sample id, ascending tuple of its labels)`` in sample order,
+        with no set built."""
+        return self._index.items()
+
+    def labels_for(self, sample_id: str) -> frozenset[int]:
+        return frozenset(self._stored(sample_id))
+
     def label_frequency(self) -> Counter[int]:
         """Positive-sample count per label id."""
-        freq: Counter[int] = Counter()
-        for _, labels in self:
-            freq.update(labels)
-        return freq
+        return Counter(chain.from_iterable(labels for _, labels in self._rows()))
 
 
 @dataclass
@@ -295,7 +313,7 @@ def parse_annotations(
     # catalog's own int; any other spelling ("05", "+5", "٥") goes through
     # int(), which accepts or rejects it.
     by_text = {str(label_id): label_id for label_id in known}
-    samples: dict[str, frozenset[int]] = {}
+    samples: dict[str, tuple[int, ...]] = {}
     for sample_id, raw_ids in table:
         if sample_id in samples:
             raise table.error(f"duplicate sample id {sample_id!r}")
@@ -322,7 +340,7 @@ def parse_annotations(
                     sample_id,
                 )
             labels.add(label_id)
-        samples[sample_id] = frozenset(labels)
+        samples[sample_id] = tuple(sorted(labels))
     return AnnotationSet._trusted(samples, known)
 
 
@@ -330,24 +348,22 @@ def write_annotations(annotations: AnnotationSet, stream: IO[str]) -> None:
     """Serialize annotations; label ids ascending within each row."""
     writer = csv_writer(stream)
     writer.writerow(["id", "attribute_ids"])
-    for sample_id, labels in annotations:
-        writer.writerow([sample_id, " ".join(str(i) for i in sorted(labels))])
+    writer.writerows(
+        (sample_id, " ".join(map(str, labels))) for sample_id, labels in annotations._rows()
+    )
 
 
 def compute_stats(annotations: AnnotationSet, catalog: LabelCatalog) -> CorpusStats:
     """Exact corpus statistics: label frequencies, the labels-per-sample
-    histogram with its (lower) median, and per-category sample coverage."""
-    frequency = annotations.label_frequency()
-
-    histogram: Counter[int] = Counter()
-    for _, labels in annotations:
-        histogram[len(labels)] += 1
-
+    histogram with its (lower) median, and per-category sample coverage,
+    from one read of each sample."""
+    rows = [labels for _, labels in annotations._rows()]
+    frequency = Counter(chain.from_iterable(rows))
+    histogram = Counter(map(len, rows))
     category_of = {r.id: r.category for r in catalog}
-    cat_coverage: Counter[str] = Counter()
-    for _, labels in annotations:
-        cats = {category_of[i] for i in labels}
-        cat_coverage.update(cats)
+    cat_coverage = Counter(
+        chain.from_iterable({category_of[i] for i in labels} for labels in rows)
+    )
 
     return CorpusStats(
         n_samples=len(annotations),
@@ -380,7 +396,7 @@ def cooccurrence(annotations: AnnotationSet, a: int, b: int) -> tuple[int, int, 
         if label_id not in annotations.known_labels:
             raise ValueError(f"unknown label id {label_id}")
     count_a = count_b = count_both = 0
-    for _, labels in annotations:
+    for _, labels in annotations._rows():
         has_a = a in labels
         has_b = b in labels
         count_a += has_a

@@ -552,8 +552,7 @@ def apply_merges(
 
     new_catalog = LabelCatalog(r for r in catalog if r.id not in rewrite)
     new_samples = (
-        (sid, frozenset(rewrite.get(label, label) for label in labels))
-        for sid, labels in annotations
+        (sid, map(rewrite.get, labels, labels)) for sid, labels in annotations._rows()
     )
     return AnnotationSet(new_samples, new_catalog.ids()), new_catalog
 
@@ -606,17 +605,18 @@ def propagate_supercategories(
     if unknown:
         raise PlanError(f"hierarchy edges reference unknown label ids {sorted(unknown)}")
 
-    def expanded(labels: frozenset[int]) -> frozenset[int]:
+    def expanded(labels: tuple[int, ...]) -> tuple[int, ...]:
         extra: set[int] = set()
         for label in labels:
             sups = closure.get(label)
             if sups:
                 extra |= sups
-        return labels | extra if extra else labels
+        extra.difference_update(labels)
+        return tuple(sorted(extra.union(labels))) if extra else labels
 
     # The closure's labels passed the unknown-label check above.
     return AnnotationSet._trusted(
-        {sid: expanded(labels) for sid, labels in annotations}, annotations.known_labels
+        {sid: expanded(labels) for sid, labels in annotations._rows()}, annotations.known_labels
     )
 
 
@@ -636,17 +636,17 @@ def apply_and_splits(
 
     new_catalog = LabelCatalog(r for r in catalog if r.id not in removed)
 
-    def transform(labels: frozenset[int]) -> frozenset[int]:
+    def transform(labels: tuple[int, ...]) -> Iterable[int]:
         extra: set[int] = set()
         for label in labels:
             tokens = additions.get(label)
             if tokens:
                 extra.update(tokens)
-        if extra or labels & removed:
-            return (labels | extra) - removed
+        if extra or not removed.isdisjoint(labels):
+            return extra.union(labels) - removed
         return labels
 
-    new_samples = ((sid, transform(labels)) for sid, labels in annotations)
+    new_samples = ((sid, transform(labels)) for sid, labels in annotations._rows())
     return AnnotationSet(new_samples, new_catalog.ids()), new_catalog
 
 

@@ -13,12 +13,14 @@ Python versions and does not depend on sample order. Scoring runs in one
 thread; :func:`graph_fbeta_report` accepts ``threads`` for compatibility,
 and it has no effect.
 
-A parsed score set keeps each sample's scores as two columns in file order
-(:class:`ScoreRow`: a list of the catalog's label ids and an ``array('d')``
-of scores), the CSR sparse layout split by sample, rather than a dict per
-sample. Readers use its mapping interface, which plain dicts share. A plain
-score file is parsed in blocks, a column at a time; any other is parsed a
-row at a time, and only that path reports errors (:func:`parse_scores`).
+A parsed score set keeps each sample's scores as two C arrays in file
+order (:class:`ScoreRow`: an ``array('H')`` of positions in the
+catalog's ascending id list, which every row shares, and an ``array('d')``
+of scores), the CSR sparse layout split by sample with its labels
+dictionary-encoded, rather than a dict per sample. Readers use its mapping
+interface, which plain dicts share. A plain score file is parsed in blocks,
+a column at a time; any other is parsed a row at a time, and only that path
+reports errors (:func:`parse_scores`).
 
 Predictions are not stored (late materialization, as in column stores):
 :func:`threshold` and :func:`enforce_exclusion` return a
@@ -32,6 +34,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
+from itertools import compress, count, islice
+from operator import ne
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .catalog import AnnotationSet, LabelCatalog, SampleTable
@@ -50,46 +54,68 @@ NAN = float("nan")
 # Scores and thresholding
 
 
+def _position_code(ids: list[int]) -> str:
+    """The ``array`` typecode of positions in ``ids``: 2 bytes each while
+    they fit (a catalog of up to 65,536 labels), else 4."""
+    return "H" if len(ids) <= 1 << 16 else "I"
+
+
 class ScoreRow(Mapping):
-    """One sample's scores as two columns in file order: ``labels`` holds the
-    label ids (a parsed row shares the catalog's own int objects) and
-    ``scores`` the matching scores as C doubles in an ``array('d')``. A cell
-    costs an 8-byte list slot and an 8-byte double, about 24 bytes with each
-    row's own overhead, where a dict entry and its float object cost about
-    70. Lookups by label scan the column, which suits the few dozen labels a
-    sample holds; :meth:`items` zips the two columns."""
+    """One sample's scores as two C arrays in file order: ``positions``
+    holds each label's position in ``ids``, the ascending list of label ids
+    that every row of a score set shares (a parsed row shares the catalog's
+    own int objects), as an ``array('H')`` (``'I'`` for a catalog of more
+    than 65,536 labels), and ``scores`` the matching scores as C doubles in
+    an ``array('d')``. A cell costs 10 bytes, where a dict entry and its
+    float object cost about 70 (dictionary encoding, as in column stores);
+    the arrays of a parsed sample whose rows follow one another in the file
+    are sized exactly. Iteration and :meth:`items` map the positions back
+    through ``ids``, so readers get the label ids; a lookup by label bisects
+    ``ids`` and scans the positions, which suits the few dozen labels a
+    sample holds."""
 
-    __slots__ = ("labels", "scores")
+    __slots__ = ("ids", "positions", "scores")
 
-    def __init__(self) -> None:
-        self.labels: list[int] = []
-        self.scores = array("d")
+    def __init__(self, ids: list[int], positions: array, scores: array) -> None:
+        self.ids, self.positions, self.scores = ids, positions, scores
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.positions)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.labels)
+        return map(self.ids.__getitem__, self.positions)
 
     def __getitem__(self, label_id: int) -> float:
+        ids = self.ids
         try:
-            return self.scores[self.labels.index(label_id)]
-        except ValueError:
-            raise KeyError(label_id) from None
+            at = bisect_left(ids, label_id)
+            if ids[at] == label_id:
+                return self.scores[self.positions.index(at)]
+        except (IndexError, TypeError, ValueError):  # past the end, not an id, not scored
+            pass
+        raise KeyError(label_id)
 
     def items(self) -> Iterator[tuple[int, float]]:
-        return zip(self.labels, self.scores)
+        return zip(map(self.ids.__getitem__, self.positions), self.scores)
 
 
 class ScoreSet(SampleTable):
     """Per-sample, per-label prediction scores in [0, 1], one :class:`ScoreRow`
     per sample. The constructor checks every cell of each sample's mapping and
-    copies it into a new row; :func:`parse_scores` validates while reading and
-    hands its rows over through :meth:`_trusted` instead. Readers go through
-    the mapping interface, so a table adopted over plain dicts works too."""
+    copies it into a new row over the ascending ``known_labels``;
+    :func:`parse_scores` validates while reading and hands its rows over
+    through :meth:`_trusted` instead. Readers go through the mapping
+    interface, so a table adopted over plain dicts works too."""
+
+    def __init__(
+        self, samples: Iterable[tuple[str, Mapping[int, float]]], known_labels: Iterable[int]
+    ):
+        known_labels = frozenset(known_labels)
+        self._ids = sorted(known_labels)
+        super().__init__(samples, known_labels)
 
     def _checked(self, sample_id: str, scores: Mapping[int, float]) -> ScoreRow:
-        row = ScoreRow()
+        positions, values = [], []
         for label_id, score in scores.items():
             if label_id not in self.known_labels:
                 raise ValueError(f"sample {sample_id!r} scores unknown label id {label_id}")
@@ -97,9 +123,11 @@ class ScoreSet(SampleTable):
                 raise ValueError(
                     f"sample {sample_id!r} label {label_id} score {score!r} outside [0, 1]"
                 )
-            row.labels.append(label_id)
-            row.scores.append(score)
-        return row
+            positions.append(bisect_left(self._ids, label_id))
+            values.append(score)
+        return ScoreRow(
+            self._ids, array(_position_code(self._ids), positions), array("d", values)
+        )
 
     def scores_for(self, sample_id: str) -> Mapping[int, float]:
         return self._index[sample_id]
@@ -121,70 +149,99 @@ def parse_scores(stream: IO[str], catalog: LabelCatalog) -> ScoreSet:
     Only that row loop raises errors, so each keeps its message, its line and
     its place in file order.
 
-    Each sample's cells are appended to its :class:`ScoreRow` in file order;
-    no per-sample dict is built, and each row does the same work whatever
-    order the file is in. Repeated cells are looked for once the rows are
-    read (or when a row fails, so the first error in the file is the one
-    reported), one sample at a time; only when one is found is the file read
-    again, to name its line. Both re-reads need a stream that can seek."""
+    Each sample's cells are added to its :class:`ScoreRow` in file order, a
+    run of consecutive rows of one sample at a time; no per-sample dict is
+    built. Repeated cells are looked for once the rows are read (or when a
+    row fails, so the first error in the file is the one reported), one
+    sample at a time; only when one is found is the file read again, to
+    name its line. Both re-reads need a stream that can seek."""
     source = getattr(stream, "name", "<scores>")
     start = stream.tell()
-    # Each id maps to the catalog's own int object, so the parsed cells share
-    # those few thousand ints instead of holding one new int per row. An id
-    # cell in canonical form (str(id)) resolves in one lookup; any other
+    # Every row shares the catalog's ascending id list, whose int objects are
+    # the catalog's own, and stores positions in it. An id cell in canonical
+    # form (str(id)) resolves to its position in one lookup; any other
     # spelling (" 5", "05", "٥") goes through int(), which accepts or rejects it.
-    known = {label_id: label_id for label_id in catalog.ids()}
-    by_text = {str(label_id): label_id for label_id in known}
-    samples = _read_blocks(stream, by_text)
+    ids = [record.id for record in catalog]
+    position = {label_id: at for at, label_id in enumerate(ids)}
+    by_text = {str(label_id): at for label_id, at in position.items()}
+    samples = _read_blocks(stream, ids, by_text)
     if samples is None:
         stream.seek(start)
         samples = {}
         try:
-            _read_rows(CsvTable(stream, _SCORE_COLUMNS, source), known, by_text, samples)
+            _read_rows(CsvTable(stream, _SCORE_COLUMNS, source), ids, position, by_text, samples)
         except ParseError:
             _reject_duplicates(samples, stream, start, source)
             raise
     _reject_duplicates(samples, stream, start, source)
-    return ScoreSet._trusted(samples, frozenset(known))
+    return ScoreSet._trusted(samples, catalog.ids())
 
 
-def _read_blocks(stream: IO[str], by_text: dict[str, int]) -> dict[str, ScoreRow] | None:
+def _read_blocks(
+    stream: IO[str], ids: list[int], by_text: dict[str, int]
+) -> dict[str, ScoreRow] | None:
     """The rows of a plain score file, read a block at a time; None at the
     first block that is not plain or holds a cell that is not a canonical
-    known id or a score in [0, 1], or that cannot be read at all."""
+    known id or a score in [0, 1], or that cannot be read at all.
+
+    Each run of consecutive rows of one sample is added to its row with one
+    call per column, and a sample's first run sizes its arrays exactly. A
+    block whose runs average under two rows, as in a file sorted by label,
+    is added a row at a time instead, which costs less per row there."""
     samples: dict[str, ScoreRow] = {}
+    code = _position_code(ids)
     try:
         for sids, raw_labels, raw_scores in plain_blocks(stream, _SCORE_COLUMNS):
-            labels = list(map(by_text.get, raw_labels))
+            positions = list(map(by_text.get, raw_labels))
             scores = list(map(float, raw_scores))
             total = sum(scores)  # NaN if any score is NaN
-            if None in labels or total != total or min(scores) < 0.0 or max(scores) > 1.0:
+            if None in positions or total != total or min(scores) < 0.0 or max(scores) > 1.0:
                 return None
-            for sid, label_id, score in zip(sids, labels, scores):
-                held = samples.get(sid)
+            # Where each run ends: after every row whose next row has another sample.
+            ends = [*compress(count(1), map(ne, islice(sids, 1, None), sids)), len(sids)]
+            if 2 * len(ends) > len(sids):
+                for sid, at, score in zip(sids, positions, scores):
+                    held = samples.get(sid)
+                    if held is None:
+                        samples[sid] = held = ScoreRow(ids, array(code), array("d"))
+                    held.positions.append(at)
+                    held.scores.append(score)
+                continue
+            begin = 0
+            for end in ends:
+                held = samples.get(sids[begin])
                 if held is None:
-                    samples[sid] = held = ScoreRow()
-                held.labels.append(label_id)
-                held.scores.append(score)
+                    samples[sids[begin]] = ScoreRow(
+                        ids, array(code, positions[begin:end]), array("d", scores[begin:end])
+                    )
+                else:
+                    held.positions.fromlist(positions[begin:end])
+                    held.scores.fromlist(scores[begin:end])
+                begin = end
     except ValueError:  # not plain CSV, a bad score or an undecodable byte
         return None
     return samples
 
 
 def _read_rows(
-    table: CsvTable, known: dict[int, int], by_text: dict[str, int], samples: dict[str, ScoreRow]
+    table: CsvTable,
+    ids: list[int],
+    position: dict[int, int],
+    by_text: dict[str, int],
+    samples: dict[str, ScoreRow],
 ) -> None:
     """Append the rows of any score file to ``samples`` one at a time,
     raising at the physical line of the first invalid row."""
+    code = _position_code(ids)
     for sid, raw_label, raw_score in table:
-        label_id = by_text.get(raw_label)
-        if label_id is None:
+        at = by_text.get(raw_label)
+        if at is None:
             try:
                 number = int(raw_label)
             except ValueError:
                 raise table.error(f"bad attribute id {raw_label!r}") from None
-            label_id = known.get(number)
-            if label_id is None:
+            at = position.get(number)
+            if at is None:
                 raise table.error(f"unknown label id {number}")
         try:
             score = float(raw_score)
@@ -194,8 +251,8 @@ def _read_rows(
             raise table.error(f"score {score!r} outside [0, 1]")
         held = samples.get(sid)
         if held is None:
-            samples[sid] = held = ScoreRow()
-        held.labels.append(label_id)
+            samples[sid] = held = ScoreRow(ids, array(code), array("d"))
+        held.positions.append(at)
         held.scores.append(score)
 
 
@@ -207,14 +264,14 @@ def _reject_duplicates(
     would: the rows are read again from ``start`` up to that cell."""
     repeats = {}  # sample id -> index of its first repeated cell
     for sid, held in samples.items():
-        labels = held.labels
-        if len(set(labels)) < len(labels):
+        positions = held.positions
+        if len(set(positions)) < len(positions):
             seen: set[int] = set()
-            for index, label_id in enumerate(labels):
-                if label_id in seen:
+            for index, at in enumerate(positions):
+                if at in seen:
                     repeats[sid] = index
                     break
-                seen.add(label_id)
+                seen.add(at)
     if not repeats:
         return
     stream.seek(start)
@@ -224,7 +281,8 @@ def _reject_duplicates(
     for sid, _ in table:
         if sid in counts:
             if counts[sid] == repeats[sid]:
-                label_id = samples[sid].labels[repeats[sid]]
+                held = samples[sid]
+                label_id = held.ids[held.positions[repeats[sid]]]
                 raise table.error(f"duplicate score for sample {sid!r}, label {label_id}")
             counts[sid] += 1
 
@@ -240,11 +298,14 @@ class PredictionView(AnnotationSet):
         self._index, self.known_labels, self._predict = index, known_labels, predict
 
     def labels_for(self, sample_id: str) -> frozenset[int]:
-        return self._predict(sample_id, super().labels_for(sample_id))
+        return self._predict(sample_id, self._stored(sample_id))
 
     def __iter__(self) -> Iterator[tuple[str, frozenset[int]]]:
         predict = self._predict
         return ((sid, predict(sid, value)) for sid, value in self._index.items())
+
+    def _rows(self) -> Iterator[tuple[str, tuple[int, ...]]]:
+        return ((sid, tuple(sorted(labels))) for sid, labels in self)
 
 
 def threshold(
@@ -258,9 +319,8 @@ def threshold(
     set, so only missing and repeated ``sample_ids`` are checked.
 
     The result is a :class:`PredictionView` over the score rows, so each read
-    of a sample builds its predictions again. The reports, the exclusion view
-    and ``write_annotations`` read each sample once; ``compute_stats`` reads
-    it three times."""
+    of a sample builds its predictions again. The reports, the exclusion view,
+    ``write_annotations`` and ``compute_stats`` read each sample once."""
     _check_decision_threshold(decision_threshold)
     wanted = list(sample_ids)
     _require_scored(scores, wanted)

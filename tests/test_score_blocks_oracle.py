@@ -5,6 +5,7 @@ ParseError message at the same line."""
 import csv
 import io
 import random
+from array import array
 from unittest import mock
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from labelkit import csvio, metrics
 from labelkit.csvio import CsvTable
 from labelkit.errors import ParseError
-from labelkit.metrics import ScoreRow, ScoreSet, _reject_duplicates, parse_scores
+from labelkit.metrics import ScoreSet, parse_scores
 from conftest import build_catalog
 
 CATALOG = build_catalog()
@@ -21,8 +22,46 @@ DEFAULT_LIMIT = csv.field_size_limit()
 
 
 # ---------------------------------------------------------------------------
-# Oracle: parse_scores as it was before the block reader, verbatim. It reads
-# every file one row at a time.
+# Oracle: parse_scores as it was before the block reader, verbatim, with the
+# score row and duplicate check of that time. It reads every file one row at
+# a time.
+
+
+class PlainRow:
+    """A score row as it was: a list of label ids and an ``array('d')``."""
+
+    __slots__ = ("labels", "scores")
+
+    def __init__(self):
+        self.labels = []
+        self.scores = array("d")
+
+    def __iter__(self):
+        return iter(self.labels)
+
+
+def _reject_duplicates(samples, stream, start, source):
+    repeats = {}  # sample id -> index of its first repeated cell
+    for sid, held in samples.items():
+        labels = held.labels
+        if len(set(labels)) < len(labels):
+            seen = set()
+            for index, label_id in enumerate(labels):
+                if label_id in seen:
+                    repeats[sid] = index
+                    break
+                seen.add(label_id)
+    if not repeats:
+        return
+    stream.seek(start)
+    table = CsvTable(stream, ("id", "attribute_id"), source)
+    counts = dict.fromkeys(repeats, 0)
+    for sid, _ in table:
+        if sid in counts:
+            if counts[sid] == repeats[sid]:
+                label_id = samples[sid].labels[repeats[sid]]
+                raise table.error(f"duplicate score for sample {sid!r}, label {label_id}")
+            counts[sid] += 1
 
 
 def row_loop_parse_scores(stream, catalog):
@@ -51,7 +90,7 @@ def row_loop_parse_scores(stream, catalog):
                 raise table.error(f"score {score!r} outside [0, 1]")
             held = samples.get(sid)
             if held is None:
-                samples[sid] = held = ScoreRow()
+                samples[sid] = held = PlainRow()
             held.labels.append(label_id)
             held.scores.append(score)
     except ParseError:
@@ -80,7 +119,7 @@ def outcome(parse, data, catalog=CATALOG, block_size=None, limit=DEFAULT_LIMIT):
         return ("undecodable",)  # the CLI names the file and line from the bytes
     finally:
         csv.field_size_limit(DEFAULT_LIMIT)
-    rows = [(sid, row.labels, row.scores.tobytes()) for sid, row in scores]
+    rows = [(sid, list(row), row.scores.tobytes()) for sid, row in scores]
     return ("ok", rows, scores.known_labels)
 
 
