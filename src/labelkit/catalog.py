@@ -13,7 +13,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import IO, Iterable, Iterator
+from typing import IO, Collection, Iterable, Iterator
 
 from .csvio import CsvTable, csv_writer
 
@@ -187,13 +187,13 @@ class AnnotationSet(SampleTable):
     """Ordered sample -> label-id-set mapping. Every label of a sample must
     belong to ``known_labels``; the constructor checks this.
 
-    Each sample is stored as an ascending ``tuple`` of its label ids, which
-    costs 8 bytes a label where a ``frozenset`` of five or more costs a
-    728-byte table; :func:`parse_annotations` fills the tuples with the
-    catalog's own int objects. :meth:`labels_for` and iteration build a
-    ``frozenset`` each time a sample is read (late materialization); the
-    frequency, statistics and writer functions here and the cleanse
-    transforms read the tuples themselves (:meth:`_rows`).
+    Each sample is stored as a ``tuple`` of its distinct label ids, in no
+    particular order, which costs 8 bytes a label where a ``frozenset`` of
+    five or more costs a 728-byte table; :func:`parse_annotations` fills
+    the tuples with the catalog's own int objects. :meth:`labels_for` and
+    iteration build a ``frozenset`` each time a sample is read (late
+    materialization); the frequency, statistics and writer functions here
+    and the cleanse transforms read the tuples themselves (:meth:`_rows`).
     :func:`parse_annotations` checks every id while reading, with file and
     line, and adopts its rows without a second pass.
     """
@@ -205,7 +205,7 @@ class AnnotationSet(SampleTable):
                 f"sample {sample_id!r} references unknown label ids "
                 f"{sorted(labels - self.known_labels)}"
             )
-        return tuple(sorted(labels))
+        return tuple(labels)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AnnotationSet):
@@ -222,9 +222,9 @@ class AnnotationSet(SampleTable):
         except KeyError:
             raise KeyError(f"unknown sample id {sample_id!r}") from None
 
-    def _rows(self) -> Iterable[tuple[str, tuple[int, ...]]]:
-        """``(sample id, ascending tuple of its labels)`` in sample order,
-        with no set built."""
+    def _rows(self) -> Iterable[tuple[str, Collection[int]]]:
+        """``(sample id, its distinct labels)`` in sample order, as they are
+        stored, with no set built."""
         return self._index.items()
 
     def labels_for(self, sample_id: str) -> frozenset[int]:
@@ -340,7 +340,7 @@ def parse_annotations(
                     sample_id,
                 )
             labels.add(label_id)
-        samples[sample_id] = tuple(sorted(labels))
+        samples[sample_id] = tuple(labels)
     return AnnotationSet._trusted(samples, known)
 
 
@@ -349,7 +349,8 @@ def write_annotations(annotations: AnnotationSet, stream: IO[str]) -> None:
     writer = csv_writer(stream)
     writer.writerow(["id", "attribute_ids"])
     writer.writerows(
-        (sample_id, " ".join(map(str, labels))) for sample_id, labels in annotations._rows()
+        (sample_id, " ".join(map(str, sorted(labels))))
+        for sample_id, labels in annotations._rows()
     )
 
 
@@ -357,13 +358,14 @@ def compute_stats(annotations: AnnotationSet, catalog: LabelCatalog) -> CorpusSt
     """Exact corpus statistics: label frequencies, the labels-per-sample
     histogram with its (lower) median, and per-category sample coverage,
     from one read of each sample."""
-    rows = [labels for _, labels in annotations._rows()]
-    frequency = Counter(chain.from_iterable(rows))
-    histogram = Counter(map(len, rows))
     category_of = {r.id: r.category for r in catalog}
-    cat_coverage = Counter(
-        chain.from_iterable({category_of[i] for i in labels} for labels in rows)
-    )
+    frequency: Counter[int] = Counter()
+    histogram: Counter[int] = Counter()
+    cat_coverage: Counter[str] = Counter()
+    for _, labels in annotations._rows():
+        frequency.update(labels)
+        histogram[len(labels)] += 1
+        cat_coverage.update({category_of[i] for i in labels})
 
     return CorpusStats(
         n_samples=len(annotations),

@@ -612,7 +612,7 @@ def propagate_supercategories(
             if sups:
                 extra |= sups
         extra.difference_update(labels)
-        return tuple(sorted(extra.union(labels))) if extra else labels
+        return (*labels, *extra) if extra else tuple(labels)
 
     # The closure's labels passed the unknown-label check above.
     return AnnotationSet._trusted(

@@ -14,7 +14,7 @@ thread; :func:`graph_fbeta_report` accepts ``threads`` for compatibility,
 and it has no effect.
 
 A parsed score set keeps each sample's scores as two C arrays in file
-order (:class:`ScoreRow`: an ``array('H')`` of positions in the
+order (:class:`ScoreRow`: an ``array('I')`` of positions in the
 catalog's ascending id list, which every row shares, and an ``array('d')``
 of scores), the CSR sparse layout split by sample with its labels
 dictionary-encoded, rather than a dict per sample. Readers use its mapping
@@ -34,8 +34,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
-from itertools import compress, count, islice
-from operator import ne
+from itertools import compress, repeat
+from operator import ge
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .catalog import AnnotationSet, LabelCatalog, SampleTable
@@ -54,25 +54,19 @@ NAN = float("nan")
 # Scores and thresholding
 
 
-def _position_code(ids: list[int]) -> str:
-    """The ``array`` typecode of positions in ``ids``: 2 bytes each while
-    they fit (a catalog of up to 65,536 labels), else 4."""
-    return "H" if len(ids) <= 1 << 16 else "I"
-
-
 class ScoreRow(Mapping):
     """One sample's scores as two C arrays in file order: ``positions``
     holds each label's position in ``ids``, the ascending list of label ids
     that every row of a score set shares (a parsed row shares the catalog's
-    own int objects), as an ``array('H')`` (``'I'`` for a catalog of more
-    than 65,536 labels), and ``scores`` the matching scores as C doubles in
-    an ``array('d')``. A cell costs 10 bytes, where a dict entry and its
-    float object cost about 70 (dictionary encoding, as in column stores);
-    the arrays of a parsed sample whose rows follow one another in the file
-    are sized exactly. Iteration and :meth:`items` map the positions back
-    through ``ids``, so readers get the label ids; a lookup by label bisects
-    ``ids`` and scans the positions, which suits the few dozen labels a
-    sample holds."""
+    own int objects), as 4-byte unsigned ints in an ``array('I')``, and
+    ``scores`` the matching scores as C doubles in an ``array('d')``. A cell
+    costs 12 bytes, where a dict entry and its float object cost about 70
+    (dictionary encoding, as in column stores); ``'I'`` rather than ``'H'``
+    because its ``append`` takes half the time. Iteration and :meth:`items`
+    map the positions back through ``ids``, so readers get the label ids;
+    :meth:`labels_at_least` looks at the scores first and maps only the
+    positions it keeps. A lookup by label bisects ``ids`` and scans the
+    positions, which suits the few dozen labels a sample holds."""
 
     __slots__ = ("ids", "positions", "scores")
 
@@ -97,6 +91,11 @@ class ScoreRow(Mapping):
 
     def items(self) -> Iterator[tuple[int, float]]:
         return zip(map(self.ids.__getitem__, self.positions), self.scores)
+
+    def labels_at_least(self, cut: float) -> Iterator[int]:
+        """The labels scored at least ``cut``, in row order."""
+        kept = compress(self.positions, map(ge, self.scores, repeat(cut)))
+        return map(self.ids.__getitem__, kept)
 
 
 class ScoreSet(SampleTable):
@@ -125,9 +124,7 @@ class ScoreSet(SampleTable):
                 )
             positions.append(bisect_left(self._ids, label_id))
             values.append(score)
-        return ScoreRow(
-            self._ids, array(_position_code(self._ids), positions), array("d", values)
-        )
+        return ScoreRow(self._ids, array("I", positions), array("d", values))
 
     def scores_for(self, sample_id: str) -> Mapping[int, float]:
         return self._index[sample_id]
@@ -149,12 +146,12 @@ def parse_scores(stream: IO[str], catalog: LabelCatalog) -> ScoreSet:
     Only that row loop raises errors, so each keeps its message, its line and
     its place in file order.
 
-    Each sample's cells are added to its :class:`ScoreRow` in file order, a
-    run of consecutive rows of one sample at a time; no per-sample dict is
-    built. Repeated cells are looked for once the rows are read (or when a
-    row fails, so the first error in the file is the one reported), one
-    sample at a time; only when one is found is the file read again, to
-    name its line. Both re-reads need a stream that can seek."""
+    Each sample's cells are appended to its :class:`ScoreRow` in file order;
+    no per-sample dict is built, and each row does the same work whatever
+    order the file is in. Repeated cells are looked for once the rows are
+    read (or when a row fails, so the first error in the file is the one
+    reported), one sample at a time; only when one is found is the file read
+    again, to name its line. Both re-reads need a stream that can seek."""
     source = getattr(stream, "name", "<scores>")
     start = stream.tell()
     # Every row shares the catalog's ascending id list, whose int objects are
@@ -182,14 +179,8 @@ def _read_blocks(
 ) -> dict[str, ScoreRow] | None:
     """The rows of a plain score file, read a block at a time; None at the
     first block that is not plain or holds a cell that is not a canonical
-    known id or a score in [0, 1], or that cannot be read at all.
-
-    Each run of consecutive rows of one sample is added to its row with one
-    call per column, and a sample's first run sizes its arrays exactly. A
-    block whose runs average under two rows, as in a file sorted by label,
-    is added a row at a time instead, which costs less per row there."""
+    known id or a score in [0, 1], or that cannot be read at all."""
     samples: dict[str, ScoreRow] = {}
-    code = _position_code(ids)
     try:
         for sids, raw_labels, raw_scores in plain_blocks(stream, _SCORE_COLUMNS):
             positions = list(map(by_text.get, raw_labels))
@@ -197,27 +188,12 @@ def _read_blocks(
             total = sum(scores)  # NaN if any score is NaN
             if None in positions or total != total or min(scores) < 0.0 or max(scores) > 1.0:
                 return None
-            # Where each run ends: after every row whose next row has another sample.
-            ends = [*compress(count(1), map(ne, islice(sids, 1, None), sids)), len(sids)]
-            if 2 * len(ends) > len(sids):
-                for sid, at, score in zip(sids, positions, scores):
-                    held = samples.get(sid)
-                    if held is None:
-                        samples[sid] = held = ScoreRow(ids, array(code), array("d"))
-                    held.positions.append(at)
-                    held.scores.append(score)
-                continue
-            begin = 0
-            for end in ends:
-                held = samples.get(sids[begin])
+            for sid, at, score in zip(sids, positions, scores):
+                held = samples.get(sid)
                 if held is None:
-                    samples[sids[begin]] = ScoreRow(
-                        ids, array(code, positions[begin:end]), array("d", scores[begin:end])
-                    )
-                else:
-                    held.positions.fromlist(positions[begin:end])
-                    held.scores.fromlist(scores[begin:end])
-                begin = end
+                    samples[sid] = held = ScoreRow(ids, array("I"), array("d"))
+                held.positions.append(at)
+                held.scores.append(score)
     except ValueError:  # not plain CSV, a bad score or an undecodable byte
         return None
     return samples
@@ -232,7 +208,6 @@ def _read_rows(
 ) -> None:
     """Append the rows of any score file to ``samples`` one at a time,
     raising at the physical line of the first invalid row."""
-    code = _position_code(ids)
     for sid, raw_label, raw_score in table:
         at = by_text.get(raw_label)
         if at is None:
@@ -251,7 +226,7 @@ def _read_rows(
             raise table.error(f"score {score!r} outside [0, 1]")
         held = samples.get(sid)
         if held is None:
-            samples[sid] = held = ScoreRow(ids, array(code), array("d"))
+            samples[sid] = held = ScoreRow(ids, array("I"), array("d"))
         held.positions.append(at)
         held.scores.append(score)
 
@@ -304,8 +279,8 @@ class PredictionView(AnnotationSet):
         predict = self._predict
         return ((sid, predict(sid, value)) for sid, value in self._index.items())
 
-    def _rows(self) -> Iterator[tuple[str, tuple[int, ...]]]:
-        return ((sid, tuple(sorted(labels))) for sid, labels in self)
+    def _rows(self) -> Iterator[tuple[str, frozenset[int]]]:
+        return iter(self)
 
 
 def threshold(
@@ -331,6 +306,9 @@ def threshold(
         index[sid] = scores.scores_for(sid)
 
     def predict(_: str, row: Mapping[int, float]) -> frozenset[int]:
+        if type(row) is ScoreRow:
+            return frozenset(row.labels_at_least(decision_threshold))
+        # A table adopted over plain dicts, the layout tests compare against.
         return frozenset({label for label, score in row.items() if score >= decision_threshold})
 
     return PredictionView(index, scores.known_labels, predict)

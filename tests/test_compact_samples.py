@@ -1,8 +1,8 @@
 """The compact sample stores against the plain containers they replaced,
 and what they cost.
 
-An :class:`AnnotationSet` stores each sample as an ascending tuple and
-builds a frozenset when a sample is read; the oracle is an ordered dict of
+An :class:`AnnotationSet` stores each sample as a tuple of its distinct
+labels and builds a frozenset when a sample is read; the oracle is an ordered dict of
 frozensets, read by the readers as they were when sets were stored. A
 :class:`ScoreRow` stores positions in a shared ascending id list; the oracle
 is a plain dict. Every way a set is built is covered: the constructor,
@@ -85,11 +85,11 @@ def oracle_text(rows: dict) -> str:
 
 def assert_reads_as(table: AnnotationSet, rows: dict, catalog: LabelCatalog) -> None:
     """``table`` reads as the ordered dict of frozensets ``rows`` through
-    every reader and, unless it is a view, stores each sample as an
-    ascending tuple."""
+    every reader and, unless it is a view, stores each sample as a tuple of
+    distinct labels."""
     if type(table) is AnnotationSet:
         stored = table._index.values()
-        assert all(type(v) is tuple and list(v) == sorted(set(v)) for v in stored)
+        assert all(type(v) is tuple and len(v) == len(set(v)) for v in stored)
     assert list(table) == list(rows.items())
     assert all(type(labels) is frozenset for _, labels in table)
     assert len(table) == len(rows) and table.sample_ids() == list(rows)
@@ -259,7 +259,7 @@ def test_propagate_supercategories_reads_as_frozensets(rows, edges):
 @example(rows={"a": {9: 0.5, 2: 0.5, 17: 0.5}}, cut=0.5, edges=[(1, 9)])
 def test_prediction_views_read_as_frozensets(rows, cut, edges):
     # A view stores score rows and builds its sets when read; the readers
-    # that walk stored tuples get its labels in ascending order too.
+    # that walk stored samples read those sets.
     view = threshold(ScoreSet(rows.items(), KNOWN), cut, list(rows))
     want = {
         sid: frozenset(label for label, score in cells.items() if score >= cut)
@@ -290,6 +290,8 @@ def assert_mapping_as(row, cells: dict, probes) -> None:
     assert row == cells and cells == row
     assert list(row) == list(cells) and list(row.items()) == list(cells.items())
     assert len(row) == len(cells)
+    for cut in (0.0, 0.25, 0.5, 1.0):
+        assert list(row.labels_at_least(cut)) == [k for k, v in cells.items() if v >= cut]
     for key in probes:
         assert (key in row) == (key in cells)
         assert row.get(key) == cells.get(key) and row.get(key, -1.0) == cells.get(key, -1.0)
@@ -316,7 +318,7 @@ def test_score_row_reads_as_a_dict(known, data):
         )
     probes = [*ids, ids[0] - 1, ids[-1] + 1, -1, 1.5, "x", None]
     row = ScoreSet([("a", cells)], known).scores_for("a")
-    assert row.ids == ids and row.positions.typecode == "H"
+    assert row.ids == ids and row.positions.typecode == "I"
     assert_mapping_as(row, cells, probes)
 
     catalog = wide_catalog(ids)
@@ -332,23 +334,23 @@ def test_score_row_reads_as_a_dict(known, data):
         assert "a" not in parsed
 
 
-@pytest.mark.parametrize("n_labels, code", [(65_536, "H"), (65_537, "I")])
-def test_positions_widen_past_65536_labels(n_labels, code):
+@pytest.mark.parametrize("n_labels", [65_536, 65_537])
+def test_positions_hold_catalogs_past_65536_labels(n_labels):
     ids = list(range(0, 3 * n_labels, 3))
     cells = {ids[-1]: 0.25, ids[0]: 1.0, ids[1000]: 0.5}
     row = ScoreSet([("a", cells)], ids).scores_for("a")
-    assert row.positions.typecode == code
+    assert row.positions.typecode == "I"
     assert_mapping_as(row, cells, [ids[-1], ids[-1] + 1, ids[1001]])
 
     catalog = wide_catalog(ids)
     text = "id,attribute_id,score\n" + "".join(f"a,{i},{s!r}\n" for i, s in cells.items())
     row = parse_scores(io.StringIO(text), catalog).scores_for("a")
-    assert row.positions.typecode == code and list(row.positions) == [n_labels - 1, 0, 1000]
+    assert row.positions.typecode == "I" and list(row.positions) == [n_labels - 1, 0, 1000]
     assert_mapping_as(row, cells, [ids[-1], ids[-1] + 1])
     # The row loop, which a quoted cell sends the file to, stores the same.
     quoted = text.replace(f"a,{ids[0]},", f'"a",{ids[0]},')
     row = parse_scores(io.StringIO(quoted), catalog).scores_for("a")
-    assert row.positions.typecode == code and row == cells
+    assert row.positions.typecode == "I" and row == cells
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The compact score table against the plain-dict table it replaced.
 
 A parsed :class:`ScoreSet` holds one :class:`ScoreRow` per sample: an
-``array('H')`` of positions in the catalog's ascending id list and an
+``array('I')`` of positions in the catalog's ascending id list and an
 ``array('d')`` of scores. ``ScoreSet._trusted`` over plain
 ``{label: score}`` dicts is the old layout; thresholding, exclusion and the
 sweep must give equal results on both.
@@ -203,7 +203,7 @@ def test_file_is_read_again_only_for_a_duplicate():
 
 def test_score_row_is_a_mapping_over_two_columns():
     # Positions in the shared ascending id list: 5 is at 1, 2 at 0.
-    row = ScoreRow([2, 5, 9], array("H", [1, 0]), array("d", [0.75, 0.25]))
+    row = ScoreRow([2, 5, 9], array("I", [1, 0]), array("d", [0.75, 0.25]))
     assert row.scores == array("d", [0.75, 0.25])
     assert row == {5: 0.75, 2: 0.25} and {2: 0.25, 5: 0.75} == row
     assert (row[2], row.get(3), row.get(3, 0.0), 2 in row, 3 in row) == (0.25, None, 0.0, True, False)
