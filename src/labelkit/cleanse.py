@@ -68,14 +68,20 @@ def validate_plan(plan: TransformPlan, catalog: LabelCatalog) -> None:
 
     Merges must be pairwise independent (an id absorbed at most once, and
     never doubling as a survivor) so they commute. Hierarchy edges must form
-    a DAG; multiple parents are fine. ``remove_source`` is only legal for
-    splits whose every token resolves.
+    a DAG; multiple parents are fine. A label is the source of at most one
+    and-split and of at most one or-group, so each source has one image.
+    ``remove_source`` is only legal for splits whose every token resolves.
     """
     known = catalog.ids()
 
     def check_known(label_id: int, context: str) -> None:
         if label_id not in known:
             raise PlanError(f"{context} references unknown label id {label_id}")
+
+    def check_once(label_id: int, seen: set[int], repeat: str) -> None:
+        if label_id in seen:
+            raise PlanError(f"label {label_id} {repeat}")
+        seen.add(label_id)
 
     absorbed_all: set[int] = set()
     survivors: set[int] = set()
@@ -88,9 +94,7 @@ def validate_plan(plan: TransformPlan, catalog: LabelCatalog) -> None:
             check_known(label_id, "merge")
             if label_id == merge.survivor:
                 raise PlanError(f"label {label_id} cannot be merged with itself")
-            if label_id in absorbed_all:
-                raise PlanError(f"label {label_id} absorbed by two merges")
-            absorbed_all.add(label_id)
+            check_once(label_id, absorbed_all, "absorbed by two merges")
     overlap = survivors & absorbed_all
     if overlap:
         raise PlanError(
@@ -106,8 +110,10 @@ def validate_plan(plan: TransformPlan, catalog: LabelCatalog) -> None:
     supercategory_closure(plan.hierarchy_edges, transitive=False)  # the cycle check
 
     removed = {s.source for s in plan.and_splits if s.remove_source}
+    split_sources: set[int] = set()
     for split in plan.and_splits:
         check_known(split.source, "and-split")
+        check_once(split.source, split_sources, "is the source of two and-splits")
         if not split.tokens:
             raise PlanError(f"and-split of {split.source} resolves no tokens")
         for token_id in split.tokens:
@@ -127,8 +133,10 @@ def validate_plan(plan: TransformPlan, catalog: LabelCatalog) -> None:
                     "token resolves to an existing label"
                 )
 
+    group_sources: set[int] = set()
     for group in plan.or_groups:
         check_known(group.source, "or-group")
+        check_once(group.source, group_sources, "is the source of two or-groups")
         if not group.members:
             raise PlanError(f"or-group of {group.source} has no members")
         for member in group.members:
@@ -142,9 +150,7 @@ def validate_plan(plan: TransformPlan, catalog: LabelCatalog) -> None:
             raise PlanError("empty exclusion group")
         for label_id in group:
             check_known(label_id, "exclusion group")
-            if label_id in seen_exclusive:
-                raise PlanError(f"label {label_id} appears in two exclusion groups")
-            seen_exclusive.add(label_id)
+            check_once(label_id, seen_exclusive, "appears in two exclusion groups")
 
 
 def load_plan(
@@ -508,19 +514,11 @@ def classify_connectives(catalog: LabelCatalog, connective: Connective) -> Conne
 def and_splits_from_tally(tally: ConnectiveTally) -> list[AndSplit]:
     """Plan entries from an AND tally: every split contributing at least one
     resolved token; fully-resolved sources are flagged for removal."""
-    entries = []
-    for split in tally.splits:
-        resolved = split.resolved_ids
-        if not resolved:
-            continue
-        entries.append(
-            AndSplit(
-                source=split.source,
-                tokens=resolved,
-                remove_source=split.split_class is SplitClass.ALL_RESOLVED,
-            )
-        )
-    return entries
+    return [
+        AndSplit(s.source, s.resolved_ids, remove_source=s.split_class is SplitClass.ALL_RESOLVED)
+        for s in tally.splits
+        if s.resolved_ids
+    ]
 
 
 def or_groups_from_tally(tally: ConnectiveTally) -> list[OrGroup]:
@@ -542,19 +540,14 @@ def apply_merges(
     merges: Sequence[Merge],
 ) -> tuple[AnnotationSet, LabelCatalog]:
     """Rewrite absorbed labels to their survivors and drop them from the
-    catalog. Per-sample sets deduplicate naturally, so a sample carrying both
-    sides of a merge counts once afterwards."""
+    catalog: each absorbed label becomes ``(survivor,)``. Per-sample sets
+    deduplicate naturally, so a sample carrying both sides of a merge counts
+    once afterwards. Raises ``ValueError`` when ``annotations`` know a label
+    the catalog does not hold."""
     validate_plan(TransformPlan(merges=list(merges)), catalog)
-    rewrite: dict[int, int] = {}
-    for merge in merges:
-        for absorbed in merge.absorbed:
-            rewrite[absorbed] = merge.survivor
-
-    new_catalog = LabelCatalog(r for r in catalog if r.id not in rewrite)
-    new_samples = (
-        (sid, map(rewrite.get, labels, labels)) for sid, labels in annotations._rows()
-    )
-    return AnnotationSet(new_samples, new_catalog.ids()), new_catalog
+    images = {absorbed: (m.survivor,) for m in merges for absorbed in m.absorbed}
+    new_catalog = LabelCatalog(r for r in catalog if r.id not in images)
+    return _relabel(annotations, images, new_catalog.ids()), new_catalog
 
 
 def supercategory_closure(
@@ -598,26 +591,14 @@ def propagate_supercategories(
     hierarchy_edges: Iterable[tuple[int, int]],
 ) -> AnnotationSet:
     """Add every transitively implied super label to each sample carrying a
-    sub label. No labels are removed; applying twice equals applying once."""
+    sub label: a sub label becomes itself and all its ancestors. No labels
+    are removed; applying twice equals applying once."""
     closure = supercategory_closure(hierarchy_edges)
-    referenced = set(closure) | {s for sups in closure.values() for s in sups}
-    unknown = referenced - annotations.known_labels
+    unknown = set(closure).union(*closure.values()) - annotations.known_labels
     if unknown:
         raise PlanError(f"hierarchy edges reference unknown label ids {sorted(unknown)}")
-
-    def expanded(labels: tuple[int, ...]) -> tuple[int, ...]:
-        extra: set[int] = set()
-        for label in labels:
-            sups = closure.get(label)
-            if sups:
-                extra |= sups
-        extra.difference_update(labels)
-        return (*labels, *extra) if extra else tuple(labels)
-
-    # The closure's labels passed the unknown-label check above.
-    return AnnotationSet._trusted(
-        {sid: expanded(labels) for sid, labels in annotations._rows()}, annotations.known_labels
-    )
+    images = {sub: (sub, *sups) for sub, sups in closure.items()}
+    return _relabel(annotations, images, annotations.known_labels)
 
 
 def apply_and_splits(
@@ -626,28 +607,38 @@ def apply_and_splits(
     and_splits: Sequence[AndSplit],
 ) -> tuple[AnnotationSet, LabelCatalog]:
     """Label every resolved token wherever its split source is labeled, and
-    drop fully-resolved sources from the catalog and all samples. Sources of
-    partial splits stay."""
-    probe = TransformPlan(and_splits=list(and_splits))
-    validate_plan(probe, catalog)
-
-    additions: dict[int, tuple[int, ...]] = {s.source: s.tokens for s in and_splits}
+    drop fully-resolved sources from the catalog and all samples: a removed
+    source becomes its tokens, a kept one ``(source, *tokens)``. Sources of
+    partial splits stay. Raises ``ValueError`` when ``annotations`` know a
+    label the catalog does not hold."""
+    validate_plan(TransformPlan(and_splits=list(and_splits)), catalog)
+    images = {s.source: s.tokens if s.remove_source else (s.source, *s.tokens) for s in and_splits}
     removed = {s.source for s in and_splits if s.remove_source}
-
     new_catalog = LabelCatalog(r for r in catalog if r.id not in removed)
+    return _relabel(annotations, images, new_catalog.ids()), new_catalog
 
-    def transform(labels: tuple[int, ...]) -> Iterable[int]:
-        extra: set[int] = set()
-        for label in labels:
-            tokens = additions.get(label)
-            if tokens:
-                extra.update(tokens)
-        if extra or not removed.isdisjoint(labels):
-            return extra.union(labels) - removed
-        return labels
 
-    new_samples = ((sid, transform(labels)) for sid, labels in annotations._rows())
-    return AnnotationSet(new_samples, new_catalog.ids()), new_catalog
+def _relabel(
+    annotations: AnnotationSet, images: dict[int, tuple[int, ...]], known: frozenset[int]
+) -> AnnotationSet:
+    """Each sample's labels become the union of their images, a label
+    without an image staying itself. The rows are adopted over ``known``
+    without a per-row check: the plan's images lie in ``known``, and one
+    set-level check puts every other label the annotations know there too.
+    A sample whose labels come out the same keeps its stored tuple."""
+    stray = annotations.known_labels - images.keys() - known
+    if stray:
+        raise ValueError(f"annotations reference label ids outside the catalog: {sorted(stray)}")
+    rows: dict[str, tuple[int, ...]] = {}
+    for sid, labels in annotations._rows():
+        if images.keys().isdisjoint(labels):
+            rows[sid] = tuple(labels)
+            continue
+        # zip(labels) yields each label as a 1-tuple: its image when it has none.
+        new = set().union(*map(images.get, labels, zip(labels)))
+        same = len(new) == len(labels) and new.issuperset(labels)
+        rows[sid] = tuple(labels) if same else tuple(new)
+    return AnnotationSet._trusted(rows, known)
 
 
 # ---------------------------------------------------------------------------

@@ -318,8 +318,7 @@ def cmd_apply(cfg: RunConfig) -> int:
     before_labels, before_samples = len(catalog), len(annotations)
     annotations, catalog = apply_merges(annotations, catalog, plan.merges)
     annotations, catalog = apply_and_splits(annotations, catalog, plan.and_splits)
-    if plan.hierarchy_edges:
-        annotations = propagate_supercategories(annotations, plan.hierarchy_edges)
+    annotations = propagate_supercategories(annotations, plan.hierarchy_edges)
 
     out_dir = Path(cfg.out)
     write_text(_render(write_labels, catalog), out_dir / "labels.csv")
@@ -342,21 +341,27 @@ def cmd_apply(cfg: RunConfig) -> int:
     return 0
 
 
-def _build_graph(cfg: RunConfig, catalog):
-    """Graph assembly shared by graph, eval-graph, and sweep: connective
-    relations from the plan when given, otherwise derived from the catalog,
-    plus optional curated edges."""
+def _connective_relations(cfg: RunConfig, catalog, *sections: str) -> list[list]:
+    """The connective relations named in ``sections`` (``or_groups``,
+    ``and_splits``), in that order: read from the plan when --plan is
+    given, otherwise derived from the catalog's connective labels."""
     from .cleanse import and_splits_from_tally, classify_connectives, load_plan, or_groups_from_tally
-    from .relgraph import build_graph, parse_curated_edges
     from .textkit import Connective
 
     if cfg.plan:
-        plan = _read(cfg, "plan", load_plan, catalog, sections=("or_groups", "and_splits"))
-        or_groups = plan.or_groups
-        and_splits = plan.and_splits
-    else:
-        or_groups = or_groups_from_tally(classify_connectives(catalog, Connective.OR))
-        and_splits = and_splits_from_tally(classify_connectives(catalog, Connective.AND))
+        plan = _read(cfg, "plan", load_plan, catalog, sections=sections)
+        return [getattr(plan, section) for section in sections]
+    words = {"or_groups": Connective.OR, "and_splits": Connective.AND}
+    entries = {"or_groups": or_groups_from_tally, "and_splits": and_splits_from_tally}
+    return [entries[s](classify_connectives(catalog, words[s])) for s in sections]
+
+
+def _build_graph(cfg: RunConfig, catalog):
+    """Graph assembly shared by graph, eval-graph, and sweep: the connective
+    relations (:func:`_connective_relations`) plus optional curated edges."""
+    from .relgraph import build_graph, parse_curated_edges
+
+    or_groups, and_splits = _connective_relations(cfg, catalog, "or_groups", "and_splits")
     curated: list[tuple[int, int]] = []
     if cfg.graph_edges:
         curated = _read(cfg, "graph_edges", parse_curated_edges, catalog)
@@ -456,15 +461,10 @@ def cmd_eval_graph(cfg: RunConfig) -> int:
 
 
 def cmd_eval_or(cfg: RunConfig) -> int:
-    from .cleanse import classify_connectives, load_plan, or_groups_from_tally
     from .metrics import or_aware_report
-    from .textkit import Connective
 
     catalog, truth, predictions, _ = _load_eval_pair(cfg)
-    if cfg.plan:
-        or_groups = _read(cfg, "plan", load_plan, catalog, sections=("or_groups",)).or_groups
-    else:
-        or_groups = or_groups_from_tally(classify_connectives(catalog, Connective.OR))
+    (or_groups,) = _connective_relations(cfg, catalog, "or_groups")
     report = or_aware_report(
         predictions,
         truth,

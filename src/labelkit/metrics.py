@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Mapping
+from collections.abc import Collection, Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from itertools import compress, repeat
 from operator import ge
@@ -461,6 +461,16 @@ def _class_universe(known: frozenset[int], scope: Iterable[int] | None) -> list[
     return sorted(known)
 
 
+def _flat_scores(
+    tp: int, fp: int, fn: int, defined: Collection[float], cells: int, beta: float
+) -> tuple[float, float, float]:
+    """Micro F, macro F (the mean of the ``defined`` per-class F) and
+    accuracy over ``cells`` sample-class cells, from the flat totals."""
+    macro = math.fsum(defined) / len(defined) if defined else NAN
+    accuracy = (cells - fp - fn) / cells if cells else NAN
+    return fbeta(tp, fp, fn, beta), macro, accuracy
+
+
 def _finish_flat_report(
     kind: str,
     beta: float,
@@ -486,20 +496,15 @@ def _finish_flat_report(
                 n_pos += 1
             else:
                 n_zero += 1
-    macro = math.fsum(defined) / len(defined) if defined else NAN
-    total_tp = sum(tp.values())
-    total_fp = sum(fp.values())
-    total_fn = sum(fn.values())
-    micro = fbeta(total_tp, total_fp, total_fn, beta)
-    cells = n_samples * len(classes)
-    accuracy = (cells - total_fp - total_fn) / cells if cells else NAN
+    totals = {"tp": sum(tp.values()), "fp": sum(fp.values()), "fn": sum(fn.values())}
+    micro, macro, accuracy = _flat_scores(*totals.values(), defined, n_samples * len(classes), beta)
     return MetricReport(
         kind=kind,
         beta=beta,
         micro_f=micro,
         macro_f=macro,
         micro_accuracy=accuracy,
-        totals={"tp": total_tp, "fp": total_fp, "fn": total_fn},
+        totals=totals,
         n_samples=n_samples,
         n_classes=len(classes),
         per_class_f=per_class_f,
@@ -844,11 +849,14 @@ def sweep(
         total_fn -= len(hits[i])
         total_fp += len(misses[i])
         refresh({*hits[i], *misses[i]})
+        micro, macro, accuracy = _flat_scores(
+            total_tp, total_fp, total_fn, defined.values(), cells, beta
+        )
         row = {
             "threshold": grid[i],
-            "flat_micro_f": fbeta(total_tp, total_fp, total_fn, beta),
-            "flat_macro_f": math.fsum(defined.values()) / len(defined) if defined else NAN,
-            "micro_accuracy": (cells - total_fp - total_fn) / cells if cells else NAN,
+            "flat_micro_f": micro,
+            "flat_macro_f": macro,
+            "micro_accuracy": accuracy,
         }
         if graph is not None:
             graph_totals = [a + b for a, b in zip(graph_totals, graph_steps[i])]

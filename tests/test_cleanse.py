@@ -414,6 +414,10 @@ def test_validate_plan_ok(mini_catalog):
         TransformPlan(or_groups=[OrGroup(2, (2,))]),
         TransformPlan(exclusion_groups=[frozenset()]),
         TransformPlan(exclusion_groups=[frozenset({19, 20}), frozenset({20, 21})]),
+        # A repeated source: applied, only its last entry would count, while
+        # the graph would hold an edge for every entry.
+        TransformPlan(and_splits=[AndSplit(3, (4,)), AndSplit(3, (0,))]),
+        TransformPlan(or_groups=[OrGroup(2, (0,)), OrGroup(2, (1,))]),
     ],
 )
 def test_validate_plan_rejects(mini_catalog, plan):
@@ -493,8 +497,10 @@ def catalogs_with_plans(draw):
     pairs = draw(st.lists(pair, max_size=4, unique=True))
     # Edges point down the drawn order, so they form a DAG.
     hierarchy = sorted({tuple(sorted(p, key=rank.get)) for p in pairs})
-    and_splits = [AndSplit(a, (b,)) for a, b in draw(st.lists(pair, max_size=3))]
-    or_groups = [OrGroup(a, (b,)) for a, b in draw(st.lists(pair, max_size=3))]
+    # A label is the source of at most one split and one group.
+    sourced = st.lists(pair, max_size=3, unique_by=lambda p: p[0])
+    and_splits = [AndSplit(a, (b,)) for a, b in draw(sourced)]
+    or_groups = [OrGroup(a, (b,)) for a, b in draw(sourced)]
     excluded = draw(st.lists(st.sampled_from(ids), max_size=4, unique=True))
     cut = draw(st.integers(0, len(excluded)))
     exclusion_groups = [frozenset(g) for g in (excluded[:cut], excluded[cut:]) if g]

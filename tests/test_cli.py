@@ -820,6 +820,34 @@ def test_apply_rejects_malformed_plan_entries(corpus, tmp_path, capsys, doc, whe
     assert not (tmp_path / "cleaned").exists()
 
 
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        ({"and_splits": [{"source": "medium::wool and silk", "tokens": ["medium::silk"]},
+                         {"source": "medium::wool and silk", "tokens": ["medium::black"]}]},
+         "label 26 is the source of two and-splits"),
+        ({"or_groups": [{"source": "country::egypt or iraq", "members": ["country::egypt"]},
+                        {"source": "country::egypt or iraq", "members": ["country::iraq"]}]},
+         "label 2 is the source of two or-groups"),
+    ],
+)
+def test_apply_rejects_a_repeated_split_or_group_source(corpus, tmp_path, capsys, doc, error):
+    plan = tmp_path / "repeated.json"
+    plan.write_text(json.dumps(doc))
+    code = run(
+        "apply",
+        "--labels", corpus["labels"],
+        "--annotations", corpus["annotations"],
+        "--plan", plan,
+        "--out", tmp_path / "cleaned",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": error}
+    assert not (tmp_path / "cleaned").exists()
+
+
 def test_missing_required_input(corpus, capsys):
     code = run("eval", "--labels", corpus["labels"])
     assert code == 2
