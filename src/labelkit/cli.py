@@ -25,7 +25,7 @@ from .defaults import (
     DEFAULT_EPSILON,
     DEFAULT_SIMILARITY,
 )
-from .errors import LabelKitError, undecodable
+from .errors import LabelKitError, SampleMismatch, undecodable
 
 # Each subcommand imports the library modules (and the heavier stdlib ones)
 # it runs when it runs, so --version, --help and usage errors load none of
@@ -641,6 +641,8 @@ def main(argv: list[str] | None = None) -> int:
         import json
 
         message = exc.args[0] if exc.args and isinstance(exc.args[0], str) else str(exc)
+        if isinstance(exc, SampleMismatch):  # the scores or predictions against the truth
+            message = f"{cfg.scores or cfg.predictions} and {cfg.annotations}: {message}"
         sys.stderr.write(json.dumps({"error": message}) + "\n")
         return 2
     finally:

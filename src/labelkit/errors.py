@@ -50,3 +50,9 @@ class PlanError(LabelKitError):
 
 class EvalError(LabelKitError):
     """Inconsistent inputs to an evaluation operation."""
+
+
+class SampleMismatch(EvalError):
+    """Two inputs that must cover the same samples do not: scores without a
+    row for a requested sample, or predictions and truth over different ids.
+    The CLI names both files."""

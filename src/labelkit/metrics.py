@@ -13,14 +13,15 @@ Python versions and does not depend on sample order. Scoring runs in one
 thread; :func:`graph_fbeta_report` accepts ``threads`` for compatibility,
 and it has no effect.
 
-A parsed score set keeps each sample's scores as two C arrays in file
-order (:class:`ScoreRow`: an ``array('I')`` of positions in the
-catalog's ascending id list, which every row shares, and an ``array('d')``
-of scores), the CSR sparse layout split by sample with its labels
-dictionary-encoded, rather than a dict per sample. Readers use its mapping
-interface, which plain dicts share. A plain score file is parsed in blocks,
-a column at a time; any other is parsed a row at a time, and only that path
-reports errors (:func:`parse_scores`).
+A score set is one compressed sparse row (CSR) table (:class:`ScoreSet`):
+two C arrays hold every cell, an ``array('I')`` of positions in the
+catalog's ascending id list (its labels dictionary-encoded) and an
+``array('d')`` of scores, grouped by sample behind an ``array('I')`` of
+per-sample offsets. A sample's :class:`ScoreRow` is built over its cells
+only when it is read (late materialization); readers use its mapping
+interface. A plain score file is parsed in blocks, a column at a time; any
+other is parsed a row at a time, and only that path reports errors
+(:func:`parse_scores`).
 
 Predictions are not stored (late materialization, as in column stores):
 :func:`threshold` and :func:`enforce_exclusion` return a
@@ -32,16 +33,17 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
 from collections.abc import Collection, Iterator, Mapping
 from dataclasses import dataclass, field, replace
-from itertools import compress, repeat
-from operator import ge
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import ge, ne, sub
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .catalog import AnnotationSet, LabelCatalog, SampleTable
 from .csvio import CsvTable, csv_writer, plain_blocks
 from .defaults import DEFAULT_BETA
-from .errors import EvalError, ParseError
+from .errors import EvalError, ParseError, SampleMismatch
 
 if TYPE_CHECKING:
     from .cleanse import OrGroup
@@ -55,18 +57,16 @@ NAN = float("nan")
 
 
 class ScoreRow(Mapping):
-    """One sample's scores as two C arrays in file order: ``positions``
-    holds each label's position in ``ids``, the ascending list of label ids
-    that every row of a score set shares (a parsed row shares the catalog's
-    own int objects), as 4-byte unsigned ints in an ``array('I')``, and
-    ``scores`` the matching scores as C doubles in an ``array('d')``. A cell
-    costs 12 bytes, where a dict entry and its float object cost about 70
-    (dictionary encoding, as in column stores); ``'I'`` rather than ``'H'``
-    because its ``append`` takes half the time. Iteration and :meth:`items`
-    map the positions back through ``ids``, so readers get the label ids;
-    :meth:`labels_at_least` looks at the scores first and maps only the
-    positions it keeps. A lookup by label bisects ``ids`` and scans the
-    positions, which suits the few dozen labels a sample holds."""
+    """One sample's scores as two C arrays in file order, built when a
+    sample of a :class:`ScoreSet` is read: ``positions`` holds each label's
+    position in ``ids``, the ascending list of label ids that the whole
+    score set shares (a parsed set shares the catalog's own int objects),
+    as 4-byte unsigned ints in an ``array('I')``, and ``scores`` the
+    matching scores as C doubles in an ``array('d')``. Iteration and
+    :meth:`items` map the positions back through ``ids``, so readers get
+    the label ids; :meth:`labels_at_least` looks at the scores first and
+    maps only the positions it keeps. A lookup by label bisects ``ids`` and
+    scans the positions, which suits the few dozen labels a sample holds."""
 
     __slots__ = ("ids", "positions", "scores")
 
@@ -99,22 +99,55 @@ class ScoreRow(Mapping):
 
 
 class ScoreSet(SampleTable):
-    """Per-sample, per-label prediction scores in [0, 1], one :class:`ScoreRow`
-    per sample. The constructor checks every cell of each sample's mapping and
-    copies it into a new row over the ascending ``known_labels``;
-    :func:`parse_scores` validates while reading and hands its rows over
-    through :meth:`_trusted` instead. Readers go through the mapping
-    interface, so a table adopted over plain dicts works too."""
+    """Per-sample, per-label prediction scores in [0, 1], held as one
+    compressed sparse row (CSR) table. ``_positions`` (an ``array('I')`` of
+    each cell's position in ``_ids``, the ascending label ids) and
+    ``_scores`` (an ``array('d')``) hold every cell, 12 bytes each; sample
+    ``k`` owns the slots from ``_offsets[k]`` up to ``_offsets[k + 1]``,
+    and ``_index`` maps each sample id to its ``k``. A sample costs about 60
+    bytes more: its index entry, its ordinal and its offset.
+
+    When a file's rows come grouped by sample, as they are written, the
+    slots are the cells themselves and ``_order`` is None. Otherwise (a file
+    sorted by label, or shuffled) the cells stay in file order and
+    ``_order``, 4 more bytes a cell, holds the cell at each slot: grouping
+    sorts slot numbers, so no second copy of a column is held.
+    :meth:`scores_for` and iteration build a :class:`ScoreRow` over a
+    sample's cells, in file order, each time it is read.
+
+    The constructor checks every cell of each sample's mapping and appends
+    it to the table; :func:`parse_scores` validates while reading and hands
+    its table over through :meth:`_trusted` instead."""
 
     def __init__(
         self, samples: Iterable[tuple[str, Mapping[int, float]]], known_labels: Iterable[int]
     ):
         known_labels = frozenset(known_labels)
         self._ids = sorted(known_labels)
+        self._offsets, self._positions, self._scores = array("I", [0]), array("I"), array("d")
+        self._order = None
         super().__init__(samples, known_labels)
 
-    def _checked(self, sample_id: str, scores: Mapping[int, float]) -> ScoreRow:
-        positions, values = [], []
+    @classmethod
+    def _trusted(
+        cls,
+        index: dict[str, int],
+        known_labels: frozenset[int],
+        ids: list[int],
+        offsets: array,
+        positions: array,
+        scores: array,
+        order: array | None = None,
+    ) -> ScoreSet:
+        """Adopt a validated table as it is: ``index`` maps each sample id
+        to its ordinal, in ordinal order, and the arrays are the table's
+        columns, none of them copied."""
+        self = super()._trusted(index, known_labels)
+        self._ids, self._offsets, self._order = ids, offsets, order
+        self._positions, self._scores = positions, scores
+        return self
+
+    def _checked(self, sample_id: str, scores: Mapping[int, float]) -> int:
         for label_id, score in scores.items():
             if label_id not in self.known_labels:
                 raise ValueError(f"sample {sample_id!r} scores unknown label id {label_id}")
@@ -122,12 +155,29 @@ class ScoreSet(SampleTable):
                 raise ValueError(
                     f"sample {sample_id!r} label {label_id} score {score!r} outside [0, 1]"
                 )
-            positions.append(bisect_left(self._ids, label_id))
-            values.append(score)
-        return ScoreRow(self._ids, array("I", positions), array("d", values))
+            self._positions.append(bisect_left(self._ids, label_id))
+            self._scores.append(score)
+        self._offsets.append(len(self._positions))
+        return len(self._index)
 
-    def scores_for(self, sample_id: str) -> Mapping[int, float]:
-        return self._index[sample_id]
+    def _cells(self, column: array, ordinal: int) -> array:
+        """Sample ``ordinal``'s cells of ``column``, in file order."""
+        start, stop = self._offsets[ordinal], self._offsets[ordinal + 1]
+        if self._order is None:
+            return column[start:stop]
+        return array(column.typecode, map(column.__getitem__, self._order[start:stop]))
+
+    def _row(self, ordinal: int) -> ScoreRow:
+        return ScoreRow(
+            self._ids, self._cells(self._positions, ordinal), self._cells(self._scores, ordinal)
+        )
+
+    def __iter__(self) -> Iterator[tuple[str, ScoreRow]]:
+        row = self._row
+        return ((sid, row(ordinal)) for sid, ordinal in self._index.items())
+
+    def scores_for(self, sample_id: str) -> ScoreRow:
+        return self._row(self._index[sample_id])
 
 
 _SCORE_COLUMNS = ("id", "attribute_id", "score")
@@ -146,41 +196,110 @@ def parse_scores(stream: IO[str], catalog: LabelCatalog) -> ScoreSet:
     Only that row loop raises errors, so each keeps its message, its line and
     its place in file order.
 
-    Each sample's cells are appended to its :class:`ScoreRow` in file order;
-    no per-sample dict is built, and each row does the same work whatever
-    order the file is in. Repeated cells are looked for once the rows are
-    read (or when a row fails, so the first error in the file is the one
-    reported), one sample at a time; only when one is found is the file read
-    again, to name its line. Both re-reads need a stream that can seek."""
+    Both readers append the cells to one :class:`_Cells` table, a block of
+    rows at a time. Repeated cells are looked for once it is read (or when a
+    row fails, so the first error in the file is the one reported), one
+    sample at a time; only when one is found is the file read again, to
+    name its line. Both re-reads need a stream that can seek."""
     source = getattr(stream, "name", "<scores>")
     start = stream.tell()
-    # Every row shares the catalog's ascending id list, whose int objects are
+    # The table shares the catalog's ascending id list, whose int objects are
     # the catalog's own, and stores positions in it. An id cell in canonical
     # form (str(id)) resolves to its position in one lookup; any other
     # spelling (" 5", "05", "٥") goes through int(), which accepts or rejects it.
     ids = [record.id for record in catalog]
+    known = catalog.ids()
     position = {label_id: at for at, label_id in enumerate(ids)}
     by_text = {str(label_id): at for label_id, at in position.items()}
-    samples = _read_blocks(stream, ids, by_text)
-    if samples is None:
+    cells = _read_blocks(stream, by_text)
+    if cells is None:
         stream.seek(start)
-        samples = {}
+        cells = _Cells()
         try:
-            _read_rows(CsvTable(stream, _SCORE_COLUMNS, source), ids, position, by_text, samples)
-        except ParseError:
-            _reject_duplicates(samples, stream, start, source)
+            _read_rows(CsvTable(stream, _SCORE_COLUMNS, source), position, by_text, cells)
+        except ParseError:  # a repeated cell before the failing row comes first
+            _reject_duplicates(cells.table(ids, known), stream, start, source)
             raise
-    _reject_duplicates(samples, stream, start, source)
-    return ScoreSet._trusted(samples, catalog.ids())
+    scores = cells.table(ids, known)
+    _reject_duplicates(scores, stream, start, source)
+    return scores
 
 
-def _read_blocks(
-    stream: IO[str], ids: list[int], by_text: dict[str, int]
-) -> dict[str, ScoreRow] | None:
-    """The rows of a plain score file, read a block at a time; None at the
+class _Cells:
+    """The cells of a score file as it is read: both columns in file order,
+    appended a block of rows at a time, and where each sample's cells are.
+
+    While no sample id comes back after another sample's rows, a block costs
+    one step per sample: a row whose id differs from the row before begins a
+    sample, and only the cell it begins at is kept. From the first block
+    where a sample comes back (a file sorted by label, or shuffled), each
+    cell's sample ordinal is kept instead, and :meth:`table` orders the
+    slots by sample (:func:`_grouped`)."""
+
+    def __init__(self) -> None:
+        # Sample id -> ordinal, by first appearance: looking up a new id
+        # gives it the next ordinal, in C, until :meth:`table` hands it over.
+        self.index: defaultdict[str, int] = defaultdict()
+        self.index.default_factory = self.index.__len__
+        self.positions, self.scores = array("I"), array("d")
+        self._starts = array("I")  # the cell each sample begins at, while contiguous
+        self._ordinals: array | None = None  # each cell's sample, once not
+        self._last: str | None = None  # the sample id of the last row
+
+    def extend(self, sids: list[str], positions: list[int], scores: list[float]) -> None:
+        """Append one block of rows, given as columns."""
+        if not sids:
+            return
+        base = len(self.positions)
+        self.positions.extend(positions)
+        self.scores.extend(scores)
+        index = self.index
+        if self._ordinals is None:
+            begins = list(compress(count(), map(ne, sids, chain((self._last,), sids))))
+            fresh = dict.fromkeys(map(sids.__getitem__, begins))
+            if len(fresh) == len(begins) and index.keys().isdisjoint(fresh):
+                index.update(zip(fresh, count(len(index))))
+                self._starts.extend([at + base for at in begins])
+                self._last = sids[-1]
+                return
+            # A sample comes back: number the sample of every cell read so far.
+            runs = map(sub, chain(islice(self._starts, 1, None), (base,)), self._starts)
+            self._ordinals = array("I", chain.from_iterable(map(repeat, count(), runs)))
+        self._ordinals.extend(map(index.__getitem__, sids))
+
+    def table(self, ids: list[int], known_labels: frozenset[int]) -> ScoreSet:
+        """The cells read so far as a score set over the ascending ``ids``."""
+        self.index.default_factory = None  # a lookup of an unknown id fails again
+        if self._ordinals is None:
+            offsets, order = array("I", [*self._starts, len(self.positions)]), None
+        else:
+            offsets, order = _grouped(self._ordinals)
+        return ScoreSet._trusted(
+            self.index, known_labels, ids, offsets, self.positions, self.scores, order
+        )
+
+
+def _grouped(ordinals: array) -> tuple[array, array]:
+    """The CSR offsets and slot order of cells whose samples are
+    ``ordinals``, numbered by first appearance: a stable counting sort,
+    so each sample's cells keep their file order."""
+    counts = Counter(ordinals)  # in ordinal order: ordinals are first appearances
+    offsets = array("I", accumulate(counts.values(), initial=0))
+    del counts
+    order = array("I", [0]) * len(ordinals)  # the cell at each slot
+    free = offsets.tolist()  # each sample's next free slot
+    for cell, ordinal in enumerate(ordinals):
+        at = free[ordinal]
+        free[ordinal] = at + 1
+        order[at] = cell
+    return offsets, order
+
+
+def _read_blocks(stream: IO[str], by_text: dict[str, int]) -> _Cells | None:
+    """The cells of a plain score file, read a block at a time; None at the
     first block that is not plain or holds a cell that is not a canonical
     known id or a score in [0, 1], or that cannot be read at all."""
-    samples: dict[str, ScoreRow] = {}
+    cells = _Cells()
     try:
         for sids, raw_labels, raw_scores in plain_blocks(stream, _SCORE_COLUMNS):
             positions = list(map(by_text.get, raw_labels))
@@ -188,58 +307,58 @@ def _read_blocks(
             total = sum(scores)  # NaN if any score is NaN
             if None in positions or total != total or min(scores) < 0.0 or max(scores) > 1.0:
                 return None
-            for sid, at, score in zip(sids, positions, scores):
-                held = samples.get(sid)
-                if held is None:
-                    samples[sid] = held = ScoreRow(ids, array("I"), array("d"))
-                held.positions.append(at)
-                held.scores.append(score)
+            cells.extend(sids, positions, scores)
     except ValueError:  # not plain CSV, a bad score or an undecodable byte
         return None
-    return samples
+    return cells
+
+
+_ROW_BATCH = 1024  # rows the row loop appends to its _Cells at a time
 
 
 def _read_rows(
-    table: CsvTable,
-    ids: list[int],
-    position: dict[int, int],
-    by_text: dict[str, int],
-    samples: dict[str, ScoreRow],
+    table: CsvTable, position: dict[int, int], by_text: dict[str, int], cells: _Cells
 ) -> None:
-    """Append the rows of any score file to ``samples`` one at a time,
-    raising at the physical line of the first invalid row."""
-    for sid, raw_label, raw_score in table:
-        at = by_text.get(raw_label)
-        if at is None:
-            try:
-                number = int(raw_label)
-            except ValueError:
-                raise table.error(f"bad attribute id {raw_label!r}") from None
-            at = position.get(number)
+    """Append the rows of any score file to ``cells`` in batches, raising at
+    the physical line of the first invalid row once the rows before it are
+    appended."""
+    sids: list[str] = []
+    positions: list[int] = []
+    scores: list[float] = []
+    try:
+        for sid, raw_label, raw_score in table:
+            at = by_text.get(raw_label)
             if at is None:
-                raise table.error(f"unknown label id {number}")
-        try:
-            score = float(raw_score)
-        except ValueError:
-            raise table.error(f"bad score {raw_score!r}") from None
-        if not 0.0 <= score <= 1.0:  # NaN fails both comparisons, so it is rejected too
-            raise table.error(f"score {score!r} outside [0, 1]")
-        held = samples.get(sid)
-        if held is None:
-            samples[sid] = held = ScoreRow(ids, array("I"), array("d"))
-        held.positions.append(at)
-        held.scores.append(score)
+                try:
+                    number = int(raw_label)
+                except ValueError:
+                    raise table.error(f"bad attribute id {raw_label!r}") from None
+                at = position.get(number)
+                if at is None:
+                    raise table.error(f"unknown label id {number}")
+            try:
+                score = float(raw_score)
+            except ValueError:
+                raise table.error(f"bad score {raw_score!r}") from None
+            if not 0.0 <= score <= 1.0:  # NaN fails both comparisons, so it is rejected too
+                raise table.error(f"score {score!r} outside [0, 1]")
+            sids.append(sid)
+            positions.append(at)
+            scores.append(score)
+            if len(sids) == _ROW_BATCH:
+                cells.extend(sids, positions, scores)
+                sids, positions, scores = [], [], []
+    finally:
+        cells.extend(sids, positions, scores)
 
 
-def _reject_duplicates(
-    samples: dict[str, ScoreRow], stream: IO[str], start: int, source: str
-) -> None:
+def _reject_duplicates(scores: ScoreSet, stream: IO[str], start: int, source: str) -> None:
     """Raise for the first repeated (sample, label) cell in file order among
-    the rows read into ``samples``, naming its line as a check on each row
-    would: the rows are read again from ``start`` up to that cell."""
+    the cells of ``scores``, naming its line as a check on each row would:
+    the rows are read again from ``start`` up to that cell."""
     repeats = {}  # sample id -> index of its first repeated cell
-    for sid, held in samples.items():
-        positions = held.positions
+    for sid, ordinal in scores._index.items():
+        positions = scores._cells(scores._positions, ordinal)
         if len(set(positions)) < len(positions):
             seen: set[int] = set()
             for index, at in enumerate(positions):
@@ -256,8 +375,7 @@ def _reject_duplicates(
     for sid, _ in table:
         if sid in counts:
             if counts[sid] == repeats[sid]:
-                held = samples[sid]
-                label_id = held.ids[held.positions[repeats[sid]]]
+                label_id = list(scores.scores_for(sid))[repeats[sid]]
                 raise table.error(f"duplicate score for sample {sid!r}, label {label_id}")
             counts[sid] += 1
 
@@ -265,8 +383,8 @@ def _reject_duplicates(
 class PredictionView(AnnotationSet):
     """Read-only predictions, never stored: :meth:`labels_for` and iteration
     call ``predict(sample id, value)`` on every read, where ``index`` maps
-    each sample id to its source value (a score row, or a sample of another
-    set). Ids, their order, ``len`` and ``in`` are those of ``index``, which
+    each sample id to its source value (its ordinal in a score set, or a
+    sample of another set). Ids, their order, ``len`` and ``in`` are those of ``index``, which
     the view shares."""
 
     def __init__(self, index: Mapping, known_labels: frozenset[int], predict: Callable) -> None:
@@ -293,23 +411,27 @@ def threshold(
     predicts every scored label). The labels come from a validated score
     set, so only missing and repeated ``sample_ids`` are checked.
 
-    The result is a :class:`PredictionView` over the score rows, so each read
-    of a sample builds its predictions again. The reports, the exclusion view,
-    ``write_annotations`` and ``compute_stats`` read each sample once."""
+    The result is a :class:`PredictionView` over the score set's sample
+    ordinals (its own index when ``sample_ids`` are its ids in its order),
+    so each read of a sample builds its row and predictions again. The
+    reports, the exclusion view, ``write_annotations`` and ``compute_stats``
+    read each sample once."""
     _check_decision_threshold(decision_threshold)
     wanted = list(sample_ids)
     _require_scored(scores, wanted)
-    index = {}
-    for sid in wanted:
-        if sid in index:
-            raise ValueError(f"duplicate sample id {sid!r}")
-        index[sid] = scores.scores_for(sid)
+    index = scores._index
+    if wanted != list(index):
+        index = dict(zip(wanted, map(index.__getitem__, wanted)))
+        if len(index) < len(wanted):
+            seen: set[str] = set()
+            for sid in wanted:
+                if sid in seen:
+                    raise ValueError(f"duplicate sample id {sid!r}")
+                seen.add(sid)
+    row = scores._row
 
-    def predict(_: str, row: Mapping[int, float]) -> frozenset[int]:
-        if type(row) is ScoreRow:
-            return frozenset(row.labels_at_least(decision_threshold))
-        # A table adopted over plain dicts, the layout tests compare against.
-        return frozenset({label for label, score in row.items() if score >= decision_threshold})
+    def predict(_: str, ordinal: int) -> frozenset[int]:
+        return frozenset(row(ordinal).labels_at_least(decision_threshold))
 
     return PredictionView(index, scores.known_labels, predict)
 
@@ -322,7 +444,7 @@ def _check_decision_threshold(decision_threshold: float) -> None:
 def _require_scored(scores: ScoreSet, sample_ids: list[str]) -> None:
     missing = [sid for sid in sample_ids if sid not in scores]
     if missing:
-        raise EvalError(
+        raise SampleMismatch(
             f"score set has no rows for {len(missing)} requested samples "
             f"(first: {missing[0]!r})"
         )
@@ -435,15 +557,16 @@ def _aligned_sample_ids(
     sample_filter: Callable[[str], bool] | None,
 ) -> list[str]:
     truth_ids = truth.sample_ids()
-    pred_set = set(predictions.sample_ids())
-    truth_set = set(truth_ids)
-    if pred_set != truth_set:
-        missing = len(truth_set - pred_set)
-        extra = len(pred_set - truth_set)
-        raise EvalError(
-            "prediction and truth sample ids differ "
-            f"({missing} missing from predictions, {extra} extra)"
-        )
+    pred_ids = predictions.sample_ids()
+    if pred_ids != truth_ids:  # the same ids in another order still align
+        pred_set, truth_set = set(pred_ids), set(truth_ids)
+        if pred_set != truth_set:
+            missing = len(truth_set - pred_set)
+            extra = len(pred_set - truth_set)
+            raise SampleMismatch(
+                "prediction and truth sample ids differ "
+                f"({missing} missing from predictions, {extra} extra)"
+            )
     ids = sorted(truth_ids)
     if sample_filter is not None:
         ids = [sid for sid in ids if sample_filter(sid)]

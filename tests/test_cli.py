@@ -867,6 +867,46 @@ def test_scores_and_predictions_conflict(corpus, capsys):
     assert "exactly one" in json.loads(capsys.readouterr().err)["error"]
 
 
+def one_json_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    return json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_scores_missing_a_sample_names_both_files(corpus, tmp_path, capsys, command):
+    scores = tmp_path / "short_scores.csv"
+    scores.write_text("".join(line + "\n" for line in SCORES_CSV.splitlines() if "s8," not in line))
+    code = run(
+        command,
+        "--labels", corpus["labels"],
+        "--annotations", corpus["annotations"],
+        "--scores", scores,
+        "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert one_json_error(capsys) == (
+        f"{scores} and {corpus['annotations']}: "
+        "score set has no rows for 1 requested samples (first: 's8')"
+    )
+
+
+def test_predictions_over_other_samples_name_both_files(corpus, tmp_path, capsys):
+    predictions = tmp_path / "other_predictions.csv"
+    predictions.write_text(PREDICTIONS_CSV.replace("s8,", "s9,"))
+    code = run(
+        "eval",
+        "--labels", corpus["labels"],
+        "--annotations", corpus["annotations"],
+        "--predictions", predictions,
+    )
+    assert code == 2
+    assert one_json_error(capsys) == (
+        f"{predictions} and {corpus['annotations']}: "
+        "prediction and truth sample ids differ (1 missing from predictions, 1 extra)"
+    )
+
+
 def test_unknown_category_fails(corpus, capsys):
     code = run(
         "eval",

@@ -11,6 +11,7 @@ is a plain dict. Every way a set is built is covered: the constructor,
 
 import gc
 import io
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -386,6 +387,20 @@ def test_a_parsed_score_cell_costs_under_14_bytes():
     assert sum(map(len, dict(many).values())) == 160_000
     # The same samples with 40 more cells each: what one more cell costs.
     assert (many_bytes - few_bytes) / 80_000 < 14
+
+
+def test_a_parsed_score_sample_costs_under_100_bytes_beyond_its_cells_and_id():
+    # A sample of the CSR table is its index entry, its ordinal and its
+    # offset; a row of its own and two arrays cost about 250 bytes.
+    lines = ["id,attribute_id,score"]
+    for s in range(20_000):
+        for k in range(4):
+            lines.append(f"{s:016x},{1000 + (s * 7 + k * 9) % 400},{(s * k % 997) / 997!r}")
+    scores, held = traced(parse_scores, "\n".join(lines) + "\n")
+    assert len(scores) == 20_000
+    cells = 12 * 4 * len(scores)
+    ids = sum(map(sys.getsizeof, scores.sample_ids()))
+    assert (held - cells - ids) / len(scores) < 100
 
 
 def test_a_parsed_seven_label_sample_costs_under_250_bytes():

@@ -10,6 +10,8 @@ requires the same samples, in the same order, as the same immutable sets.
 
 import csv
 import io
+import operator
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,15 +54,30 @@ def test_sets_share_one_base_without_parallel_list():
     assert vars(annotations).keys() == {"known_labels", "_index"}
 
 
-@pytest.mark.parametrize("cls, value", [(AnnotationSet, frozenset({0})), (ScoreSet, {0: 0.5})])
+SCORE_COLUMNS = (array("I", [0, 1]), array("I", [0]), array("d", [0.5]))  # offsets, cells
+
+
+@pytest.mark.parametrize("cls, value", [(AnnotationSet, frozenset({0})), (ScoreSet, SCORE_COLUMNS)])
 def test_trusted_adopts_the_dict_without_copying(cls, value):
-    index = {"a": value}
-    table = cls._trusted(index, KNOWN)
+    # A score set adopts its sample index and its CSR columns; the index
+    # maps a sample id to its ordinal, and a sample is read as a row.
+    if cls is ScoreSet:
+        ids = sorted(KNOWN)
+        index = {"a": 0}
+        table = ScoreSet._trusted(index, KNOWN, ids, *value)
+        columns = table._offsets, table._positions, table._scores
+        assert table._ids is ids and all(map(operator.is_, columns, value))
+        assert next(iter(table)) == ("a", {ids[0]: 0.5})
+        public = ScoreSet([("a", {ids[0]: 0.5})], KNOWN)
+    else:
+        index = {"a": value}
+        table = cls._trusted(index, KNOWN)
+        assert next(iter(table))[1] is value
+        public = cls(index.items(), KNOWN)
     assert table._index is index
-    assert next(iter(table))[1] is value
     assert table.known_labels is KNOWN
     # The public constructor still copies.
-    assert cls(index.items(), KNOWN)._index is not index
+    assert public._index is not index and list(public) == list(table)
 
 
 def test_constructors_check_duplicates_before_values():

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from labelkit import csvio, metrics
 from labelkit.csvio import CsvTable
 from labelkit.errors import ParseError
-from labelkit.metrics import ScoreSet, parse_scores
+from labelkit.metrics import parse_scores
 from conftest import build_catalog
 
 CATALOG = build_catalog()
@@ -25,6 +25,16 @@ DEFAULT_LIMIT = csv.field_size_limit()
 # Oracle: parse_scores as it was before the block reader, verbatim, with the
 # score row and duplicate check of that time. It reads every file one row at
 # a time.
+
+
+class PlainScores:
+    """A score set as it was: the rows in a dict, iterated in file order."""
+
+    def __init__(self, samples, known_labels):
+        self.samples, self.known_labels = samples, known_labels
+
+    def __iter__(self):
+        return iter(self.samples.items())
 
 
 class PlainRow:
@@ -97,7 +107,7 @@ def row_loop_parse_scores(stream, catalog):
         _reject_duplicates(samples, stream, start, source)
         raise
     _reject_duplicates(samples, stream, start, source)
-    return ScoreSet._trusted(samples, frozenset(known))
+    return PlainScores(samples, frozenset(known))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """The compact score table against the plain-dict table it replaced.
 
-A parsed :class:`ScoreSet` holds one :class:`ScoreRow` per sample: an
-``array('I')`` of positions in the catalog's ascending id list and an
-``array('d')`` of scores. ``ScoreSet._trusted`` over plain
-``{label: score}`` dicts is the old layout; thresholding, exclusion and the
-sweep must give equal results on both.
+A parsed :class:`ScoreSet` is one CSR table and builds a :class:`ScoreRow`
+when a sample is read: an ``array('I')`` of positions in the catalog's
+ascending id list and an ``array('d')`` of scores. :class:`PlainScores`,
+one ``{label: score}`` dict per sample, is the old layout; thresholding,
+exclusion and the sweep must give equal results on both.
 """
 
 import gc
@@ -15,7 +15,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from labelkit.catalog import AnnotationSet
+from labelkit.catalog import AnnotationSet, SampleTable
 from labelkit.errors import ParseError
 from labelkit.metrics import (
     ScoreRow,
@@ -41,12 +41,32 @@ def scores_text(cells) -> str:
     )
 
 
-def plain_dicts(cells) -> ScoreSet:
+class PlainScores(SampleTable):
+    """The old layout: one dict per sample, read through the score set's
+    mapping interface."""
+
+    def scores_for(self, sample_id):
+        return self._index[sample_id]
+
+
+def plain_dicts(cells) -> PlainScores:
     """The old layout: one dict per sample, samples and cells in file order."""
     index: dict[str, dict[int, float]] = {}
     for sid, label, score in cells:
         index.setdefault(sid, {})[label] = score
-    return ScoreSet._trusted(index, KNOWN)
+    return PlainScores._trusted(index, KNOWN)
+
+
+def plain_threshold(plain: PlainScores, cut: float, wanted) -> AnnotationSet:
+    """What thresholding made of the old layout: each dict's labels scored
+    at least ``cut``."""
+    return AnnotationSet(
+        (
+            (sid, {label for label, score in plain.scores_for(sid).items() if score >= cut})
+            for sid in wanted
+        ),
+        KNOWN,
+    )
 
 
 @st.composite
@@ -93,10 +113,11 @@ def test_compact_rows_match_plain_dicts(case):
     ]
 
     t = case["decision_threshold"]
-    assert threshold(parsed, t, parsed.sample_ids()) == threshold(plain, t, plain.sample_ids())
+    every = parsed.sample_ids()
+    assert threshold(parsed, t, every) == plain_threshold(plain, t, plain.sample_ids())
     wanted = truth.sample_ids()[::-1]
     predictions = threshold(parsed, t, wanted)
-    assert predictions == threshold(plain, t, wanted)
+    assert predictions == plain_threshold(plain, t, wanted)
 
     groups = case["groups"]
     assert enforce_exclusion(predictions, parsed, groups) == enforce_exclusion(

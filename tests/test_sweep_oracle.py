@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelkit.catalog import AnnotationSet
-from labelkit.errors import EvalError
+from labelkit.errors import EvalError, SampleMismatch
 from labelkit.metrics import (
     DEFAULT_BETA,
     ScoreSet,
@@ -260,7 +260,7 @@ def _parity_corpus():
 @pytest.mark.parametrize(
     "change, expected, fragment",
     [
-        (dict(missing_sample=True), EvalError, "requested samples"),
+        (dict(missing_sample=True), SampleMismatch, "requested samples"),
         (dict(thresholds=[0.1, 1.5]), ValueError, "outside [0, 1]"),
         (dict(thresholds=[-0.1, 0.5]), ValueError, "outside [0, 1]"),
         (dict(fp_mode="bogus"), EvalError, "fp_mode"),
