@@ -5,13 +5,14 @@ Counts for the flat reports are plain integers. The graph reports credit a
 prediction from its distance ball in the graph's ball table: one walk over
 the smaller of the ball and the sample's true labels, with no per-pair
 distance lookup. A prediction with no edge needs no ball: it earns full
-credit when it is a true label and none otherwise. Per-sample graph values
-are summed left to right in ascending label order and their totals are
-correctly rounded (``math.fsum``, or the exact integer sums of
-:func:`sweep`), so a report is byte-identical across repeated runs and
-Python versions and does not depend on sample order. Scoring runs in one
-thread; :func:`graph_fbeta_report` accepts ``threads`` for compatibility,
-and it has no effect.
+credit when it is a true label and none otherwise. One helper credits each
+sample for both :func:`graph_fbeta_report` (a sweep with one grid point)
+and :func:`sweep`. Per-sample graph values are summed left to right in
+ascending label order and their totals are exact integer sums, correctly
+rounded, so a report is byte-identical across repeated runs and Python
+versions and does not depend on sample order. Scoring runs in one thread;
+:func:`graph_fbeta_report` accepts ``threads`` for compatibility, and it
+has no effect.
 
 A score set is one compressed sparse row (CSR) table (:class:`ScoreSet`):
 two C arrays hold every cell, an ``array('I')`` of positions in the
@@ -699,37 +700,6 @@ def _check_fp_mode(fp_mode: str) -> None:
         raise EvalError(f"unknown fp_mode {fp_mode!r}")
 
 
-def _add_prediction(
-    pred: int, index: dict[int, int], label_best: list[float], graph: RelationGraph
-) -> float:
-    """Credit one prediction against a sample's true labels, given as
-    ``{label: position in label_best}``: raise each label's best credit in
-    ``label_best`` and return the prediction's own best credit.
-
-    A prediction with no edge reaches only itself: it earns 1.0 if it is a
-    true label and 0.0 otherwise, and no ball is built for it. Any other is
-    credited from its ball, where only the true labels inside earn credit;
-    a label out of reach would earn 0.0, which raises no best. Graph
-    distance is symmetric, so the ball serves both sides. Intersecting the
-    two key views walks the smaller of the ball and the labels."""
-    if not graph.peers(pred):
-        j = index.get(pred)
-        if j is None:
-            return 0.0
-        label_best[j] = 1.0
-        return 1.0
-    ball = graph.ball(pred)
-    best = 0.0
-    for label in ball.keys() & index.keys():
-        credit = 1.0 / (ball[label] + 1.0)
-        j = index[label]
-        if credit > label_best[j]:
-            label_best[j] = credit
-        if credit > best:
-            best = credit
-    return best
-
-
 def _in_order_sum(values: list[float]) -> float:
     """``values`` added left to right. Not ``sum()``, which compensates its
     rounding from Python 3.12 on, and not ``math.fsum``: every caller must
@@ -740,16 +710,90 @@ def _in_order_sum(values: list[float]) -> float:
     return total
 
 
-def _graph_counts(
-    label_best: list[float], pred_best: list[float], fp_mode: str
-) -> tuple[float, float, float]:
-    """One sample's (tp, fp, fn) from the best credits of its true labels and
-    of its predictions, each list in ascending label order. Both sums run in
-    that order, so every caller gets the same floats for the same sets."""
-    tp = _in_order_sum(label_best)
-    matched = _in_order_sum(pred_best)
-    fp = matched if fp_mode == "literal" else len(pred_best) - matched
-    return tp, fp, len(label_best) - tp
+# Every finite float is an integer multiple of 2**-1074, the smallest
+# subnormal, so sums in that unit are exact.
+_EXACT_BITS = 1074
+_EXACT_ONE = 1 << _EXACT_BITS
+
+
+def _exact(value: float) -> int:
+    """``value`` in units of 2**-1074, exactly."""
+    num, den = value.as_integer_ratio()
+    return num << (_EXACT_BITS + 1 - den.bit_length())
+
+
+def _graph_steps(
+    t: frozenset[int],
+    entering: Mapping[int, Collection[int]],
+    graph: RelationGraph,
+    fp_mode: str,
+    steps: list[list[int]],
+) -> None:
+    """Add one sample's graph (tp, fp, fn) to ``steps`` as exact changes:
+    at the last index its values with nothing predicted, at index i the
+    change when the predictions ``entering[i]`` join at grid point i.
+
+    Each prediction is credited from its distance ball, where only the true
+    labels inside earn credit; graph distance is symmetric, so the ball
+    serves both sides. A prediction with no edge gets no ball: it earns 1.0
+    if it is a true label and 0.0 otherwise. tp and the matched credit are
+    summed left to right in ascending label order. A credit of 0.0 leaves
+    such a sum bit-identical, so only the predictions that earned credit are
+    held, and the sums are taken again only at a grid point where one
+    entered. fn follows tp; in "complement" mode fp counts the predictions,
+    so it changes at every step. Each group enters in ascending order, so a
+    prediction that sorts after every one held (all of the first group) is
+    appended."""
+    index = {label: j for j, label in enumerate(sorted(t))}
+    label_best = [0.0] * len(index)
+    linked = graph.linked
+    held: list[int] = []
+    held_best: list[float] = []
+    n_preds = 0
+    matched = 0.0
+    exact_tp, exact_fp, exact_fn = 0, 0, len(index) << _EXACT_BITS
+    steps[-1][2] += exact_fn
+    for i in sorted(entering, reverse=True):
+        credited = False
+        for pred in sorted(entering[i]):
+            if pred in linked:
+                ball = graph.ball(pred)
+                best = 0.0
+                for label in ball.keys() & index.keys():
+                    credit = 1.0 / (ball[label] + 1.0)
+                    j = index[label]
+                    if credit > label_best[j]:
+                        label_best[j] = credit
+                    if credit > best:
+                        best = credit
+                if best == 0.0:
+                    continue
+            elif pred in index:
+                label_best[index[pred]] = best = 1.0
+            else:
+                continue
+            credited = True
+            if held and pred < held[-1]:
+                at = bisect_left(held, pred)
+                held.insert(at, pred)
+                held_best.insert(at, best)
+            else:
+                held.append(pred)
+                held_best.append(best)
+        n_preds += len(entering[i])
+        step = steps[i]
+        if credited:
+            tp = _in_order_sum(label_best)
+            matched = _in_order_sum(held_best)
+            after_tp, after_fn = _exact(tp), _exact(len(label_best) - tp)
+            step[0] += after_tp - exact_tp
+            step[2] += after_fn - exact_fn
+            exact_tp, exact_fn = after_tp, after_fn
+        if credited or fp_mode != "literal":
+            fp = matched if fp_mode == "literal" else n_preds - matched
+            after_fp = _exact(fp)
+            step[1] += after_fp - exact_fp
+            exact_fp = after_fp
 
 
 def graph_fbeta_report(
@@ -772,10 +816,11 @@ def graph_fbeta_report(
     under which even a perfect prediction pays), "complement" charges the
     credit shortfall, which reduces to the flat report on an edgeless graph.
 
-    Each sample's credits are summed in ascending label order and the
-    per-sample tuples are totalled with ``math.fsum``, which rounds
-    correctly, so the totals do not depend on sample order. ``threads`` is
-    accepted for compatibility and must be positive; it has no effect.
+    Each sample is credited by :func:`_graph_steps` as a sweep with one grid
+    point, every prediction entering at once, and the totals are its exact
+    integer sums, correctly rounded, so they do not depend on sample order.
+    ``threads`` is accepted for compatibility and must be positive; it has
+    no effect.
     """
     _check_fp_mode(fp_mode)
     if threads < 1:
@@ -783,18 +828,11 @@ def graph_fbeta_report(
     ids = _aligned_sample_ids(predictions, truth, None)
     classes = _class_universe(predictions.known_labels | truth.known_labels, scope)
     class_set = frozenset(classes)
-    rows = []
+    steps = [[0, 0, 0], [0, 0, 0]]
     for sid in ids:
-        index = {label: j for j, label in enumerate(sorted(truth.labels_for(sid) & class_set))}
-        label_best = [0.0] * len(index)
-        pred_best = [
-            _add_prediction(pred, index, label_best, graph)
-            for pred in sorted(predictions.labels_for(sid) & class_set)
-        ]
-        rows.append(_graph_counts(label_best, pred_best, fp_mode))
-    total_tp = math.fsum(r[0] for r in rows)
-    total_fp = math.fsum(r[1] for r in rows)
-    total_fn = math.fsum(r[2] for r in rows)
+        entering = {0: predictions.labels_for(sid) & class_set}
+        _graph_steps(truth.labels_for(sid) & class_set, entering, graph, fp_mode, steps)
+    total_tp, total_fp, total_fn = ((a + b) / _EXACT_ONE for a, b in zip(steps[1], steps[0]))
     micro = fbeta(total_tp, total_fp, total_fn, beta)
     return MetricReport(
         kind="graph",
@@ -812,17 +850,6 @@ def graph_fbeta_report(
 # ---------------------------------------------------------------------------
 # Threshold sweeps
 
-# Every finite float is an integer multiple of 2**-1074, the smallest
-# subnormal, so sums in that unit are exact.
-_EXACT_BITS = 1074
-_EXACT_ONE = 1 << _EXACT_BITS
-
-
-def _exact(value: float) -> int:
-    """``value`` in units of 2**-1074, exactly."""
-    num, den = value.as_integer_ratio()
-    return num << (_EXACT_BITS + 1 - den.bit_length())
-
 
 def default_threshold_grid() -> list[float]:
     """The sweep's 64 log-spaced decision thresholds from 0.0025 to 0.5
@@ -831,54 +858,6 @@ def default_threshold_grid() -> list[float]:
     grid = [0.0025 * ratio ** (i / 63) for i in range(63)]
     grid.append(0.5)
     return grid
-
-
-def _graph_sweep_steps(
-    t: frozenset[int],
-    entering: dict[int, list[int]],
-    graph: RelationGraph,
-    fp_mode: str,
-    steps: list[list[int]],
-) -> None:
-    """Add one sample's graph (tp, fp, fn) to ``steps`` as exact changes:
-    at the last index its values with nothing predicted, at index i the
-    change when the predictions ``entering[i]`` join at grid point i.
-
-    The values are those of :func:`_graph_counts` on the predictions so far,
-    but a sum is taken again only when one of its terms can have changed.
-    tp and the matched credit are taken again only when an entering
-    prediction earned credit: only then can a label's best credit rise, and
-    a credit of 0.0 leaves an in-order sum bit-identical. fn follows tp; in
-    "complement" mode fp counts the predictions, so it changes at every
-    step."""
-    index = {label: j for j, label in enumerate(sorted(t))}
-    label_best = [0.0] * len(index)
-    preds: list[int] = []
-    pred_best: list[float] = []
-    matched = 0.0
-    exact_tp, exact_fp, exact_fn = 0, 0, _exact(float(len(label_best)))
-    steps[-1][2] += exact_fn
-    for i in sorted(entering, reverse=True):
-        credited = False
-        for pred in entering[i]:
-            at = bisect_left(preds, pred)
-            preds.insert(at, pred)
-            credit = _add_prediction(pred, index, label_best, graph)
-            pred_best.insert(at, credit)
-            credited = credited or credit > 0.0
-        step = steps[i]
-        if credited:
-            tp = _in_order_sum(label_best)
-            matched = _in_order_sum(pred_best)
-            after_tp, after_fn = _exact(tp), _exact(len(label_best) - tp)
-            step[0] += after_tp - exact_tp
-            step[2] += after_fn - exact_fn
-            exact_tp, exact_fn = after_tp, after_fn
-        if credited or fp_mode != "literal":
-            fp = matched if fp_mode == "literal" else len(pred_best) - matched
-            after_fp = _exact(fp)
-            step[1] += after_fp - exact_fp
-            exact_fp = after_fp
 
 
 def sweep(
@@ -904,9 +883,10 @@ def sweep(
     from high to low, the work at a grid point follows what changes there:
     the flat totals are kept as integers, and only the classes first
     predicted at that point have their F computed again. A sample's graph
-    sums are taken again only where an entering prediction can change them
-    (:func:`_graph_sweep_steps`). Graph totals are exact integer sums, which
-    round to the same floats as ``math.fsum``.
+    sums are taken again only where an entering prediction can change them.
+    Graph totals are exact integer sums of the per-sample steps of
+    :func:`_graph_steps`, the one helper that :func:`graph_fbeta_report`
+    credits samples with too, and are correctly rounded.
     """
     grid = sorted(thresholds) if thresholds is not None else default_threshold_grid()
     if not grid:
@@ -940,7 +920,7 @@ def sweep(
                     (hits if label in t else misses)[i].append(label)
                     entering.setdefault(i, []).append(label)
         if graph is not None:
-            _graph_sweep_steps(t, entering, graph, fp_mode, graph_steps)
+            _graph_steps(t, entering, graph, fp_mode, graph_steps)
 
     # The flat counts as they stand at the current grid point, and the F of
     # exactly the classes whose F is defined (``fbeta`` is not NaN); only

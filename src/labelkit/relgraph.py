@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from typing import IO, TYPE_CHECKING, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, KeysView
 
 from .catalog import LabelCatalog
 from .csvio import csv_errors
@@ -26,8 +26,8 @@ class RelationGraph:
     every node it reaches to its BFS hop count, the source itself at 0 (even
     off the graph), and is built on first use and kept. The graph-aware
     report credits a prediction from its ball alone, and neither it nor
-    :meth:`connected_components` asks for a ball for a label without
-    :meth:`peers`, which reaches only itself.
+    :meth:`connected_components` asks for a ball for a label outside
+    :attr:`linked`, which reaches only itself.
 
     Duplicate edges collapse (the same relation often arrives from several
     generators); self-loops are rejected because they would award distance
@@ -44,7 +44,8 @@ class RelationGraph:
                 raise ValueError(f"edge ({a}, {b}) references a node outside the graph")
             adjacency[a].add(b)
             adjacency[b].add(a)
-        self._adjacency = {node: tuple(sorted(peers)) for node, peers in adjacency.items()}
+        # Only nodes with an edge: any other reaches only itself.
+        self._adjacency = {node: tuple(sorted(peers)) for node, peers in adjacency.items() if peers}
         self._balls: dict[int, dict[int, int]] = {}
 
     @property
@@ -63,6 +64,11 @@ class RelationGraph:
     def n_edges(self) -> int:
         return sum(map(len, self._adjacency.values())) // 2
 
+    @property
+    def linked(self) -> KeysView[int]:
+        """The nodes with at least one edge."""
+        return self._adjacency.keys()
+
     def __contains__(self, node: int) -> bool:
         return node in self._nodes
 
@@ -79,7 +85,7 @@ class RelationGraph:
         if ball is not None:
             return ball
         ball = {source: 0}
-        if source in self._nodes:
+        if source in self._adjacency:
             queue = deque([source])
             while queue:
                 node = queue.popleft()
@@ -98,7 +104,7 @@ class RelationGraph:
         for node in sorted(self._nodes):
             if node in seen:
                 continue
-            reached = self.ball(node).keys() if self._adjacency[node] else (node,)
+            reached = self.ball(node).keys() if node in self._adjacency else (node,)
             seen.update(reached)
             components.append(frozenset(reached))
         components.sort(key=lambda c: (-len(c), min(c)))

@@ -15,12 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from labelkit.catalog import AnnotationSet
+from labelkit.errors import EvalError
 from labelkit.metrics import (
     DEFAULT_BETA,
     MetricReport,
     _aligned_sample_ids,
     _class_universe,
-    _graph_counts,
+    _in_order_sum,
     fbeta,
     graph_fbeta_report,
 )
@@ -100,6 +101,8 @@ def oracle_graph_counts(label_best, pred_best, fp_mode):
 def oracle_graph_fbeta_report(
     predictions, truth, graph, beta=DEFAULT_BETA, fp_mode="literal", scope=None
 ) -> MetricReport:
+    if fp_mode not in ("literal", "complement"):
+        raise EvalError(f"unknown fp_mode {fp_mode!r}")
     graph = PairwiseDistances(graph)
     ids = _aligned_sample_ids(predictions, truth, None)
     classes = _class_universe(predictions.known_labels | truth.known_labels, scope)
@@ -197,6 +200,12 @@ def case(truth_rows, pred_rows, graph, fp_mode="literal", scope=None, labels=ran
 )
 @example(case([("a", frozenset({0, 4, 7}))], [("a", frozenset({1, 2, 6}))], chain(8)))
 @example(case([("a", frozenset({0, 4, 7}))], [("a", frozenset({1, 2, 6}))], chain(8), "complement"))
+# Credits 1/3, 1/2 and 1/7 total 0.9761904761904762 correctly rounded, but
+# ...476 added left to right in either sample order.
+@example(
+    case([(sid, frozenset({0})) for sid in "abc"],
+         [("a", frozenset({2})), ("b", frozenset({1})), ("c", frozenset({6}))], chain(8))
+)
 def test_ball_credit_matches_pairwise_oracle(case):
     got = graph_fbeta_report(**case)
     want = oracle_graph_fbeta_report(**case)
@@ -216,10 +225,30 @@ def test_ball_holds_the_bfs_distances(case, source):
         assert ball.get(node, math.inf) == oracle.distance(source, node)
 
 
+# Two branches from 5: 5-3-4-10-2-0-1 and 5-11-12-13-14-6. Labels 0 to 6
+# lie 5, 6, 4, 1, 2, 0 and 5 hops from label 5.
+BRANCHES = RelationGraph(
+    [*range(7), *range(10, 15)],
+    [(5, 3), (3, 4), (4, 10), (10, 2), (2, 0), (0, 1),
+     (5, 11), (11, 12), (12, 13), (13, 14), (14, 6)],
+)
+
+
 def test_sample_sums_run_left_to_right():
     # Correctly rounded, these credits sum to 2.5095238095238095; only a
     # left-to-right float sum gives ...809, on every supported Python.
     credits = [1 / 6, 1 / 7, 1 / 5, 1 / 2, 1 / 3, 1.0, 1 / 6]
-    assert _graph_counts(credits, [], "literal")[0] == 2.509523809523809
+    assert _in_order_sum(credits) == 2.509523809523809
     assert oracle_graph_counts(credits, [], "literal")[0] == 2.509523809523809
-    assert _graph_counts([], credits, "literal")[1] == 2.509523809523809
+    assert oracle_graph_counts([], credits, "literal")[1] == 2.509523809523809
+    # Seven true labels earn those credits from one prediction, in ascending
+    # label order; seven predictions earn them from one true label.
+    labels = range(7)
+    one, seven = frozenset({5}), frozenset(labels)
+    tp = graph_fbeta_report(
+        AnnotationSet([("a", one)], labels), AnnotationSet([("a", seven)], labels), BRANCHES
+    ).totals["tp"]
+    matched = graph_fbeta_report(
+        AnnotationSet([("a", seven)], labels), AnnotationSet([("a", one)], labels), BRANCHES
+    ).totals["fp"]
+    assert tp == matched == 2.509523809523809

@@ -1,9 +1,11 @@
 """The one-pass threshold sweep against the per-threshold oracle.
 
-The oracle thresholds the scores at every grid point and runs the flat and
-graph reports on the result, which is how ``sweep`` worked before it read
-the scores once. Both must give the same rows, float for float, and raise
-the same errors.
+The oracle thresholds the scores at every grid point and runs the flat
+report and the pairwise graph oracle of ``test_graph_credit_oracle`` on the
+result, which is how ``sweep`` worked before it read the scores once. The
+graph side is not the library's ``graph_fbeta_report``, which credits samples
+through the sweep's own helper. Both must give the same rows, float for
+float, and raise the same errors.
 """
 
 import math
@@ -22,11 +24,11 @@ from labelkit.metrics import (
     _exact,
     default_threshold_grid,
     fbeta_report,
-    graph_fbeta_report,
     sweep,
     threshold,
 )
 from labelkit.relgraph import RelationGraph
+from test_graph_credit_oracle import oracle_graph_fbeta_report
 
 
 def oracle_sweep(
@@ -53,7 +55,7 @@ def oracle_sweep(
             "micro_accuracy": flat.micro_accuracy,
         }
         if graph is not None:
-            g = graph_fbeta_report(
+            g = oracle_graph_fbeta_report(
                 predictions,
                 truth,
                 graph,
