@@ -143,13 +143,17 @@ class LabelCatalog:
 
 
 class SampleTable:
-    """Ordered ``{sample id: value}`` index over the label ids of a catalog.
+    """Ordered ``{sample id: stored value}`` index over the label ids of a
+    catalog, read through one path.
 
     ``known_labels`` is the id set of the companion catalog. The constructor
     rejects repeated sample ids and runs each subclass's per-sample check,
     which returns the value to store. Code whose rows are already valid hands
     its dict over through :meth:`_trusted` instead, which neither checks nor
-    copies. Iteration yields ``(sample id, value)`` in insertion order.
+    copies. A subclass says how a stored value reads, ``_read(sample id,
+    value)``; iteration yields ``(sample id, read value)`` in stored order,
+    and :meth:`_lookup` (``labels_for``, ``scores_for``) reads one sample or
+    raises ``KeyError("unknown sample id ...")``.
     """
 
     def __init__(self, samples: Iterable[tuple[str, object]], known_labels: Iterable[int]):
@@ -170,11 +174,22 @@ class SampleTable:
     def _checked(self, sample_id: str, value):
         raise NotImplementedError
 
+    def _read(self, sample_id: str, value):
+        raise NotImplementedError
+
+    def _lookup(self, sample_id: str):
+        try:
+            value = self._index[sample_id]
+        except KeyError:
+            raise KeyError(f"unknown sample id {sample_id!r}") from None
+        return self._read(sample_id, value)
+
     def __len__(self) -> int:
         return len(self._index)
 
     def __iter__(self) -> Iterator:
-        return iter(self._index.items())
+        index = self._index
+        return zip(index, map(self._read, index, index.values()))
 
     def __contains__(self, sample_id: str) -> bool:
         return sample_id in self._index
@@ -190,12 +205,12 @@ class AnnotationSet(SampleTable):
     Each sample is stored as a ``tuple`` of its distinct label ids, in no
     particular order, which costs 8 bytes a label where a ``frozenset`` of
     five or more costs a 728-byte table; :func:`parse_annotations` fills
-    the tuples with the catalog's own int objects. :meth:`labels_for` and
-    iteration build a ``frozenset`` each time a sample is read (late
-    materialization); the frequency, statistics and writer functions here
-    and the cleanse transforms read the tuples themselves (:meth:`_rows`).
-    :func:`parse_annotations` checks every id while reading, with file and
-    line, and adopts its rows without a second pass.
+    the tuples with the catalog's own int objects. A sample reads as a
+    ``frozenset`` built each time (late materialization); the frequency,
+    statistics and writer functions here and the cleanse transforms read
+    the tuples themselves (:meth:`_rows`). :func:`parse_annotations` checks
+    every id while reading, with file and line, and adopts its rows without
+    a second pass.
     """
 
     def _checked(self, sample_id: str, labels: Iterable[int]) -> tuple[int, ...]:
@@ -207,28 +222,20 @@ class AnnotationSet(SampleTable):
             )
         return tuple(labels)
 
+    def _read(self, sample_id: str, labels: Collection[int]) -> frozenset[int]:
+        return frozenset(labels)
+
+    labels_for = SampleTable._lookup
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AnnotationSet):
             return NotImplemented
         return list(self) == list(other) and self.known_labels == other.known_labels
 
-    def __iter__(self) -> Iterator[tuple[str, frozenset[int]]]:
-        return ((sid, frozenset(labels)) for sid, labels in self._index.items())
-
-    def _stored(self, sample_id: str):
-        """The value stored for ``sample_id``, as it is."""
-        try:
-            return self._index[sample_id]
-        except KeyError:
-            raise KeyError(f"unknown sample id {sample_id!r}") from None
-
     def _rows(self) -> Iterable[tuple[str, Collection[int]]]:
         """``(sample id, its distinct labels)`` in sample order, as they are
         stored, with no set built."""
         return self._index.items()
-
-    def labels_for(self, sample_id: str) -> frozenset[int]:
-        return frozenset(self._stored(sample_id))
 
     def label_frequency(self) -> Counter[int]:
         """Positive-sample count per label id."""

@@ -160,13 +160,23 @@ def load_plan(
 ) -> TransformPlan:
     """Load a plan file. Labels are referenced by their human-readable
     "category::name" strings and resolved to ids here; unknown names are
-    hard errors.
+    hard errors. Every error names the file (``<plan>`` for a stream without
+    a name) and a bad entry's section and index, e.g. ``plan.json:
+    merges[0]: unknown label 'medium::watercolour'``.
 
     ``sections`` restricts loading to the named operation lists. A consumer
     that only needs, say, the graph relations can then read a plan against a
     catalog the plan's other sections no longer resolve against (merged or
     split-away labels).
     """
+    try:
+        return _read_plan(stream, catalog, sections)
+    except PlanError as exc:
+        raise PlanError(f"{getattr(stream, 'name', '<plan>')}: {exc}") from exc
+
+
+def _read_plan(stream: IO[str], catalog: LabelCatalog, sections) -> TransformPlan:
+    """The plan ``stream`` holds, resolved and validated."""
     try:
         doc = json.load(stream)
     except json.JSONDecodeError as exc:
@@ -184,22 +194,22 @@ def load_plan(
             raise PlanError(f"unknown plan sections requested: {', '.join(sorted(bad))}")
         doc = {k: v for k, v in doc.items() if k in wanted}
 
-    def rid(text: str, context: str) -> int:
+    def rid(text: str, where: str) -> int:
         if not isinstance(text, str):
-            raise PlanError(f"{context}: expected a label name string, got {text!r}")
+            raise PlanError(f"{where}: expected a label name string, got {text!r}")
         try:
             return catalog.resolve_name(text).id
         except KeyError as exc:
-            raise PlanError(f"{context}: {exc.args[0]}") from None
+            raise PlanError(f"{where}: {exc.args[0]}") from None
 
     def entries(section: str, *keys: str, lists: tuple[str, ...] = ()) -> list:
-        """The section's entries, checked for shape: objects holding ``keys``
-        and the list-valued ``lists``, or lists for a section without keys."""
+        """``(section[index], entry)`` pairs, each entry checked for shape: an
+        object holding ``keys`` and the list-valued ``lists``, else a list."""
         items = doc.get(section, [])
         if not isinstance(items, list):
             raise PlanError(f"{section}: expected a list, got {items!r}")
-        for index, entry in enumerate(items):
-            where = f"{section}[{index}]"
+        located = [(f"{section}[{index}]", entry) for index, entry in enumerate(items)]
+        for where, entry in located:
             if not isinstance(entry, dict if keys or lists else list):
                 shape = "an object" if keys or lists else "a list"
                 raise PlanError(f"{where}: expected {shape}, got {entry!r}")
@@ -209,42 +219,38 @@ def load_plan(
             for key in lists:
                 if not isinstance(entry[key], list):
                     raise PlanError(f"{where}: {key!r} must be a list, got {entry[key]!r}")
-        return items
+        return located
 
     plan = TransformPlan()
-    for entry in entries("merges", "survivor", lists=("absorbed",)):
+    for where, entry in entries("merges", "survivor", lists=("absorbed",)):
         plan.merges.append(
             Merge(
-                survivor=rid(entry["survivor"], "merge"),
-                absorbed=tuple(rid(t, "merge") for t in entry["absorbed"]),
+                survivor=rid(entry["survivor"], where),
+                absorbed=tuple(rid(t, where) for t in entry["absorbed"]),
             )
         )
-    for entry in entries("hierarchy_edges", "super", "sub"):
-        plan.hierarchy_edges.append(
-            (rid(entry["super"], "hierarchy edge"), rid(entry["sub"], "hierarchy edge"))
-        )
-    for index, entry in enumerate(entries("and_splits", "source", lists=("tokens",))):
+    for where, entry in entries("hierarchy_edges", "super", "sub"):
+        plan.hierarchy_edges.append((rid(entry["super"], where), rid(entry["sub"], where)))
+    for where, entry in entries("and_splits", "source", lists=("tokens",)):
         remove_source = entry.get("remove_source", False)
         if not isinstance(remove_source, bool):
-            raise PlanError(
-                f"and_splits[{index}]: 'remove_source' must be a boolean, got {remove_source!r}"
-            )
+            raise PlanError(f"{where}: 'remove_source' must be a boolean, got {remove_source!r}")
         plan.and_splits.append(
             AndSplit(
-                source=rid(entry["source"], "and-split"),
-                tokens=tuple(rid(t, "and-split") for t in entry["tokens"]),
+                source=rid(entry["source"], where),
+                tokens=tuple(rid(t, where) for t in entry["tokens"]),
                 remove_source=remove_source,
             )
         )
-    for entry in entries("or_groups", "source", lists=("members",)):
+    for where, entry in entries("or_groups", "source", lists=("members",)):
         plan.or_groups.append(
             OrGroup(
-                source=rid(entry["source"], "or-group"),
-                members=tuple(rid(t, "or-group") for t in entry["members"]),
+                source=rid(entry["source"], where),
+                members=tuple(rid(t, where) for t in entry["members"]),
             )
         )
-    for entry in entries("exclusion_groups"):
-        plan.exclusion_groups.append(frozenset(rid(t, "exclusion group") for t in entry))
+    for where, entry in entries("exclusion_groups"):
+        plan.exclusion_groups.append(frozenset(rid(t, where) for t in entry))
     validate_plan(plan, catalog)
     return plan
 

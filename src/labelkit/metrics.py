@@ -113,8 +113,9 @@ class ScoreSet(SampleTable):
     sorted by label, or shuffled) the cells stay in file order and
     ``_order``, 4 more bytes a cell, holds the cell at each slot: grouping
     sorts slot numbers, so no second copy of a column is held.
-    :meth:`scores_for` and iteration build a :class:`ScoreRow` over a
-    sample's cells, in file order, each time it is read.
+    A sample's stored value is its ordinal, and it reads as a
+    :class:`ScoreRow` over its cells, in file order, built each time it is
+    read, by :meth:`scores_for` and iteration alike.
 
     The constructor checks every cell of each sample's mapping and appends
     it to the table; :func:`parse_scores` validates while reading and hands
@@ -168,17 +169,12 @@ class ScoreSet(SampleTable):
             return column[start:stop]
         return array(column.typecode, map(column.__getitem__, self._order[start:stop]))
 
-    def _row(self, ordinal: int) -> ScoreRow:
+    def _read(self, sample_id: str, ordinal: int) -> ScoreRow:
         return ScoreRow(
             self._ids, self._cells(self._positions, ordinal), self._cells(self._scores, ordinal)
         )
 
-    def __iter__(self) -> Iterator[tuple[str, ScoreRow]]:
-        row = self._row
-        return ((sid, row(ordinal)) for sid, ordinal in self._index.items())
-
-    def scores_for(self, sample_id: str) -> ScoreRow:
-        return self._row(self._index[sample_id])
+    scores_for = SampleTable._lookup
 
 
 _SCORE_COLUMNS = ("id", "attribute_id", "score")
@@ -382,21 +378,14 @@ def _reject_duplicates(scores: ScoreSet, stream: IO[str], start: int, source: st
 
 
 class PredictionView(AnnotationSet):
-    """Read-only predictions, never stored: :meth:`labels_for` and iteration
-    call ``predict(sample id, value)`` on every read, where ``index`` maps
-    each sample id to its source value (its ordinal in a score set, or a
-    sample of another set). Ids, their order, ``len`` and ``in`` are those of ``index``, which
-    the view shares."""
+    """Read-only predictions, never stored: ``index`` maps each sample id to
+    its source value (its ordinal in a score set, or a sample of another
+    set) and ``predict(sample id, value)`` is the view's ``_read``, called
+    on every read. Ids, their order, ``len`` and ``in`` are those of
+    ``index``, which the view shares."""
 
     def __init__(self, index: Mapping, known_labels: frozenset[int], predict: Callable) -> None:
-        self._index, self.known_labels, self._predict = index, known_labels, predict
-
-    def labels_for(self, sample_id: str) -> frozenset[int]:
-        return self._predict(sample_id, self._stored(sample_id))
-
-    def __iter__(self) -> Iterator[tuple[str, frozenset[int]]]:
-        predict = self._predict
-        return ((sid, predict(sid, value)) for sid, value in self._index.items())
+        self._index, self.known_labels, self._read = index, known_labels, predict
 
     def _rows(self) -> Iterator[tuple[str, frozenset[int]]]:
         return iter(self)
@@ -413,10 +402,10 @@ def threshold(
     set, so only missing and repeated ``sample_ids`` are checked.
 
     The result is a :class:`PredictionView` over the score set's sample
-    ordinals (its own index when ``sample_ids`` are its ids in its order),
-    so each read of a sample builds its row and predictions again. The
-    reports, the exclusion view, ``write_annotations`` and ``compute_stats``
-    read each sample once."""
+    ordinals (its own index when ``sample_ids`` are its ids in its order)
+    whose read is the score set's own: each read of a sample builds its
+    row and predictions again. The reports, the exclusion view,
+    ``write_annotations`` and ``compute_stats`` read each sample once."""
     _check_decision_threshold(decision_threshold)
     wanted = list(sample_ids)
     _require_scored(scores, wanted)
@@ -429,10 +418,10 @@ def threshold(
                 if sid in seen:
                     raise ValueError(f"duplicate sample id {sid!r}")
                 seen.add(sid)
-    row = scores._row
+    read = scores._read
 
-    def predict(_: str, ordinal: int) -> frozenset[int]:
-        return frozenset(row(ordinal).labels_at_least(decision_threshold))
+    def predict(sample_id: str, ordinal: int) -> frozenset[int]:
+        return frozenset(read(sample_id, ordinal).labels_at_least(decision_threshold))
 
     return PredictionView(index, scores.known_labels, predict)
 
@@ -459,8 +448,9 @@ def enforce_exclusion(
     """Keep at most one label per mutual-exclusion group per sample: the one
     with the highest score, ties to the lowest id. Without scores every
     candidate ties. Applying the result again changes nothing. The groups are
-    checked here; the result is a :class:`PredictionView` that prunes a
-    sample of ``predictions`` each time it is read."""
+    checked here; the result is a :class:`PredictionView` over the values
+    ``predictions`` holds that reads and prunes a sample each time it is
+    read."""
     seen: set[int] = set()
     for group in groups:
         if not group:
@@ -470,8 +460,8 @@ def enforce_exclusion(
             raise EvalError(f"label {min(clash)} appears in two exclusion groups")
         seen |= group
 
-    def prune(sample_id: str, _: object) -> frozenset[int]:
-        labels = predictions.labels_for(sample_id)
+    def prune(sample_id: str, value: object) -> frozenset[int]:
+        labels = predictions._read(sample_id, value)
         row_scores = scores.scores_for(sample_id) if scores and sample_id in scores else {}
         dropped: set[int] = set()
         for group in groups:
@@ -557,6 +547,9 @@ def _aligned_sample_ids(
     truth: AnnotationSet,
     sample_filter: Callable[[str], bool] | None,
 ) -> list[str]:
+    """The truth sample ids, in stored order, that ``sample_filter`` keeps;
+    predictions must hold the same ids, in any order. No report depends on
+    the order: flat counts are integers and graph totals exact sums."""
     truth_ids = truth.sample_ids()
     pred_ids = predictions.sample_ids()
     if pred_ids != truth_ids:  # the same ids in another order still align
@@ -568,10 +561,7 @@ def _aligned_sample_ids(
                 "prediction and truth sample ids differ "
                 f"({missing} missing from predictions, {extra} extra)"
             )
-    ids = sorted(truth_ids)
-    if sample_filter is not None:
-        ids = [sid for sid in ids if sample_filter(sid)]
-    return ids
+    return truth_ids if sample_filter is None else list(filter(sample_filter, truth_ids))
 
 
 def _class_universe(known: frozenset[int], scope: Iterable[int] | None) -> list[int]:
@@ -908,8 +898,8 @@ def sweep(
     misses: list[list[int]] = [[] for _ in range(n)]
     graph_steps = [[0, 0, 0] for _ in range(n + 1)]
     fn = dict.fromkeys(classes, 0)
-    for sid in truth_ids:
-        t = truth.labels_for(sid) & class_set
+    for sid, labels in truth:
+        t = labels & class_set
         for label in t:
             fn[label] += 1
         entering: dict[int, list[int]] = {}

@@ -72,11 +72,6 @@ class RelationGraph:
     def __contains__(self, node: int) -> bool:
         return node in self._nodes
 
-    def peers(self, node: int) -> tuple[int, ...]:
-        """The nodes one edge from ``node``, ascending; empty for a node with
-        no edge or off the graph."""
-        return self._adjacency.get(node, ())
-
     def ball(self, source: int) -> dict[int, int]:
         """``{node: hops}`` for every node reachable from ``source``,
         ``source`` itself at 0 even when it is off the graph. Treat the dict

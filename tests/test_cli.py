@@ -249,7 +249,8 @@ def test_apply_deep_hierarchy_cycle(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == (
-        f"hierarchy edges contain a cycle through labels {[*range(DEPTH), 0]}"
+        f"{tmp_path / 'plan.json'}: hierarchy edges contain a cycle through labels "
+        f"{[*range(DEPTH), 0]}"
     )
 
 
@@ -816,7 +817,7 @@ def test_apply_rejects_malformed_plan_entries(corpus, tmp_path, capsys, doc, whe
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert json.loads(err)["error"].startswith(where)
+    assert json.loads(err)["error"].startswith(f"{plan}: {where}")
     assert not (tmp_path / "cleaned").exists()
 
 
@@ -844,8 +845,24 @@ def test_apply_rejects_a_repeated_split_or_group_source(corpus, tmp_path, capsys
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert json.loads(err) == {"error": error}
+    assert json.loads(err) == {"error": f"{plan}: {error}"}
     assert not (tmp_path / "cleaned").exists()
+
+
+def test_plan_errors_name_the_file_and_the_entry(corpus, tmp_path, capsys):
+    doc = json.loads(corpus["plan"].read_text())
+    doc["or_groups"][1]["members"].append("country::atlantis")
+    plan = tmp_path / "unknown_member.json"
+    plan.write_text(json.dumps(doc))
+    code = run(
+        "eval-or",
+        "--labels", corpus["labels"],
+        "--annotations", corpus["annotations"],
+        "--scores", corpus["scores"],
+        "--plan", plan,
+    )
+    assert code == 2
+    assert one_json_error(capsys) == f"{plan}: or_groups[1]: unknown label 'country::atlantis'"
 
 
 def test_missing_required_input(corpus, capsys):

@@ -487,7 +487,7 @@ def test_graph_scoring_builds_no_ball_for_a_label_without_an_edge():
     graph_fbeta_report(preds, truth, graph)
     graph_fbeta_report(preds, truth, graph, fp_mode="complement")
     assert sorted(graph._balls) == [1, 2, 3]
-    assert all(graph.peers(source) for source in graph._balls)
+    assert all(source in graph.linked for source in graph._balls)
 
 
 # ---------------------------------------------------------------------------

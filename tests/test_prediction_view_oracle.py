@@ -289,3 +289,54 @@ def test_exclusion_errors_are_raised_when_called(groups, message):
         with pytest.raises(EvalError) as info:
             call(threshold(scores, 0.1, ["a"]), scores, groups)
         assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Sample order
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=SCORE_ROWS,
+    cut=st.sampled_from(GRID),
+    shuffled=st.permutations(SIDS),
+    shuffled_predictions=st.permutations(SIDS),
+    groups=GROUPS,
+    truth_rows=st.lists(st.frozensets(st.sampled_from(sorted(KNOWN)), max_size=4), min_size=5,
+                        max_size=5),
+    edges=st.lists(st.tuples(st.sampled_from(sorted(KNOWN)), st.sampled_from(sorted(KNOWN))),
+                   max_size=6),
+)
+# Per-sample graph tp 1/2, 1/2 and 1/6 on a chain: added left to right they
+# total 1.1666666666666667 in stored order but ...665 in reverse.
+@example(
+    rows={"a": {1: 0.5}, "b": {1: 0.5}, "c": {5: 0.5}},
+    cut=0.5,
+    shuffled=SIDS,
+    shuffled_predictions=SIDS,
+    groups=[],
+    truth_rows=[frozenset({0})] * 5,
+    edges=[(i, i + 1) for i in range(7)],
+)
+def test_reports_do_not_depend_on_sample_order(
+    rows, cut, shuffled, shuffled_predictions, groups, truth_rows, edges
+):
+    scores = ScoreSet(rows.items(), KNOWN)
+    stored = list(rows)
+    truth_of = dict(zip(stored, truth_rows))
+    graph = RelationGraph(KNOWN, [(a, b) for a, b in edges if a != b])
+    or_groups = [OrGroup(source=7, members=(5, 6))]
+    groups = disjoint(groups)
+
+    def every_report(truth_order, prediction_order):
+        truth = AnnotationSet(((sid, truth_of[sid]) for sid in truth_order), KNOWN)
+        predictions = threshold(scores, cut, prediction_order)
+        pruned = enforce_exclusion(predictions, scores, groups)
+        return reports(predictions, truth, graph, or_groups, groups) + reports(
+            pruned, truth, graph, or_groups, groups
+        )
+
+    want = every_report(stored, stored)
+    assert every_report(stored[::-1], stored[::-1]) == want
+    in_rows = lambda order: [sid for sid in order if sid in rows]  # noqa: E731
+    assert every_report(in_rows(shuffled), in_rows(shuffled_predictions)) == want

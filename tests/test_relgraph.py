@@ -122,14 +122,6 @@ def test_duplicate_edges_collapse():
     assert graph.n_edges == 1
 
 
-def test_peers_are_one_edge_away_in_ascending_order():
-    graph = RelationGraph([1, 2, 3, 4], [(3, 1), (1, 2)])
-    assert graph.peers(1) == (2, 3)
-    assert graph.peers(3) == (1,)
-    assert graph.peers(4) == ()
-    assert graph.peers(99) == ()
-
-
 def test_thread_safety_matches_serial():
     rng = random.Random(3)
     nodes, edges = random_graph(rng, max_nodes=40)
@@ -181,7 +173,7 @@ def test_components_match_union_find_and_cache_no_one_entry_ball(n, pairs):
     graph = RelationGraph(range(n), edges)
     assert graph.connected_components() == union_find_components(range(n), edges)
     summary = graph_summary(graph)
-    assert summary["isolated_nodes"] == sum(not graph.peers(node) for node in range(n))
+    assert summary["isolated_nodes"] == sum(node not in graph.linked for node in range(n))
     assert all(len(ball) > 1 for ball in graph._balls.values())
 
 

@@ -90,6 +90,38 @@ def test_constructors_check_duplicates_before_values():
 
 
 # ---------------------------------------------------------------------------
+# One read path
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.dictionaries(
+        SAMPLE_IDS,
+        st.dictionaries(st.sampled_from(sorted(KNOWN)), st.sampled_from([0.0, 0.3, 1.0])),
+        max_size=6,
+    ),
+    cut=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_iteration_and_keyed_read_agree_on_every_table(rows, cut):
+    scores = ScoreSet(rows.items(), KNOWN)
+    annotations = AnnotationSet(((sid, row.keys()) for sid, row in rows.items()), KNOWN)
+    view = threshold(scores, cut, list(rows)[::-1])
+    pruned = enforce_exclusion(view, scores, [frozenset(range(0, 30, 2))])
+    tables = [
+        (annotations, annotations.labels_for),
+        (view, view.labels_for),
+        (pruned, pruned.labels_for),
+        (scores, scores.scores_for),
+    ]
+    for table, read in tables:
+        assert list(table) == [(sid, read(sid)) for sid in table.sample_ids()]
+        # Sample ids here are at most four characters long.
+        with pytest.raises(KeyError) as info:
+            read("unknown")
+        assert info.value.args == ("unknown sample id 'unknown'",)
+
+
+# ---------------------------------------------------------------------------
 # parse_annotations
 
 

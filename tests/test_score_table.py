@@ -45,8 +45,10 @@ class PlainScores(SampleTable):
     """The old layout: one dict per sample, read through the score set's
     mapping interface."""
 
-    def scores_for(self, sample_id):
-        return self._index[sample_id]
+    def _read(self, sample_id, scores):
+        return scores
+
+    scores_for = SampleTable._lookup
 
 
 def plain_dicts(cells) -> PlainScores:
