@@ -219,13 +219,23 @@ def _emit_text(text: str, out: str | None) -> None:
         print(f"wrote {out}")
 
 
+def _emit_json(doc: dict, out: str | None) -> None:
+    """Print ``doc`` as a JSON report, or stream it into the file ``out``."""
+    from .reports import render_json, write_json
+
+    if out is None:
+        sys.stdout.write(render_json(doc))
+    else:
+        write_json(doc, out)
+        print(f"wrote {out}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_inspect(cfg: RunConfig) -> int:
     from .catalog import compute_stats, parse_annotations, parse_labels
-    from .reports import render_json
 
     catalog = _read(cfg, "labels", parse_labels)
     doc: dict = {
@@ -251,7 +261,7 @@ def cmd_inspect(cfg: RunConfig) -> int:
             }
         )
     doc["provenance"] = _provenance(cfg)
-    _emit_text(render_json(doc), cfg.out)
+    _emit_json(doc, cfg.out)
     return 0
 
 
@@ -285,7 +295,6 @@ def cmd_hierarchy(cfg: RunConfig) -> int:
 def cmd_connectives(cfg: RunConfig) -> int:
     from .catalog import parse_labels
     from .cleanse import classify_connectives, tally_as_dict
-    from .reports import render_json
     from .textkit import Connective
 
     catalog = _read(cfg, "labels", parse_labels)
@@ -299,7 +308,7 @@ def cmd_connectives(cfg: RunConfig) -> int:
             f"none_resolved={tally.none_resolved} partial={tally.partial}"
         )
     doc["provenance"] = _provenance(cfg)
-    _emit_text(render_json(doc), cfg.out)
+    _emit_json(doc, cfg.out)
     return 0
 
 
@@ -420,8 +429,6 @@ def _scope_from_category(cfg: RunConfig, catalog):
 
 
 def _finish_eval(cfg: RunConfig, report, extra: dict | None = None) -> int:
-    from .reports import render_json
-
     doc = report.as_dict()
     if extra:
         doc.update(extra)
@@ -430,7 +437,7 @@ def _finish_eval(cfg: RunConfig, report, extra: dict | None = None) -> int:
     macro = doc.get("macro_f")
     fmt = lambda v: "nan" if v is None else f"{v:.6f}"  # noqa: E731
     print(f"{report.kind}: micro_f={fmt(micro)} macro_f={fmt(macro)}")
-    _emit_text(render_json(doc), cfg.out)
+    _emit_json(doc, cfg.out)
     return 0
 
 
@@ -533,7 +540,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     from .metricmp import compare, parse_family
-    from .reports import render_json
 
     report = compare(_read(cfg, "family", parse_family), epsilon=cfg.epsilon)
     doc = report.as_dict()
@@ -543,7 +549,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         f"dod={'undefined' if report.dod is None else report.dod} "
         f"verdict={doc['verdict']}"
     )
-    _emit_text(render_json(doc), cfg.out)
+    _emit_json(doc, cfg.out)
     return 0
 
 

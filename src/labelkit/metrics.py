@@ -15,9 +15,10 @@ versions and does not depend on sample order. Scoring runs in one thread;
 has no effect.
 
 A score set is one compressed sparse row (CSR) table (:class:`ScoreSet`):
-two C arrays hold every cell, an ``array('I')`` of positions in the
-catalog's ascending id list (its labels dictionary-encoded) and an
-``array('d')`` of scores, grouped by sample behind an ``array('I')`` of
+two C arrays hold every cell, an array of positions in the catalog's
+ascending id list (its labels dictionary-encoded: 2-byte ``array('H')``
+for a catalog of up to 65,536 labels, 4-byte ``array('I')`` past that) and
+an ``array('d')`` of scores, grouped by sample behind an ``array('I')`` of
 per-sample offsets. A sample's :class:`ScoreRow` is built over its cells
 only when it is read (late materialization); readers use its mapping
 interface. A plain score file is parsed in blocks, a column at a time; any
@@ -62,12 +63,13 @@ class ScoreRow(Mapping):
     sample of a :class:`ScoreSet` is read: ``positions`` holds each label's
     position in ``ids``, the ascending list of label ids that the whole
     score set shares (a parsed set shares the catalog's own int objects),
-    as 4-byte unsigned ints in an ``array('I')``, and ``scores`` the
-    matching scores as C doubles in an ``array('d')``. Iteration and
-    :meth:`items` map the positions back through ``ids``, so readers get
-    the label ids; :meth:`labels_at_least` looks at the scores first and
-    maps only the positions it keeps. A lookup by label bisects ``ids`` and
-    scans the positions, which suits the few dozen labels a sample holds."""
+    as 2-byte unsigned ints in an ``array('H')`` (4-byte ``array('I')``
+    past 65,536 labels), and ``scores`` the matching scores as C doubles in
+    an ``array('d')``. Iteration and :meth:`items` map the positions back
+    through ``ids``, so readers get the label ids; :meth:`labels_at_least`
+    looks at the scores first and maps only the positions it keeps. A
+    lookup by label bisects ``ids`` and scans the positions, which suits the
+    few dozen labels a sample holds."""
 
     __slots__ = ("ids", "positions", "scores")
 
@@ -101,9 +103,10 @@ class ScoreRow(Mapping):
 
 class ScoreSet(SampleTable):
     """Per-sample, per-label prediction scores in [0, 1], held as one
-    compressed sparse row (CSR) table. ``_positions`` (an ``array('I')`` of
-    each cell's position in ``_ids``, the ascending label ids) and
-    ``_scores`` (an ``array('d')``) hold every cell, 12 bytes each; sample
+    compressed sparse row (CSR) table. ``_positions`` (each cell's position
+    in ``_ids``, the ascending label ids: an ``array('H')``, or an
+    ``array('I')`` past 65,536 labels) and ``_scores`` (an ``array('d')``)
+    hold every cell, 10 bytes each (12 past 65,536 labels); sample
     ``k`` owns the slots from ``_offsets[k]`` up to ``_offsets[k + 1]``,
     and ``_index`` maps each sample id to its ``k``. A sample costs about 60
     bytes more: its index entry, its ordinal and its offset.
@@ -126,7 +129,8 @@ class ScoreSet(SampleTable):
     ):
         known_labels = frozenset(known_labels)
         self._ids = sorted(known_labels)
-        self._offsets, self._positions, self._scores = array("I", [0]), array("I"), array("d")
+        self._offsets, self._scores = array("I", [0]), array("d")
+        self._positions = _position_column(len(self._ids))
         self._order = None
         super().__init__(samples, known_labels)
 
@@ -180,6 +184,14 @@ class ScoreSet(SampleTable):
 _SCORE_COLUMNS = ("id", "attribute_id", "score")
 
 
+def _position_column(n_labels: int) -> array:
+    """An empty column of positions in a list of ``n_labels`` label ids:
+    2-byte ``array('H')`` while every position fits (at most 65,536 labels),
+    4-byte ``array('I')`` past that. Only the catalog's size decides, so no
+    append can overflow."""
+    return array("H" if n_labels <= 1 << 16 else "I")
+
+
 def parse_scores(stream: IO[str], catalog: LabelCatalog) -> ScoreSet:
     """Read a score file with header id,attribute_id,score. Rows for one
     sample need not be contiguous; a repeated (sample, label) cell is a hard
@@ -211,7 +223,7 @@ def parse_scores(stream: IO[str], catalog: LabelCatalog) -> ScoreSet:
     cells = _read_blocks(stream, by_text)
     if cells is None:
         stream.seek(start)
-        cells = _Cells()
+        cells = _Cells(len(ids))
         try:
             _read_rows(CsvTable(stream, _SCORE_COLUMNS, source), position, by_text, cells)
         except ParseError:  # a repeated cell before the failing row comes first
@@ -233,12 +245,12 @@ class _Cells:
     cell's sample ordinal is kept instead, and :meth:`table` orders the
     slots by sample (:func:`_grouped`)."""
 
-    def __init__(self) -> None:
+    def __init__(self, n_labels: int) -> None:
         # Sample id -> ordinal, by first appearance: looking up a new id
         # gives it the next ordinal, in C, until :meth:`table` hands it over.
         self.index: defaultdict[str, int] = defaultdict()
         self.index.default_factory = self.index.__len__
-        self.positions, self.scores = array("I"), array("d")
+        self.positions, self.scores = _position_column(n_labels), array("d")
         self._starts = array("I")  # the cell each sample begins at, while contiguous
         self._ordinals: array | None = None  # each cell's sample, once not
         self._last: str | None = None  # the sample id of the last row
@@ -248,8 +260,8 @@ class _Cells:
         if not sids:
             return
         base = len(self.positions)
-        self.positions.extend(positions)
-        self.scores.extend(scores)
+        self.positions.fromlist(positions)
+        self.scores.fromlist(scores)
         index = self.index
         if self._ordinals is None:
             begins = list(compress(count(), map(ne, sids, chain((self._last,), sids))))
@@ -296,7 +308,7 @@ def _read_blocks(stream: IO[str], by_text: dict[str, int]) -> _Cells | None:
     """The cells of a plain score file, read a block at a time; None at the
     first block that is not plain or holds a cell that is not a canonical
     known id or a score in [0, 1], or that cannot be read at all."""
-    cells = _Cells()
+    cells = _Cells(len(by_text))
     try:
         for sids, raw_labels, raw_scores in plain_blocks(stream, _SCORE_COLUMNS):
             positions = list(map(by_text.get, raw_labels))

@@ -14,15 +14,20 @@ import json
 import math
 import os
 import tempfile
+from itertools import chain, islice
+from operator import is_
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 
 def file_digest(path: str | os.PathLike) -> str:
+    """The SHA-256 of the file at ``path``, read 64 KiB at a time into one
+    reused buffer."""
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
+    buffer = memoryview(bytearray(1 << 16))
+    with open(path, "rb", buffering=0) as handle:
+        while size := handle.readinto(buffer):
+            digest.update(buffer[:size])
     return f"sha256:{digest.hexdigest()}"
 
 
@@ -50,7 +55,10 @@ def provenance(inputs: Mapping[str, tuple[str, str]], config: Mapping) -> dict:
 
 def sanitize(value):
     """Make a value JSON-safe and deterministic: NaN to None, infinities to
-    "infinite"/"-infinite", sets sorted, tuples listed, keys stringified."""
+    "infinite"/"-infinite", sets sorted, tuples listed, keys stringified.
+
+    A dict or list that needs none of this is returned as it is, not
+    copied, so a report is not held twice while it is written."""
     if isinstance(value, float):
         if math.isnan(value):
             return None
@@ -58,38 +66,57 @@ def sanitize(value):
             return "infinite" if value > 0 else "-infinite"
         return value
     if isinstance(value, dict):
-        return {str(k): sanitize(v) for k, v in value.items()}
+        clean = {str(k): sanitize(v) for k, v in value.items()}
+        same = len(clean) == len(value) and all(
+            map(is_, chain(clean, clean.values()), chain(value, value.values()))
+        )
+        return value if same else clean
     if isinstance(value, (set, frozenset)):
         return [sanitize(v) for v in sorted(value)]
     if isinstance(value, (list, tuple)):
-        return [sanitize(v) for v in value]
+        clean = [sanitize(v) for v in value]
+        return value if isinstance(value, list) and all(map(is_, clean, value)) else clean
     return value
 
 
+_JSON_SETTINGS = {"sort_keys": True, "indent": 2, "ensure_ascii": False, "allow_nan": False}
+_JSON_BATCH = 1024  # encoder chunks joined into one write
+
+
 def render_json(doc) -> str:
-    return json.dumps(sanitize(doc), sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    return json.dumps(sanitize(doc), **_JSON_SETTINGS) + "\n"
 
 
 def write_json(doc, path: str | os.PathLike) -> None:
-    """Serialize first, then atomically replace the target, so a failure at
-    any point leaves either the old file or the new one, never a torn mix."""
-    text = render_json(doc)
-    write_text(text, path)
+    """Atomically and durably replace ``path`` with :func:`render_json`'s
+    text for ``doc``, written as it is encoded, a batch of encoder chunks at
+    a time, so the whole text is never held. A value the encoder rejects
+    fails the write part way and leaves the old file."""
+    chunks = json.JSONEncoder(**_JSON_SETTINGS).iterencode(sanitize(doc))
+    batches = iter(lambda: "".join(islice(chunks, _JSON_BATCH)), "")
+    _atomic_write(chain(batches, ("\n",)), path)
 
 
 def write_text(text: str, path: str | os.PathLike) -> None:
-    """Atomically and durably replace ``path`` with ``text`` (UTF-8).
+    """Atomically and durably replace ``path`` with ``text`` (UTF-8)."""
+    _atomic_write((text,), path)
 
-    The temporary file is synced before the rename, so the rename never
-    exposes a file whose bytes are not yet on disk, and the directory is
-    synced after it, so the rename itself survives a crash.
+
+def _atomic_write(pieces: Iterable[str], path: str | os.PathLike) -> None:
+    """Replace ``path`` with ``pieces`` written one after another (UTF-8).
+
+    They are written to a temporary file in the target's directory. The file
+    is synced before the rename, so the rename never exposes a file whose
+    bytes are not yet on disk, and the directory is synced after it, so the
+    rename itself survives a crash. If producing a piece raises, the
+    temporary file is removed and the target keeps its old bytes.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, target)

@@ -319,7 +319,7 @@ def test_score_row_reads_as_a_dict(known, data):
         )
     probes = [*ids, ids[0] - 1, ids[-1] + 1, -1, 1.5, "x", None]
     row = ScoreSet([("a", cells)], known).scores_for("a")
-    assert row.ids == ids and row.positions.typecode == "I"
+    assert row.ids == ids and row.positions.typecode == "H"
     assert_mapping_as(row, cells, probes)
 
     catalog = wide_catalog(ids)
@@ -335,23 +335,37 @@ def test_score_row_reads_as_a_dict(known, data):
         assert "a" not in parsed
 
 
-@pytest.mark.parametrize("n_labels", [65_536, 65_537])
-def test_positions_hold_catalogs_past_65536_labels(n_labels):
+@pytest.mark.parametrize(
+    ("n_labels", "typecode"),
+    [pytest.param(65_536, "H", id="65536"), pytest.param(65_537, "I", id="65537")],
+)
+def test_positions_hold_catalogs_past_65536_labels(n_labels, typecode):
+    # Positions take 2 bytes while every position fits, and the catalog's
+    # size alone decides: the checked constructor, the block path, the row
+    # loop and a file whose sample comes back store the same.
     ids = list(range(0, 3 * n_labels, 3))
     cells = {ids[-1]: 0.25, ids[0]: 1.0, ids[1000]: 0.5}
     row = ScoreSet([("a", cells)], ids).scores_for("a")
-    assert row.positions.typecode == "I"
+    assert row.positions.typecode == typecode
     assert_mapping_as(row, cells, [ids[-1], ids[-1] + 1, ids[1001]])
 
     catalog = wide_catalog(ids)
     text = "id,attribute_id,score\n" + "".join(f"a,{i},{s!r}\n" for i, s in cells.items())
     row = parse_scores(io.StringIO(text), catalog).scores_for("a")
-    assert row.positions.typecode == "I" and list(row.positions) == [n_labels - 1, 0, 1000]
+    assert row.positions.typecode == typecode and list(row.positions) == [n_labels - 1, 0, 1000]
     assert_mapping_as(row, cells, [ids[-1], ids[-1] + 1])
     # The row loop, which a quoted cell sends the file to, stores the same.
     quoted = text.replace(f"a,{ids[0]},", f'"a",{ids[0]},')
     row = parse_scores(io.StringIO(quoted), catalog).scores_for("a")
-    assert row.positions.typecode == "I" and row == cells
+    assert row.positions.typecode == typecode and row == cells
+    # So do the slots of a file whose rows are not grouped by sample.
+    lines = text.splitlines(keepends=True)
+    interleaved = "".join([lines[0], lines[1], f"b,{ids[1]},0.75\n", *lines[2:]])
+    parsed = parse_scores(io.StringIO(interleaved), catalog)
+    assert parsed._order is not None and parsed._positions.typecode == typecode
+    row = parsed.scores_for("a")
+    assert row.positions.typecode == typecode and row == cells
+    assert parsed.scores_for("b") == {ids[1]: 0.75}
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +387,7 @@ def traced(parse, text: str):
         tracemalloc.stop()
 
 
-def test_a_parsed_score_cell_costs_under_14_bytes():
+def test_a_parsed_score_cell_costs_under_11_bytes():
     def text(cells_per_sample):
         lines = ["id,attribute_id,score"]
         for s in range(2000):
@@ -385,8 +399,9 @@ def test_a_parsed_score_cell_costs_under_14_bytes():
     many, many_bytes = traced(parse_scores, text(80))
     assert sum(map(len, dict(few).values())) == 80_000
     assert sum(map(len, dict(many).values())) == 160_000
-    # The same samples with 40 more cells each: what one more cell costs.
-    assert (many_bytes - few_bytes) / 80_000 < 14
+    # The same samples with 40 more cells each: what one more cell costs, a
+    # 2-byte position and an 8-byte score.
+    assert (many_bytes - few_bytes) / 80_000 < 11
 
 
 def test_a_parsed_score_sample_costs_under_100_bytes_beyond_its_cells_and_id():
@@ -398,7 +413,7 @@ def test_a_parsed_score_sample_costs_under_100_bytes_beyond_its_cells_and_id():
             lines.append(f"{s:016x},{1000 + (s * 7 + k * 9) % 400},{(s * k % 997) / 997!r}")
     scores, held = traced(parse_scores, "\n".join(lines) + "\n")
     assert len(scores) == 20_000
-    cells = 12 * 4 * len(scores)
+    cells = 10 * 4 * len(scores)
     ids = sum(map(sys.getsizeof, scores.sample_ids()))
     assert (held - cells - ids) / len(scores) < 100
 
