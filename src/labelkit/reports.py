@@ -14,7 +14,7 @@ import json
 import math
 import os
 import tempfile
-from itertools import chain, islice
+from itertools import chain
 from operator import is_
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -80,7 +80,6 @@ def sanitize(value):
 
 
 _JSON_SETTINGS = {"sort_keys": True, "indent": 2, "ensure_ascii": False, "allow_nan": False}
-_JSON_BATCH = 1024  # encoder chunks joined into one write
 
 
 def render_json(doc) -> str:
@@ -89,12 +88,11 @@ def render_json(doc) -> str:
 
 def write_json(doc, path: str | os.PathLike) -> None:
     """Atomically and durably replace ``path`` with :func:`render_json`'s
-    text for ``doc``, written as it is encoded, a batch of encoder chunks at
-    a time, so the whole text is never held. A value the encoder rejects
-    fails the write part way and leaves the old file."""
+    text for ``doc``, written chunk by chunk as it is encoded, so the whole
+    text is never held. A value the encoder rejects fails the write part way
+    and leaves the old file."""
     chunks = json.JSONEncoder(**_JSON_SETTINGS).iterencode(sanitize(doc))
-    batches = iter(lambda: "".join(islice(chunks, _JSON_BATCH)), "")
-    _atomic_write(chain(batches, ("\n",)), path)
+    _atomic_write(chain(chunks, ("\n",)), path)
 
 
 def write_text(text: str, path: str | os.PathLike) -> None:

@@ -51,7 +51,7 @@ def test_write_text_syncs_file_then_directory(tmp_path, monkeypatch):
 
 def test_write_json_syncs_file_then_directory(tmp_path, monkeypatch):
     target = tmp_path / "out" / "report.json"
-    # Enough keys for the text to be written in several batches.
+    # Enough keys for the text to reach the file in several buffer flushes.
     doc = {"ünïcode": "ç", "rows": [{"k": i, "v": i / 7} for i in range(3000)]}
     write = lambda: reports.write_json(doc, target)  # noqa: E731
     assert_synced_then_renamed(write, target, reports.render_json(doc).encode("utf-8"), monkeypatch)
@@ -129,7 +129,7 @@ def test_write_json_writes_the_text_of_the_whole_document(doc, tmp_path):
 def test_a_failed_json_write_keeps_the_old_file(tmp_path, monkeypatch):
     target = tmp_path / "report.json"
     target.write_bytes(b"old bytes\n")
-    # The encoder meets the object after many batches are written.
+    # The encoder meets the object after most of the text is written.
     doc = {**{f"k{i:05d}": i / 3 for i in range(20_000)}, "zzz": object()}
     left = []
     real_unlink = os.unlink
@@ -162,7 +162,27 @@ def traced_peak(func) -> int:
         tracemalloc.stop()
 
 
-def test_write_json_holds_no_copy_of_the_report_or_its_text(tmp_path):
+def test_write_json_holds_a_small_part_of_its_text(tmp_path):
+    # Many per-class dicts of modest size: the encoder holds at once only the
+    # sorted items of the dicts it is inside, so the peak is the file's write
+    # buffer (up to 8192 characters of small chunk strings, about 80 KB here)
+    # and a few hundred pairs, whatever the text's length.
+    rng = random.Random(5)
+    doc = {
+        f"group{g:03d}": {
+            f"class{c:02d}": {"precision": rng.random(), "recall": rng.random(), "support": rng.randrange(500)}
+            for c in range(50)
+        }
+        for g in range(100)
+    }
+    text = reports.render_json(doc)
+    target = tmp_path / "groups.json"
+    peak = traced_peak(lambda: reports.write_json(doc, target))
+    assert target.read_bytes() == text.encode("utf-8")
+    assert peak < 0.25 * len(text)
+
+
+def test_write_json_on_a_flat_report_holds_no_rendered_copy(tmp_path):
     ids = list(range(1000, 1000 + 3474))
     catalog = LabelCatalog(LabelRecord(i, "c", f"n{i}") for i in ids)
     rng = random.Random(7)
@@ -176,8 +196,9 @@ def test_write_json_holds_no_copy_of_the_report_or_its_text(tmp_path):
     peak = traced_peak(lambda: reports.write_json(doc, target))
     assert target.read_bytes() == text.encode("utf-8")
     # Rendering the whole text first holds it and the list of its pieces,
-    # about 14 times its length. The encoder's own sorted list of the 3474
-    # per-class items, about 80 bytes each, is held while they are written.
+    # about 14 times its length. Streamed, the peak is the encoder's sorted
+    # list of the 3474 per-class items, about 64 bytes each, which comes to
+    # about the text's length: one dict holds most of this report.
     assert peak < 1.5 * len(text)
 
 
