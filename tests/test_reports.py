@@ -196,9 +196,10 @@ def test_write_json_on_a_flat_report_holds_no_rendered_copy(tmp_path):
     peak = traced_peak(lambda: reports.write_json(doc, target))
     assert target.read_bytes() == text.encode("utf-8")
     # Rendering the whole text first holds it and the list of its pieces,
-    # about 14 times its length. Streamed, the peak is the encoder's sorted
-    # list of the 3474 per-class items, about 64 bytes each, which comes to
-    # about the text's length: one dict holds most of this report.
+    # about 14 times its length. Streamed, the peak is the file's write
+    # buffer and the encoder's sorted list of the 3474 per-class items, about
+    # 70 bytes each, which comes to about the text's length: one dict holds
+    # most of this report.
     assert peak < 1.5 * len(text)
 
 
