@@ -177,9 +177,10 @@ def load_plan(
 
 def _read_plan(stream: IO[str], catalog: LabelCatalog, sections) -> TransformPlan:
     """The plan ``stream`` holds, resolved and validated."""
+    text = stream.read()  # outside the try: a decode error is the caller's
     try:
-        doc = json.load(stream)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except ValueError as exc:  # bad syntax, or an integer over 4300 digits
         raise PlanError(f"plan file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise PlanError("plan file must contain a JSON object")
@@ -360,7 +361,10 @@ def _join_pool(group: list[LabelRecord], threshold: float) -> list[DuplicatePair
     (counted with multiplicity) with the name, since each edit destroys at
     most two of the name's ``L - 1`` bigrams (Ukkonen's q-gram lemma). Only
     partners passing both filters reach the kernel; when the bigram bound is
-    not positive, every partner in the length window does.
+    not positive, every partner in the length window does. The filter pays
+    even before the bit-parallel kernel: on the 3474-label benchmark catalog
+    at 0.9, the window alone sends 458,569 pairs to it, not 6,653, and the
+    scan takes about 3.9 s, not 0.2 s.
     """
     pool = sorted(group, key=lambda r: len(r.canonical))
     lengths = [len(r.canonical) for r in pool]

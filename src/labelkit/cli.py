@@ -97,9 +97,10 @@ def _parse_config(handle) -> dict:
     import json
 
     path = handle.name
+    text = handle.read()  # outside the try: _read names a bad byte's line
     try:
-        doc = json.load(handle)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except ValueError as exc:  # bad syntax, or an integer over 4300 digits
         raise LabelKitError(f"config file {path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise LabelKitError(f"config file {path}: expected a JSON object")

@@ -4,9 +4,10 @@ Capped edit distance drives duplicate detection; connective splitting
 ("and" / "or") and word tokenization drive label decomposition and hierarchy
 candidate search.
 
-The Levenshtein kernel is a single pure-Python implementation. Duplicate
-detection keeps it off the quadratic path: it verifies only the pairs that
-pass a q-gram count filter (see ``cleanse.find_duplicates``).
+The Levenshtein kernel is a single pure-Python bit-vector implementation
+that stops once the distance provably exceeds its cap. Duplicate detection
+keeps it off the quadratic path: it verifies only the pairs that pass a
+q-gram count filter (see ``cleanse.find_duplicates``).
 """
 
 from __future__ import annotations
@@ -65,59 +66,49 @@ class ConnectiveSplit:
         return tuple(r for r in self.resolution if r is not None)
 
 
-def _trim(a: str, b: str) -> tuple[str, str]:
-    # A shared prefix/suffix never participates in an optimal edit script.
-    lo = 0
-    hi_a, hi_b = len(a), len(b)
-    while lo < hi_a and lo < hi_b and a[lo] == b[lo]:
-        lo += 1
-    while hi_a > lo and hi_b > lo and a[hi_a - 1] == b[hi_b - 1]:
-        hi_a -= 1
-        hi_b -= 1
-    return a[lo:hi_a], b[lo:hi_b]
-
-
 def edit_distance_capped(a: str, b: str, cap: int) -> int:
     """Levenshtein distance over Unicode code points (insertions, deletions
     and substitutions all cost 1), or ``cap + 1`` once the distance provably
     exceeds ``cap``. Used by pairwise scans to skip hopeless pairs; a cap of
     ``max(len(a), len(b))`` never cuts short.
 
-    Any alignment of the full strings passes through one cell per DP row, so
-    once every entry of a row exceeds ``cap`` the final distance must too.
+    Myers' bit-vector algorithm (1999), Hyyrö's Levenshtein form (2003): the
+    shorter string is the pattern, one bit per code point, and each code
+    point of the longer one advances a whole DP column. ``pv`` and ``mv`` mark
+    the column's +1 and -1 vertical deltas, and ``score`` is its bottom cell,
+    which moves by at most one a column: once it exceeds ``cap`` by more than
+    the columns left, so does the distance.
     """
     if cap < 0:
         return 0 if a == b else cap + 1
-    if a == b:
-        return 0
-    a, b = _trim(a, b)
-    if abs(len(a) - len(b)) > cap:
-        return cap + 1
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
     if len(a) > len(b):
         a, b = b, a
-
-    prev = list(range(len(a) + 1))
-    for j, cb in enumerate(b, start=1):
-        cur = [j]
-        append = cur.append
-        best = j
-        for i, ca in enumerate(a, start=1):
-            v = min(
-                prev[i] + 1,
-                cur[i - 1] + 1,
-                prev[i - 1] + (ca != cb),
-            )
-            append(v)
-            if v < best:
-                best = v
-        if best > cap:
+    if len(b) - len(a) > cap:
+        return cap + 1
+    if not a:  # a 0-bit pattern has no bottom cell to score
+        return len(b)
+    peq: dict[str, int] = {}
+    for i, char in enumerate(a):
+        peq[char] = peq.get(char, 0) | 1 << i
+    mask, last = (1 << len(a)) - 1, 1 << (len(a) - 1)
+    pv, mv, score, left = mask, 0, len(a), len(b)
+    for char in b:
+        eq = peq.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        left -= 1
+        if score - left > cap:
             return cap + 1
-        prev = cur
-    return prev[-1] if prev[-1] <= cap else cap + 1
+        ph = (ph << 1) | 1  # row 0 of the table rises by one per column
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def split_connective(name: str, connective: Connective) -> list[str]:

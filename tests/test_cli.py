@@ -635,6 +635,16 @@ def test_config_unknown_key(corpus, tmp_path, capsys):
     assert "thresohld" in err["error"]
 
 
+def test_config_with_an_integer_too_long_to_convert_names_the_file(corpus, tmp_path, capsys):
+    # json.load raises a plain ValueError past 4300 digits, not a
+    # JSONDecodeError.
+    config = tmp_path / "config.json"
+    config.write_text('{"beta": ' + "1" * 5000 + "}")
+    assert run("inspect", "--config", config, "--labels", corpus["labels"]) == 2
+    assert one_json_error(capsys).startswith(
+        f"config file {config}: not valid JSON: Exceeds the limit (4300 digits)")
+
+
 def test_config_rejects_the_inputs_record(corpus, tmp_path, capsys):
     # The record of files a command opened is state, not a setting.
     assert _CONFIG_KEYS == {
@@ -863,6 +873,22 @@ def test_plan_errors_name_the_file_and_the_entry(corpus, tmp_path, capsys):
     )
     assert code == 2
     assert one_json_error(capsys) == f"{plan}: or_groups[1]: unknown label 'country::atlantis'"
+
+
+def test_plan_with_an_integer_too_long_to_convert_names_the_file(corpus, tmp_path, capsys):
+    plan = tmp_path / "long_int.json"
+    plan.write_text('{"merges": [' + "1" * 5000 + "]}")
+    code = run(
+        "apply",
+        "--labels", corpus["labels"],
+        "--annotations", corpus["annotations"],
+        "--plan", plan,
+        "--out", tmp_path / "cleaned",
+    )
+    assert code == 2
+    assert one_json_error(capsys).startswith(
+        f"{plan}: plan file is not valid JSON: Exceeds the limit (4300 digits)")
+    assert not (tmp_path / "cleaned").exists()
 
 
 def test_missing_required_input(corpus, capsys):

@@ -1,7 +1,8 @@
-"""Edit distance kernels, string splitting, and tokenization.
+"""Edit distance kernel, string splitting, and tokenization.
 
-The distance oracle here is an independent textbook recursion; the shipped
-kernel must agree with it exactly.
+Two oracles check the bit-parallel kernel: an independent textbook
+recursion for the distance, and the dynamic-programming kernel it replaced,
+kept here verbatim, for the exact capped value.
 """
 
 import functools
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelkit import textkit
+from labelkit import cleanse, textkit
+from labelkit.catalog import LabelCatalog, LabelRecord
 from labelkit.textkit import (
     Connective,
     ConnectiveSplit,
@@ -35,6 +37,55 @@ def oracle_distance(a: str, b: str) -> int:
         return min(rec(i - 1, j) + 1, rec(i, j - 1) + 1, rec(i - 1, j - 1) + cost)
 
     return rec(len(a), len(b))
+
+
+def _trim(a: str, b: str) -> tuple[str, str]:
+    # A shared prefix/suffix never participates in an optimal edit script.
+    lo = 0
+    hi_a, hi_b = len(a), len(b)
+    while lo < hi_a and lo < hi_b and a[lo] == b[lo]:
+        lo += 1
+    while hi_a > lo and hi_b > lo and a[hi_a - 1] == b[hi_b - 1]:
+        hi_a -= 1
+        hi_b -= 1
+    return a[lo:hi_a], b[lo:hi_b]
+
+
+def dp_edit_distance_capped(a: str, b: str, cap: int) -> int:
+    """The row-by-row DP kernel the bit-parallel one replaced: the reference
+    for its exact return value, ``cap + 1`` included."""
+    if cap < 0:
+        return 0 if a == b else cap + 1
+    if a == b:
+        return 0
+    a, b = _trim(a, b)
+    if abs(len(a) - len(b)) > cap:
+        return cap + 1
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    if len(a) > len(b):
+        a, b = b, a
+
+    prev = list(range(len(a) + 1))
+    for j, cb in enumerate(b, start=1):
+        cur = [j]
+        append = cur.append
+        best = j
+        for i, ca in enumerate(a, start=1):
+            v = min(
+                prev[i] + 1,
+                cur[i - 1] + 1,
+                prev[i - 1] + (ca != cb),
+            )
+            append(v)
+            if v < best:
+                best = v
+        if best > cap:
+            return cap + 1
+        prev = cur
+    return prev[-1] if prev[-1] <= cap else cap + 1
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -92,21 +143,69 @@ def test_capped_distance_contract(a, b, cap):
         assert capped > cap
 
 
-def test_backends_agree():
-    # The kernel must match the oracle exactly, including the capped
-    # early-exit values.
-    rng = random.Random(7)
-    alphabet = "abcdef -"
-    for _ in range(300):
-        a = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 16)))
-        b = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 16)))
-        want = oracle_distance(a, b)
-        assert edit_distance(a, b) == want
-        for cap in (0, 1, 2, 5):
-            got = textkit.edit_distance_capped(a, b, cap)
-            assert (got <= cap) == (want <= cap)
-            if got <= cap:
-                assert got == want
+# Combining acute (U+0301) and a non-BMP emoji: each is one code point.
+_KERNEL_ALPHABET = "ab -\u00e9\u0301\U0001F600"
+
+
+@given(st.text(alphabet=_KERNEL_ALPHABET, max_size=10),
+       st.text(alphabet=_KERNEL_ALPHABET, max_size=10))
+@settings(max_examples=500, deadline=None)
+def test_kernel_returns_the_dp_value_at_every_cap(a, b):
+    for cap in range(-1, max(len(a), len(b)) + 2):
+        assert edit_distance_capped(a, b, cap) == dp_edit_distance_capped(a, b, cap), cap
+
+
+def test_kernel_returns_the_dp_value_past_one_machine_word():
+    # Patterns of 60 to 150 code points make bit vectors that span several
+    # of a Python int's 30-bit digits, so carries cross digit boundaries.
+    rng = random.Random(25)
+    for _ in range(60):
+        a = "".join(rng.choice("abcd ") for _ in range(rng.randrange(60, 150)))
+        b = list(a)
+        for _ in range(rng.randrange(0, 25)):
+            b.insert(rng.randrange(len(b) + 1), rng.choice("abx"))
+            del b[rng.randrange(len(b))]
+        b = "".join(b)
+        for cap in (0, 3, 10, 24, 200):
+            assert edit_distance_capped(a, b, cap) == dp_edit_distance_capped(a, b, cap)
+
+
+def _planted_catalog(seed: int) -> LabelCatalog:
+    """A few hundred labels in three categories, a third of them hyphen,
+    spelling or plural variants of the others."""
+    rng = random.Random(seed)
+    syllables = ["ar", "bro", "chal", "de", "gil", "ka", "lin", "mo", "nze", "or",
+                 "pa", "que", "ri", "sil", "ter", "ul", "ver", "wo"]
+
+    def word():
+        return "".join(rng.choice(syllables) for _ in range(rng.randrange(1, 4)))
+
+    def variant(name):
+        kind = rng.randrange(3)
+        if kind == 0 and " " in name:
+            return name.replace(" ", "-", 1)
+        if kind == 1:
+            k = rng.randrange(len(name))
+            return name[:k] + rng.choice("aeiouy") + name[k + 1:]
+        return name + "s"
+
+    rows = []
+    for category in ("medium", "tags", "culture"):
+        bases = [" ".join(word() for _ in range(rng.randrange(1, 4))) for _ in range(70)]
+        rows += [(category, name) for name in bases]
+        rows += [(category, variant(rng.choice(bases))) for _ in range(35)]
+    rng.shuffle(rows)
+    return LabelCatalog(LabelRecord(i, c, n) for i, (c, n) in enumerate(rows))
+
+
+@pytest.mark.parametrize("threshold", [0.9, 0.7, 0.5])
+def test_find_duplicates_pairs_match_the_dp_kernel(monkeypatch, threshold):
+    catalog = _planted_catalog(25)
+    got = [(p.a.id, p.b.id, p.score) for p in cleanse.find_duplicates(catalog, threshold)]
+    monkeypatch.setattr(cleanse, "edit_distance_capped", dp_edit_distance_capped)
+    want = [(p.a.id, p.b.id, p.score) for p in cleanse.find_duplicates(catalog, threshold)]
+    assert got == want
+    assert any(score < 1.0 for _, _, score in got)  # the kernel found some
 
 
 def test_backend_name_exported():
