@@ -3,7 +3,7 @@
 The workflow is deliberately two-phase: ``find_*`` operations only *propose*
 (duplicate pairs, hierarchy edges, connective splits) and never mutate data.
 A human reviews the proposals, edits a :class:`TransformPlan` file, and
-``apply_*`` operations execute the verified plan against a catalog and its
+:func:`apply_plan` executes the verified plan against a catalog and its
 annotations, returning new values.
 """
 
@@ -66,17 +66,25 @@ class TransformPlan:
 def validate_plan(plan: TransformPlan, catalog: LabelCatalog) -> None:
     """Check a plan against its catalog; raises :class:`PlanError`.
 
-    Merges must be pairwise independent (an id absorbed at most once, and
-    never doubling as a survivor) so they commute. Hierarchy edges must form
-    a DAG; multiple parents are fine. A label is the source of at most one
-    and-split and of at most one or-group, so each source has one image.
-    ``remove_source`` is only legal for splits whose every token resolves.
+    Each applied step is checked against the labels the earlier ones leave:
+    and-splits without the absorbed labels, hierarchy edges without the
+    removed split sources too; or-groups and exclusion groups against the
+    catalog as given. Merges must be pairwise independent (an id absorbed at
+    most once, and never doubling as a survivor) so they commute. Hierarchy
+    edges must form a DAG; multiple parents are fine. A label is the source
+    of at most one and-split and of at most one or-group, so each source has
+    one image. ``remove_source`` is only legal for splits whose every token
+    resolves.
     """
     known = catalog.ids()
+    left = known  # the labels the steps checked so far leave
 
-    def check_known(label_id: int, context: str) -> None:
+    def check_known(label_id: int, context: str, labels: frozenset[int] = known) -> None:
         if label_id not in known:
             raise PlanError(f"{context} references unknown label id {label_id}")
+        if label_id not in labels:
+            gone = "a merge absorbs" if label_id in absorbed_all else "an and-split removes"
+            raise PlanError(f"{context} references label id {label_id}, which {gone}")
 
     def check_once(label_id: int, seen: set[int], repeat: str) -> None:
         if label_id in seen:
@@ -101,23 +109,18 @@ def validate_plan(plan: TransformPlan, catalog: LabelCatalog) -> None:
             f"labels {sorted(overlap)} appear both as survivor and absorbed; "
             "merges must be independent"
         )
-
-    for super_id, sub_id in plan.hierarchy_edges:
-        check_known(super_id, "hierarchy edge")
-        check_known(sub_id, "hierarchy edge")
-        if super_id == sub_id:
-            raise PlanError(f"hierarchy self-edge on label {super_id}")
-    supercategory_closure(plan.hierarchy_edges, transitive=False)  # the cycle check
+    left -= absorbed_all
 
     removed = {s.source for s in plan.and_splits if s.remove_source}
+    merged = LabelCatalog(r for r in catalog if r.id in left) if absorbed_all else catalog
     split_sources: set[int] = set()
     for split in plan.and_splits:
-        check_known(split.source, "and-split")
+        check_known(split.source, "and-split", left)
         check_once(split.source, split_sources, "is the source of two and-splits")
         if not split.tokens:
             raise PlanError(f"and-split of {split.source} resolves no tokens")
         for token_id in split.tokens:
-            check_known(token_id, "and-split")
+            check_known(token_id, "and-split", left)
             if token_id == split.source:
                 raise PlanError(f"and-split of {split.source} lists itself as a token")
             if token_id in removed:
@@ -125,13 +128,20 @@ def validate_plan(plan: TransformPlan, catalog: LabelCatalog) -> None:
                     f"and-split token {token_id} is itself removed by another split"
                 )
         if split.remove_source:
-            record = catalog.get(split.source)
-            recomputed = split_label(record, Connective.AND, catalog)
+            recomputed = split_label(merged.get(split.source), Connective.AND, merged)
             if recomputed is None or recomputed.split_class is not SplitClass.ALL_RESOLVED:
                 raise PlanError(
                     f"and-split of {split.source} sets remove_source but not every "
                     "token resolves to an existing label"
                 )
+    left -= removed
+
+    for super_id, sub_id in plan.hierarchy_edges:
+        check_known(super_id, "hierarchy edge", left)
+        check_known(sub_id, "hierarchy edge", left)
+        if super_id == sub_id:
+            raise PlanError(f"hierarchy self-edge on label {super_id}")
+    supercategory_closure(plan.hierarchy_edges, transitive=False)  # the cycle check
 
     group_sources: set[int] = set()
     for group in plan.or_groups:
@@ -180,7 +190,7 @@ def _read_plan(stream: IO[str], catalog: LabelCatalog, sections) -> TransformPla
     text = stream.read()  # outside the try: a decode error is the caller's
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # bad syntax, or an integer over 4300 digits
+    except (ValueError, RecursionError) as exc:  # bad syntax, over 4300 digits, too deep
         raise PlanError(f"plan file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise PlanError("plan file must contain a JSON object")
@@ -354,17 +364,17 @@ def _join_pool(group: list[LabelRecord], threshold: float) -> list[DuplicatePair
 
     Names with equal hyphen folds pair up with score 1.0 through a
     dictionary. For the other pairs, names are visited shortest first, so
-    each pair is found from its longer name, of length ``L``, with
-    ``K = min(L, int((1 - threshold) * L) + 1)`` the smallest distance cap
-    that cannot lose a qualifying pair. A partner within distance ``K`` is at
-    least ``L - K`` long, and it shares at least ``L - 1 - 2K`` bigrams
-    (counted with multiplicity) with the name, since each edit destroys at
-    most two of the name's ``L - 1`` bigrams (Ukkonen's q-gram lemma). Only
-    partners passing both filters reach the kernel; when the bigram bound is
-    not positive, every partner in the length window does. The filter pays
-    even before the bit-parallel kernel: on the 3474-label benchmark catalog
-    at 0.9, the window alone sends 458,569 pairs to it, not 6,653, and the
-    scan takes about 3.9 s, not 0.2 s.
+    each pair is found from its longer name, of length ``L``, with ``K`` the
+    largest distance whose score ``1 - K / L`` reaches ``threshold`` (the
+    bound ``int((1 - threshold) * L) + 1`` lowered while it falls short), so
+    a partner within ``K`` qualifies. It is at least ``L - K`` long, and it
+    shares at least ``L - 1 - 2K`` bigrams (counted with multiplicity) with
+    the name, since each edit destroys at most two of the name's ``L - 1``
+    bigrams (Ukkonen's q-gram lemma). Only partners passing both filters
+    reach the kernel; when the bigram bound is not positive, every partner in
+    the length window does. On the 3474-label benchmark catalog at 0.9, the
+    window alone sends 260,299 pairs to the kernel, not 60, and the scan
+    takes about 1.7 s, not 0.2 s.
     """
     pool = sorted(group, key=lambda r: len(r.canonical))
     lengths = [len(r.canonical) for r in pool]
@@ -384,6 +394,8 @@ def _join_pool(group: list[LabelRecord], threshold: float) -> list[DuplicatePair
     for pos, record in enumerate(pool):
         name, length = record.canonical, lengths[pos]
         cap = min(length, int((1.0 - threshold) * length) + 1)
+        while cap and 1.0 - cap / length < threshold:
+            cap -= 1
         start = bisect_left(lengths, length - cap, 0, pos)
         seen: Counter[str] = Counter()
         grams = []
@@ -405,11 +417,8 @@ def _join_pool(group: list[LabelRecord], threshold: float) -> list[DuplicatePair
             if folds[other] == folds[pos]:
                 continue
             d = edit_distance_capped(pool[other].canonical, name, cap)
-            if d > cap:
-                continue
-            score = 1.0 - d / length
-            if score >= threshold:
-                pairs.append(_ordered_pair(pool[other], record, score))
+            if d <= cap:
+                pairs.append(_ordered_pair(pool[other], record, 1.0 - d / length))
         for gram in grams:
             postings.setdefault(gram, []).append(pos)
     return pairs
@@ -441,26 +450,16 @@ def find_hierarchy_candidates(
         by_tokens.setdefault((record.category, tokens), []).append(record)
 
     candidates: list[HierarchyCandidate] = []
-    seen: set[tuple[int, int]] = set()
     for sub, tokens in token_lists:
+        # Each distinct proper window once: never the sub's own tokens, and a
+        # window that repeats proposes its labels once.
         k = len(tokens)
-        for width in range(1, k):  # strict: proper subsequence only
-            for start in range(0, k - width + 1):
-                window = tokens[start:start + width]
-                for sup in by_tokens.get((sub.category, window), ()):
-                    if sup.id == sub.id:
-                        continue
-                    key = (sup.id, sub.id)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    candidates.append(
-                        HierarchyCandidate(
-                            super_label=sup,
-                            sub_label=sub,
-                            evidence=f"'{sup.canonical}' occurs in '{sub.canonical}'",
-                        )
-                    )
+        windows = {tokens[i:j] for i in range(k) for j in range(i + 1, k + 1)} - {tokens}
+        for window in windows:
+            candidates.extend(
+                HierarchyCandidate(sup, sub, f"'{sup.canonical}' occurs in '{sub.canonical}'")
+                for sup in by_tokens.get((sub.category, window), ())
+            )
     candidates.sort(key=lambda c: (c.super_label.id, c.sub_label.id))
     return candidates
 
@@ -544,22 +543,6 @@ def or_groups_from_tally(tally: ConnectiveTally) -> list[OrGroup]:
 # Plan application
 
 
-def apply_merges(
-    annotations: AnnotationSet,
-    catalog: LabelCatalog,
-    merges: Sequence[Merge],
-) -> tuple[AnnotationSet, LabelCatalog]:
-    """Rewrite absorbed labels to their survivors and drop them from the
-    catalog: each absorbed label becomes ``(survivor,)``. Per-sample sets
-    deduplicate naturally, so a sample carrying both sides of a merge counts
-    once afterwards. Raises ``ValueError`` when ``annotations`` know a label
-    the catalog does not hold."""
-    validate_plan(TransformPlan(merges=list(merges)), catalog)
-    images = {absorbed: (m.survivor,) for m in merges for absorbed in m.absorbed}
-    new_catalog = LabelCatalog(r for r in catalog if r.id not in images)
-    return _relabel(annotations, images, new_catalog.ids()), new_catalog
-
-
 def supercategory_closure(
     hierarchy_edges: Iterable[tuple[int, int]], transitive: bool = True
 ) -> dict[int, frozenset[int]]:
@@ -596,35 +579,34 @@ def supercategory_closure(
     return closure
 
 
-def propagate_supercategories(
-    annotations: AnnotationSet,
-    hierarchy_edges: Iterable[tuple[int, int]],
-) -> AnnotationSet:
-    """Add every transitively implied super label to each sample carrying a
-    sub label: a sub label becomes itself and all its ancestors. No labels
-    are removed; applying twice equals applying once."""
-    closure = supercategory_closure(hierarchy_edges)
-    unknown = set(closure).union(*closure.values()) - annotations.known_labels
-    if unknown:
-        raise PlanError(f"hierarchy edges reference unknown label ids {sorted(unknown)}")
-    images = {sub: (sub, *sups) for sub, sups in closure.items()}
-    return _relabel(annotations, images, annotations.known_labels)
-
-
-def apply_and_splits(
-    annotations: AnnotationSet,
-    catalog: LabelCatalog,
-    and_splits: Sequence[AndSplit],
+def apply_plan(
+    annotations: AnnotationSet, catalog: LabelCatalog, plan: TransformPlan
 ) -> tuple[AnnotationSet, LabelCatalog]:
-    """Label every resolved token wherever its split source is labeled, and
-    drop fully-resolved sources from the catalog and all samples: a removed
-    source becomes its tokens, a kept one ``(source, *tokens)``. Sources of
-    partial splits stay. Raises ``ValueError`` when ``annotations`` know a
-    label the catalog does not hold."""
-    validate_plan(TransformPlan(and_splits=list(and_splits)), catalog)
-    images = {s.source: s.tokens if s.remove_source else (s.source, *s.tokens) for s in and_splits}
-    removed = {s.source for s in and_splits if s.remove_source}
-    new_catalog = LabelCatalog(r for r in catalog if r.id not in removed)
+    """New annotations and catalog: the plan's merges, then its and-splits,
+    then its hierarchy edges applied.
+
+    Each step maps a label to the labels it becomes: an absorbed label its
+    survivor, an and-split source its tokens (and itself unless
+    ``remove_source`` is set), a sub label itself and all its ancestors. The
+    maps are chained into one, so every sample is rewritten once, and a
+    label not among the labels it becomes leaves the catalog. Raises
+    :class:`PlanError` for a plan :func:`validate_plan` rejects, and
+    ``ValueError`` when ``annotations`` know a label outside the catalog."""
+    validate_plan(plan, catalog)
+    steps = (
+        {absorbed: (m.survivor,) for m in plan.merges for absorbed in m.absorbed},
+        {s.source: s.tokens if s.remove_source else (s.source, *s.tokens)
+         for s in plan.and_splits},
+        {sub: (sub, *sups) for sub, sups in supercategory_closure(plan.hierarchy_edges).items()},
+    )
+    images: dict[int, tuple[int, ...]] = {}
+    for step in steps:
+        # A label the earlier steps map goes on through this one from what it became.
+        images = step | {
+            label: tuple({new for old in image for new in step.get(old, (old,))})
+            for label, image in images.items()
+        }
+    new_catalog = LabelCatalog(r for r in catalog if r.id in images.get(r.id, (r.id,)))
     return _relabel(annotations, images, new_catalog.ids()), new_catalog
 
 

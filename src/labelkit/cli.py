@@ -55,11 +55,11 @@ class RunConfig:
     thresholds: list[float] | None = None
     cross_category: bool = False
 
-    def __init__(self, config: str | None = None) -> None:
+    def __init__(self) -> None:
         # Neither is a setting: the config file the settings come from, and
         # option name -> (path given, file holding the bytes read) of each
         # file read, the config file included.
-        self.config = config
+        self.config: str | None = None
         self.inputs_read: dict[str, tuple[str, str]] = {}
 
 
@@ -100,7 +100,7 @@ def _parse_config(handle) -> dict:
     text = handle.read()  # outside the try: _read names a bad byte's line
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # bad syntax, or an integer over 4300 digits
+    except (ValueError, RecursionError) as exc:  # bad syntax, over 4300 digits, too deep
         raise LabelKitError(f"config file {path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise LabelKitError(f"config file {path}: expected a JSON object")
@@ -317,7 +317,7 @@ def cmd_apply(cfg: RunConfig) -> int:
     from pathlib import Path
 
     from .catalog import parse_annotations, parse_labels, write_annotations, write_labels
-    from .cleanse import apply_and_splits, apply_merges, load_plan, propagate_supercategories
+    from .cleanse import apply_plan, load_plan
     from .reports import write_json, write_text
 
     _require(cfg, "labels", "annotations", "plan", "out")
@@ -326,9 +326,7 @@ def cmd_apply(cfg: RunConfig) -> int:
     plan = _read(cfg, "plan", load_plan, catalog)
 
     before_labels, before_samples = len(catalog), len(annotations)
-    annotations, catalog = apply_merges(annotations, catalog, plan.merges)
-    annotations, catalog = apply_and_splits(annotations, catalog, plan.and_splits)
-    annotations = propagate_supercategories(annotations, plan.hierarchy_edges)
+    annotations, catalog = apply_plan(annotations, catalog, plan)
 
     out_dir = Path(cfg.out)
     write_text(_render(write_labels, catalog), out_dir / "labels.csv")
@@ -577,8 +575,13 @@ def _comma_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error becomes main's one JSON error line
+        raise LabelKitError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="labelkit",
         description="Clean a multi-label vocabulary and evaluate predictions against it.",
     )
@@ -629,9 +632,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(args.config)
+    cfg = RunConfig()
     try:
+        args = build_parser().parse_args(argv)
+        cfg.config = args.config
         _merge_config(cfg, args)
         status = _COMMANDS[args.command](cfg)
         if sys.stdout is not None:  # None when started with stdout closed

@@ -30,10 +30,8 @@ from labelkit.cleanse import (
     OrGroup,
     TransformPlan,
     and_splits_from_tally,
-    apply_and_splits,
-    apply_merges,
+    apply_plan,
     classify_connectives,
-    propagate_supercategories,
     write_plan,
 )
 from labelkit.cli import main
@@ -130,8 +128,8 @@ def test_c03_hyphen_variant_merge(imet_catalog, imet_annotations):
     assert freq[plain] == 8
     assert freq[hyphen] == 9
     assert cooccurrence(imet_annotations, plain, hyphen)[2] == 0
-    merged, _ = apply_merges(
-        imet_annotations, imet_catalog, [Merge(plain, (hyphen,))]
+    merged, _ = apply_plan(
+        imet_annotations, imet_catalog, TransformPlan(merges=[Merge(plain, (hyphen,))])
     )
     assert merged.label_frequency()[plain] == 17
     _passed(3, "bronze gilt 8 + bronze-gilt 9, overlap 0, merged 17")
@@ -152,7 +150,7 @@ def test_c05_and_split_catalog_size(imet_catalog, imet_annotations):
     tally = classify_connectives(imet_catalog, Connective.AND)
     removals = [s for s in and_splits_from_tally(tally) if s.remove_source]
     assert len(removals) == 170
-    _, catalog = apply_and_splits(imet_annotations, imet_catalog, removals)
+    _, catalog = apply_plan(imet_annotations, imet_catalog, TransformPlan(and_splits=removals))
     assert len(catalog) == 3304
     _passed(5, "170 fully resolved splits: 3474 -> 3304 labels")
 
@@ -366,8 +364,8 @@ def test_c10_transformation_invariants():
             for s in range(rng.randrange(1, 8))
         ]
         annotations = _annset(rows, range(n))
-        merged_ann, merged_cat = apply_merges(
-            annotations, catalog, [Merge(survivor, absorbed)]
+        merged_ann, merged_cat = apply_plan(
+            annotations, catalog, TransformPlan(merges=[Merge(survivor, absorbed)])
         )
         assert len(merged_ann) == len(annotations)
         assert set(merged_cat.ids()) == set(range(n)) - set(absorbed)
@@ -393,8 +391,10 @@ def test_c10_transformation_invariants():
             for s in range(rng.randrange(1, 6))
         ]
         annotations = _annset(rows, range(n))
-        once = propagate_supercategories(annotations, edges)
-        twice = propagate_supercategories(once, edges)
+        catalog = LabelCatalog(LabelRecord(i, "c", f"label {i}") for i in range(n))
+        hierarchy = TransformPlan(hierarchy_edges=edges)
+        once, _ = apply_plan(annotations, catalog, hierarchy)
+        twice, _ = apply_plan(once, catalog, hierarchy)
         assert once == twice
         for sid, old in rows:
             assert old <= once.labels_for(sid)

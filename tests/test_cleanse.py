@@ -16,14 +16,12 @@ from labelkit.cleanse import (
     OrGroup,
     TransformPlan,
     and_splits_from_tally,
-    apply_and_splits,
-    apply_merges,
+    apply_plan,
     classify_connectives,
     find_duplicates,
     find_hierarchy_candidates,
     load_plan,
     or_groups_from_tally,
-    propagate_supercategories,
     split_label,
     supercategory_closure,
     tally_as_dict,
@@ -292,6 +290,12 @@ def test_hierarchy_ignores_identical_tokenizations():
     assert find_hierarchy_candidates(catalog) == []
 
 
+def test_hierarchy_proposes_a_repeated_window_once():
+    catalog = build_catalog([(0, "m", "a"), (1, "m", "a b a")])
+    got = find_hierarchy_candidates(catalog)
+    assert [(c.super_label.id, c.sub_label.id) for c in got] == [(0, 1)]
+
+
 def test_hierarchy_same_category_only():
     catalog = build_catalog([(0, "m", "black"), (1, "t", "black chalk")])
     assert find_hierarchy_candidates(catalog) == []
@@ -436,6 +440,57 @@ def test_validate_rejects_token_of_removed_source(mini_catalog):
         validate_plan(plan, mini_catalog)
 
 
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        # A hierarchy edge or and-split on a label a merge absorbs.
+        (
+            TransformPlan(merges=[Merge(12, (13,))], hierarchy_edges=[(17, 13)]),
+            "hierarchy edge references label id 13, which a merge absorbs",
+        ),
+        (
+            TransformPlan(merges=[Merge(4, (0,))], and_splits=[AndSplit(3, (4, 0))]),
+            "and-split references label id 0, which a merge absorbs",
+        ),
+        (
+            TransformPlan(merges=[Merge(4, (3,))], and_splits=[AndSplit(3, (4, 0))]),
+            "and-split references label id 3, which a merge absorbs",
+        ),
+        # A hierarchy edge on a source its split removes.
+        (
+            TransformPlan(and_splits=[AndSplit(3, (4, 0), remove_source=True)],
+                          hierarchy_edges=[(4, 3)]),
+            "hierarchy edge references label id 3, which an and-split removes",
+        ),
+        # The re-split of a removed source runs on the merged catalog, where
+        # "egypt" no longer resolves.
+        (
+            TransformPlan(merges=[Merge(1, (0,))],
+                          and_splits=[AndSplit(3, (4, 1), remove_source=True)]),
+            "not every token resolves",
+        ),
+    ],
+)
+def test_validate_plan_checks_each_step_against_what_earlier_steps_leave(
+    mini_catalog, plan, message
+):
+    with pytest.raises(PlanError, match=message):
+        validate_plan(plan, mini_catalog)
+
+
+def test_validate_plan_checks_groups_against_the_catalog_as_given(mini_catalog):
+    # The graph and eval-or read or-groups and exclusion groups on the
+    # unmerged catalog, so a merge does not hide their labels.
+    validate_plan(
+        TransformPlan(
+            merges=[Merge(1, (0,)), Merge(20, (19,))],
+            or_groups=[OrGroup(2, (0, 1))],
+            exclusion_groups=[frozenset({19, 20, 21})],
+        ),
+        mini_catalog,
+    )
+
+
 def test_plan_round_trip(mini_catalog):
     plan = TransformPlan(
         merges=[Merge(12, (13,)), Merge(14, (15,))],
@@ -464,9 +519,11 @@ def test_plan_merging_canonical_equal_duplicates_loads():
 def test_plan_round_trips_a_category_with_outer_spaces():
     # parse_labels keeps the category " medium" as written, so the plan names
     # the label " medium::silk", which must resolve back to it.
-    catalog = parse_labels(io.StringIO("attribute_id,attribute_name\n0, medium::silk\n1,medium::paper\n"))
+    catalog = parse_labels(io.StringIO(
+        "attribute_id,attribute_name\n0, medium::silk\n1,medium::paper\n2, medium::silks\n"
+    ))
     assert catalog.get(0).category == " medium"
-    plan = TransformPlan(merges=[Merge(1, (0,))], hierarchy_edges=[(0, 1)])
+    plan = TransformPlan(merges=[Merge(0, (2,))], hierarchy_edges=[(0, 1)])
     out = io.StringIO()
     write_plan(plan, catalog, out)
     assert " medium::silk" in out.getvalue()
@@ -491,16 +548,29 @@ def catalogs_with_plans(draw):
     catalog = LabelCatalog(LabelRecord(i, c, n) for i, (c, n) in enumerate(names))
     ids = draw(st.permutations(range(len(names))))
     rank = {label_id: i for i, label_id in enumerate(ids)}
-    n_merges = draw(st.integers(0, len(ids) // 2))
+    # Merges leave at least two labels for the steps applied after them.
+    n_merges = draw(st.integers(0, min(len(ids) // 2, len(ids) - 2)))
     merges = [Merge(ids[i], (ids[n_merges + i],)) for i in range(n_merges)]
-    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
-    pairs = draw(st.lists(pair, max_size=4, unique=True))
+    left = ids[:n_merges] + ids[2 * n_merges:]
+
+    def pairs_of(labels):
+        return st.tuples(st.sampled_from(labels), st.sampled_from(labels)).filter(
+            lambda p: p[0] != p[1]
+        )
+
+    pairs = draw(st.lists(pairs_of(left), max_size=4, unique=True))
     # Edges point down the drawn order, so they form a DAG.
     hierarchy = sorted({tuple(sorted(p, key=rank.get)) for p in pairs})
-    # A label is the source of at most one split and one group.
-    sourced = st.lists(pair, max_size=3, unique_by=lambda p: p[0])
-    and_splits = [AndSplit(a, (b,)) for a, b in draw(sourced)]
-    or_groups = [OrGroup(a, (b,)) for a, b in draw(sourced)]
+    # A label is the source of at most one split and one group. Splits and
+    # edges use the labels the merges leave; or-groups may use any label.
+    and_splits = [
+        AndSplit(a, (b,))
+        for a, b in draw(st.lists(pairs_of(left), max_size=3, unique_by=lambda p: p[0]))
+    ]
+    or_groups = [
+        OrGroup(a, (b,))
+        for a, b in draw(st.lists(pairs_of(ids), max_size=3, unique_by=lambda p: p[0]))
+    ]
     excluded = draw(st.lists(st.sampled_from(ids), max_size=4, unique=True))
     cut = draw(st.integers(0, len(excluded)))
     exclusion_groups = [frozenset(g) for g in (excluded[:cut], excluded[cut:]) if g]
@@ -544,12 +614,12 @@ def test_load_plan_sections_filter(mini_catalog):
 
 
 # ---------------------------------------------------------------------------
-# Merges
+# Plan application: merges
 
 
 def test_apply_merges(mini_catalog, mini_annotations):
-    merges = [Merge(12, (13,)), Merge(14, (15,))]
-    new_annotations, new_catalog = apply_merges(mini_annotations, mini_catalog, merges)
+    plan = TransformPlan(merges=[Merge(12, (13,)), Merge(14, (15,))])
+    new_annotations, new_catalog = apply_plan(mini_annotations, mini_catalog, plan)
     assert len(new_catalog) == len(mini_catalog) - 2
     assert 13 not in new_catalog.ids()
     assert new_annotations.labels_for("s2") == frozenset({12, 17})
@@ -560,9 +630,9 @@ def test_apply_merges(mini_catalog, mini_annotations):
 
 
 def test_apply_merges_frequency_conservation(mini_catalog, mini_annotations):
-    merges = [Merge(12, (13,))]
+    plan = TransformPlan(merges=[Merge(12, (13,))])
     before = mini_annotations.label_frequency()
-    after, _ = apply_merges(mini_annotations, mini_catalog, merges)
+    after, _ = apply_plan(mini_annotations, mini_catalog, plan)
     freq = after.label_frequency()
     # No sample holds both variants here, so counts add exactly.
     assert freq[12] == before[12] + before[13]
@@ -571,7 +641,7 @@ def test_apply_merges_frequency_conservation(mini_catalog, mini_annotations):
 def test_apply_merges_overlap_dedupes():
     catalog = build_catalog([(0, "m", "a"), (1, "m", "b")])
     annotations = AnnotationSet([("x", frozenset({0, 1}))], catalog.ids())
-    merged, new_catalog = apply_merges(annotations, catalog, [Merge(0, (1,))])
+    merged, new_catalog = apply_plan(annotations, catalog, TransformPlan(merges=[Merge(0, (1,))]))
     assert merged.labels_for("x") == frozenset({0})
     assert len(new_catalog) == 1
 
@@ -592,8 +662,8 @@ def test_apply_merges_property_random():
         ids = list(range(n_labels))
         rng.shuffle(ids)
         survivor, absorbed = ids[0], tuple(ids[1 : 1 + rng.randrange(1, 3)])
-        merges = [Merge(survivor, absorbed)]
-        merged, new_catalog = apply_merges(annotations, catalog, merges)
+        plan = TransformPlan(merges=[Merge(survivor, absorbed)])
+        merged, new_catalog = apply_plan(annotations, catalog, plan)
 
         assert len(merged) == len(annotations)  # sample count conserved
         merged_ids = set(absorbed)
@@ -606,19 +676,21 @@ def test_apply_merges_property_random():
 
 
 # ---------------------------------------------------------------------------
-# Supercategory propagation
+# Plan application: supercategory propagation
+
+
+def propagate(annotations, catalog, edges):
+    return apply_plan(annotations, catalog, TransformPlan(hierarchy_edges=edges))[0]
 
 
 def test_propagation_transitive(mini_catalog, mini_annotations):
     edges = [(17, 16), (16, 18)]
-    result = propagate_supercategories(mini_annotations, edges)
+    result = propagate(mini_annotations, mini_catalog, edges)
     assert result.labels_for("s5") == frozenset({16, 17, 18})
     assert result.labels_for("s1") == frozenset({12, 16, 17, 19})
     # A sample holding only the leaf gains its grandparent too.
     only_leaf = AnnotationSet([("x", frozenset({18}))], mini_annotations.known_labels)
-    assert propagate_supercategories(only_leaf, edges).labels_for("x") == frozenset(
-        {16, 17, 18}
-    )
+    assert propagate(only_leaf, mini_catalog, edges).labels_for("x") == frozenset({16, 17, 18})
 
 
 def test_propagation_idempotent_random():
@@ -637,21 +709,21 @@ def test_propagation_idempotent_random():
             for s in range(rng.randrange(1, 6))
         ]
         annotations = AnnotationSet(samples, catalog.ids())
-        once = propagate_supercategories(annotations, edges)
-        twice = propagate_supercategories(once, edges)
+        once = propagate(annotations, catalog, edges)
+        twice = propagate(once, catalog, edges)
         assert once == twice
         for sid, labels in annotations:
             assert labels <= once.labels_for(sid)
 
 
-def test_propagation_cycle_rejected(mini_annotations):
+def test_propagation_cycle_rejected(mini_catalog, mini_annotations):
     with pytest.raises(PlanError, match="cycle"):
-        propagate_supercategories(mini_annotations, [(16, 17), (17, 16)])
+        propagate(mini_annotations, mini_catalog, [(16, 17), (17, 16)])
 
 
-def test_propagation_unknown_label(mini_annotations):
+def test_propagation_unknown_label(mini_catalog, mini_annotations):
     with pytest.raises(PlanError, match="unknown"):
-        propagate_supercategories(mini_annotations, [(99999, 16)])
+        propagate(mini_annotations, mini_catalog, [(99999, 16)])
 
 
 def test_closure_multiple_parents():
@@ -661,15 +733,17 @@ def test_closure_multiple_parents():
 
 
 # ---------------------------------------------------------------------------
-# And-splits
+# Plan application: and-splits, and the steps chained
 
 
 def test_apply_and_splits(mini_catalog, mini_annotations):
-    splits = [
-        AndSplit(3, (4, 0), remove_source=True),
-        AndSplit(26, (27,), remove_source=False),
-    ]
-    result, new_catalog = apply_and_splits(mini_annotations, mini_catalog, splits)
+    plan = TransformPlan(
+        and_splits=[
+            AndSplit(3, (4, 0), remove_source=True),
+            AndSplit(26, (27,), remove_source=False),
+        ]
+    )
+    result, new_catalog = apply_plan(mini_annotations, mini_catalog, plan)
     assert 3 not in new_catalog.ids()
     assert 26 in new_catalog.ids()
     assert result.labels_for("s4") == frozenset({15, 20, 4, 0})
@@ -680,6 +754,26 @@ def test_apply_and_splits(mini_catalog, mini_annotations):
 
 def test_apply_and_splits_validates(mini_catalog, mini_annotations):
     with pytest.raises(PlanError):
-        apply_and_splits(
-            mini_annotations, mini_catalog, [AndSplit(26, (27,), remove_source=True)]
+        apply_plan(
+            mini_annotations,
+            mini_catalog,
+            TransformPlan(and_splits=[AndSplit(26, (27,), remove_source=True)]),
         )
+
+
+def test_apply_plan_runs_merges_then_splits_then_hierarchy(mini_catalog, mini_annotations):
+    # "watercolour" becomes "watercolor", which a split adds to "wool and
+    # silk" and whose parent is "black"; "sudan and egypt" becomes "sudan"
+    # and "egypt", and "egypt" gains its parent "iraq".
+    plan = TransformPlan(
+        merges=[Merge(12, (13,))],
+        and_splits=[AndSplit(3, (4, 0), remove_source=True), AndSplit(26, (27, 12))],
+        hierarchy_edges=[(17, 12), (1, 0)],
+    )
+    result, new_catalog = apply_plan(mini_annotations, mini_catalog, plan)
+    assert new_catalog.ids() == mini_catalog.ids() - {3, 13}
+    assert result.known_labels == new_catalog.ids()
+    assert result.labels_for("s2") == frozenset({12, 17})
+    assert result.labels_for("s4") == frozenset({15, 4, 0, 1, 20})
+    assert result.labels_for("s7") == frozenset({26, 27, 12, 17, 24})
+    assert result.labels_for("s6") == mini_annotations.labels_for("s6")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from labelkit import defaults
+from labelkit import cleanse, defaults
 from labelkit.cleanse import AndSplit, Merge, OrGroup, TransformPlan, find_duplicates, write_plan
 from labelkit.cli import _CONFIG_KEYS, RunConfig, build_parser, main
 from labelkit.metricmp import compare
@@ -645,6 +645,15 @@ def test_config_with_an_integer_too_long_to_convert_names_the_file(corpus, tmp_p
         f"config file {config}: not valid JSON: Exceeds the limit (4300 digits)")
 
 
+def test_deeply_nested_config_names_the_file(corpus, tmp_path, capsys):
+    # json.loads raises RecursionError, not ValueError, past the
+    # interpreter's recursion limit.
+    config = tmp_path / "config.json"
+    config.write_text("[" * 100_000 + "]" * 100_000)
+    assert run("inspect", "--config", config, "--labels", corpus["labels"]) == 2
+    assert one_json_error(capsys).startswith(f"config file {config}: not valid JSON: ")
+
+
 def test_config_rejects_the_inputs_record(corpus, tmp_path, capsys):
     # The record of files a command opened is state, not a setting.
     assert _CONFIG_KEYS == {
@@ -889,6 +898,87 @@ def test_plan_with_an_integer_too_long_to_convert_names_the_file(corpus, tmp_pat
     assert one_json_error(capsys).startswith(
         f"{plan}: plan file is not valid JSON: Exceeds the limit (4300 digits)")
     assert not (tmp_path / "cleaned").exists()
+
+
+def test_deeply_nested_plan_names_the_file(corpus, tmp_path, capsys):
+    plan = tmp_path / "deep.json"
+    plan.write_text('{"merges": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code = run(
+        "apply",
+        "--labels", corpus["labels"],
+        "--annotations", corpus["annotations"],
+        "--plan", plan,
+        "--out", tmp_path / "cleaned",
+    )
+    assert code == 2
+    assert one_json_error(capsys).startswith(f"{plan}: plan file is not valid JSON: ")
+    assert not (tmp_path / "cleaned").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        ({"merges": [{"survivor": "medium::watercolor", "absorbed": ["medium::watercolour"]}],
+          "hierarchy_edges": [{"super": "medium::black", "sub": "medium::watercolour"}]},
+         "hierarchy edge references label id 13, which a merge absorbs"),
+        ({"merges": [{"survivor": "medium::black", "absorbed": ["medium::silk"]}],
+          "and_splits": [{"source": "medium::wool and silk", "tokens": ["medium::silk"]}]},
+         "and-split references label id 27, which a merge absorbs"),
+        ({"and_splits": [{"source": "country::sudan and egypt",
+                          "tokens": ["country::sudan", "country::egypt"], "remove_source": True}],
+          "hierarchy_edges": [{"super": "country::sudan", "sub": "country::sudan and egypt"}]},
+         "hierarchy edge references label id 3, which an and-split removes"),
+    ],
+)
+def test_apply_rejects_conflicting_steps_at_load(corpus, tmp_path, capsys, doc, error):
+    # Each step is checked against the labels the earlier steps leave, so
+    # the plan fails as it is read, naming its file, before anything is
+    # written.
+    plan = tmp_path / "conflict.json"
+    plan.write_text(json.dumps(doc))
+    code = run(
+        "apply",
+        "--labels", corpus["labels"],
+        "--annotations", corpus["annotations"],
+        "--plan", plan,
+        "--out", tmp_path / "cleaned",
+    )
+    assert code == 2
+    assert one_json_error(capsys) == f"{plan}: {error}"
+    assert not (tmp_path / "cleaned").exists()
+
+
+def test_apply_rewrites_the_annotations_once(corpus, tmp_path, monkeypatch):
+    calls = []
+    relabel = cleanse._relabel
+    monkeypatch.setattr(cleanse, "_relabel", lambda *args: calls.append(1) or relabel(*args))
+    code = run(
+        "apply",
+        "--labels", corpus["labels"],
+        "--annotations", corpus["annotations"],
+        "--plan", corpus["plan"],
+        "--out", tmp_path / "cleaned",
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["eval", "--threshold", "abc"], "argument --threshold: invalid float value: 'abc'"),
+        (["eval-graph", "--fp-mode", "bogus"], "argument --fp-mode: invalid choice: 'bogus'"),
+        (["sweep", "--thresholds", "0.1,x"],
+         "argument --thresholds: expected comma-separated numbers, got '0.1,x'"),
+        (["eval", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_errors_are_one_json_line(capsys, argv, error):
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"].startswith(error)
 
 
 def test_missing_required_input(corpus, capsys):

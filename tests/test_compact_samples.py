@@ -6,7 +6,7 @@ labels and builds a frozenset when a sample is read; the oracle is an ordered di
 frozensets, read by the readers as they were when sets were stored. A
 :class:`ScoreRow` stores positions in a shared ascending id list; the oracle
 is a plain dict. Every way a set is built is covered: the constructor,
-``_trusted``, ``parse_annotations`` and each cleanse transform.
+``_trusted``, ``parse_annotations`` and each step of a cleaning plan.
 """
 
 import gc
@@ -28,14 +28,7 @@ from labelkit.catalog import (
     parse_annotations,
     write_annotations,
 )
-from labelkit.cleanse import (
-    AndSplit,
-    Merge,
-    apply_and_splits,
-    apply_merges,
-    propagate_supercategories,
-    supercategory_closure,
-)
+from labelkit.cleanse import AndSplit, Merge, TransformPlan, apply_plan, supercategory_closure
 from labelkit.csvio import csv_writer
 from labelkit.metrics import ScoreSet, parse_scores, threshold
 from conftest import build_catalog
@@ -199,7 +192,7 @@ def test_constructor_trusted_and_parse_read_as_frozensets(rows):
 @example(rows={"a": [0, 1, 2]}, plan=[Merge(survivor=0, absorbed=(1, 2))])
 def test_apply_merges_reads_as_frozensets(rows, plan):
     annotations = AnnotationSet(rows.items(), KNOWN)
-    merged, catalog = apply_merges(annotations, CATALOG, plan)
+    merged, catalog = apply_plan(annotations, CATALOG, TransformPlan(merges=plan))
     rewrite = {absorbed: m.survivor for m in plan for absorbed in m.absorbed}
     want = {
         sid: frozenset(rewrite.get(label, label) for label in labels)
@@ -213,7 +206,7 @@ def test_apply_merges_reads_as_frozensets(rows, plan):
 @example(rows={"a": [3, 26], "b": [3, 4, 0], "c": [5]}, plan=[FULL_SPLIT])
 def test_apply_and_splits_reads_as_frozensets(rows, plan):
     annotations = AnnotationSet(rows.items(), KNOWN)
-    split, catalog = apply_and_splits(annotations, CATALOG, plan)
+    split, catalog = apply_plan(annotations, CATALOG, TransformPlan(and_splits=plan))
     additions = {s.source: s.tokens for s in plan}
     removed = {s.source for s in plan if s.remove_source}
 
@@ -234,7 +227,7 @@ def test_apply_and_splits_reads_as_frozensets(rows, plan):
 @example(rows={"a": [2, 9], "b": [5]}, edges=[(0, 2), (1, 2), (0, 1), (5, 9)])
 def test_propagate_supercategories_reads_as_frozensets(rows, edges):
     annotations = AnnotationSet(rows.items(), KNOWN)
-    expanded = propagate_supercategories(annotations, edges)
+    expanded, _ = apply_plan(annotations, CATALOG, TransformPlan(hierarchy_edges=edges))
     closure = supercategory_closure(edges)
     want = {
         sid: labels.union(*(closure.get(label, ()) for label in labels))
@@ -272,7 +265,8 @@ def test_prediction_views_read_as_frozensets(rows, cut, edges):
         sid: labels.union(*(closure.get(label, ()) for label in labels))
         for sid, labels in want.items()
     }
-    assert_reads_as(propagate_supercategories(view, edges), expanded, CATALOG)
+    propagated, _ = apply_plan(view, CATALOG, TransformPlan(hierarchy_edges=edges))
+    assert_reads_as(propagated, expanded, CATALOG)
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,9 @@ EXPORTS = {
     ],
     "cleanse": [
         "AndSplit", "ConnectiveTally", "DuplicatePair", "HierarchyCandidate", "Merge", "OrGroup",
-        "TransformPlan", "and_splits_from_tally", "apply_and_splits", "apply_merges",
-        "classify_connectives", "find_duplicates", "find_hierarchy_candidates", "load_plan",
-        "or_groups_from_tally", "propagate_supercategories", "split_label", "validate_plan",
-        "write_plan",
+        "TransformPlan", "and_splits_from_tally", "apply_plan", "classify_connectives",
+        "find_duplicates", "find_hierarchy_candidates", "load_plan", "or_groups_from_tally",
+        "split_label", "validate_plan", "write_plan",
     ],
     "errors": ["EvalError", "LabelKitError", "ParseError", "PlanError"],
     "metricmp": [

@@ -1,23 +1,18 @@
-"""The three plan steps chained, against an oracle over frozensets.
+"""A whole plan applied in one call, against the three steps chained by an
+oracle over frozensets.
 
-``apply_merges``, ``apply_and_splits`` and ``propagate_supercategories``
-each map every label to the labels it becomes and rewrite the rows in one
-pass. The oracle spells each step out on ``{sample id: frozenset}`` and
-closes the hierarchy by repeated expansion, independently of
-``supercategory_closure``.
+``apply_plan`` chains the maps of its merges, and-splits and hierarchy edges
+into one map from every label to the labels it becomes and rewrites the rows
+in one pass. The oracle spells each step out on ``{sample id: frozenset}``,
+one after the other, and closes the hierarchy by repeated expansion,
+independently of ``supercategory_closure``.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from labelkit.catalog import AnnotationSet
-from labelkit.cleanse import (
-    AndSplit,
-    Merge,
-    apply_and_splits,
-    apply_merges,
-    propagate_supercategories,
-)
+from labelkit.cleanse import AndSplit, Merge, TransformPlan, apply_plan
 from conftest import build_catalog
 
 CATALOG = build_catalog()
@@ -89,10 +84,10 @@ def oracle_propagation(rows, edges):
     return result
 
 
-def assert_step(before, after, want, known):
+def assert_applied(before, after, want, known):
     """``after`` reads as ``want`` over ``known``, stores each sample as a
     tuple of distinct ids within ``known``, and keeps the stored tuple of
-    every sample the step leaves as it was."""
+    every sample the plan leaves as it was."""
     assert list(after) == list(want.items())
     assert after.known_labels == known
     for sid, stored in after._index.items():
@@ -111,26 +106,18 @@ def assert_step(before, after, want, known):
 )
 def test_chained_steps_match_the_oracle(rows, plan, stray):
     merges, splits, edges = plan
+    whole = TransformPlan(merges=merges, and_splits=splits, hierarchy_edges=edges)
     annotations = AnnotationSet(rows.items(), CATALOG.ids())
     if stray:
-        # A row holding an id outside the catalog fails each catalog step.
+        # A row holding an id outside the catalog fails the plan.
         outside = AnnotationSet([*rows.items(), ("stray", [STRAY])], CATALOG.ids() | {STRAY})
         with pytest.raises(ValueError, match=rf"outside the catalog: \[{STRAY}\]"):
-            apply_merges(outside, CATALOG, merges)
-        with pytest.raises(ValueError, match=rf"outside the catalog: \[{STRAY}\]"):
-            apply_and_splits(outside, CATALOG, splits)
+            apply_plan(outside, CATALOG, whole)
 
-    merged, catalog = apply_merges(annotations, CATALOG, merges)
-    absorbed = {label for m in merges for label in m.absorbed}
+    applied, catalog = apply_plan(annotations, CATALOG, whole)
     want = oracle_merges({sid: frozenset(labels) for sid, labels in rows.items()}, merges)
-    assert_step(annotations, merged, want, CATALOG.ids() - absorbed)
-    assert catalog.ids() == CATALOG.ids() - absorbed
-
-    split, catalog = apply_and_splits(merged, catalog, splits)
+    want = oracle_propagation(oracle_splits(want, splits), edges)
+    absorbed = {label for m in merges for label in m.absorbed}
     removed = {s.source for s in splits if s.remove_source}
-    want = oracle_splits(want, splits)
-    assert_step(merged, split, want, CATALOG.ids() - absorbed - removed)
-    assert catalog.ids() == split.known_labels
-
-    expanded = propagate_supercategories(split, edges)
-    assert_step(split, expanded, oracle_propagation(want, edges), split.known_labels)
+    assert_applied(annotations, applied, want, CATALOG.ids() - absorbed - removed)
+    assert catalog.ids() == applied.known_labels

@@ -1,8 +1,8 @@
 """Hand-over of already-valid rows to the shared sample table.
 
-``parse_annotations`` and ``propagate_supercategories`` build their dicts
-themselves and adopt them through ``_trusted`` instead of running the
-validating constructor; ``threshold`` and ``enforce_exclusion`` return views
+``parse_annotations`` and ``apply_plan`` build their dicts themselves and
+adopt them through ``_trusted`` instead of running the validating
+constructor; ``threshold`` and ``enforce_exclusion`` return views
 that build each sample's set when it is read. Each test here rebuilds the
 result through that constructor (or through the code it replaced) and
 requires the same samples, in the same order, as the same immutable sets.
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from labelkit.catalog import AnnotationSet, SampleTable, parse_annotations
-from labelkit.cleanse import propagate_supercategories
+from labelkit.cleanse import TransformPlan, apply_plan
 from labelkit.errors import EvalError, ParseError, PlanError
 from labelkit.metrics import (
     ScoreSet,
@@ -222,7 +222,7 @@ def test_threshold_rejects_repeated_sample_ids_after_missing_ones():
 
 
 # ---------------------------------------------------------------------------
-# enforce_exclusion and propagate_supercategories
+# enforce_exclusion and supercategory propagation
 
 
 PREDICTION_ROWS = st.dictionaries(
@@ -273,11 +273,12 @@ def test_propagation_output_is_its_validated_copy(rows, pairs):
     # Edges run from a lower to a higher id, so they never form a cycle.
     edges = [(min(a, b), max(a, b)) for a, b in pairs if a != b]
     annotations = AnnotationSet(rows.items(), KNOWN)
+    plan = TransformPlan(hierarchy_edges=edges)
     if any(UNKNOWN in edge for edge in edges):
-        with pytest.raises(PlanError, match="unknown label ids"):
-            propagate_supercategories(annotations, edges)
+        with pytest.raises(PlanError, match="unknown label id"):
+            apply_plan(annotations, CATALOG, plan)
         return
-    expanded = propagate_supercategories(annotations, edges)
+    expanded, _ = apply_plan(annotations, CATALOG, plan)
     assert_validated_copy(expanded)
     assert expanded.sample_ids() == annotations.sample_ids()
     for sid, labels in expanded:

@@ -198,10 +198,36 @@ def _planted_catalog(seed: int) -> LabelCatalog:
     return LabelCatalog(LabelRecord(i, c, n) for i, (c, n) in enumerate(rows))
 
 
-@pytest.mark.parametrize("threshold", [0.9, 0.7, 0.5])
+def loose_cap_pairs(catalog: LabelCatalog, threshold: float) -> list[tuple[int, int, float]]:
+    """Every same-category pair scoring at least ``threshold``, as
+    ``find_duplicates`` lists them, from a scan of all pairs: each is checked
+    by the DP kernel at the loose cap ``min(L, int((1 - threshold) * L) + 1)``
+    of its longer length ``L``, and then by its score."""
+    pools: dict[str, list[LabelRecord]] = {}
+    for record in catalog:
+        pools.setdefault(record.category, []).append(record)
+    pairs = []
+    for pool in pools.values():
+        for i, a in enumerate(pool):
+            for b in pool[i + 1:]:
+                score = 1.0
+                if cleanse._fold_hyphens(a.canonical) != cleanse._fold_hyphens(b.canonical):
+                    length = max(len(a.canonical), len(b.canonical))
+                    cap = min(length, int((1.0 - threshold) * length) + 1)
+                    d = dp_edit_distance_capped(a.canonical, b.canonical, cap)
+                    score = 1.0 - d / length if d <= cap else 0.0
+                if score >= threshold:
+                    pairs.append((a.id, b.id, score))
+    return sorted(pairs, key=lambda p: (-p[2], p[0], p[1]))
+
+
+@pytest.mark.parametrize("threshold", [0.9, 0.7, 0.6, 0.5])
 def test_find_duplicates_pairs_match_the_dp_kernel(monkeypatch, threshold):
+    # find_duplicates caps each distance exactly; the reference scan uses
+    # the loose cap, so a cap too low would lose pairs it finds.
     catalog = _planted_catalog(25)
     got = [(p.a.id, p.b.id, p.score) for p in cleanse.find_duplicates(catalog, threshold)]
+    assert got == loose_cap_pairs(catalog, threshold)
     monkeypatch.setattr(cleanse, "edit_distance_capped", dp_edit_distance_capped)
     want = [(p.a.id, p.b.id, p.score) for p in cleanse.find_duplicates(catalog, threshold)]
     assert got == want
