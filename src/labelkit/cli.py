@@ -220,22 +220,32 @@ def _emit_text(text: str, out: str | None) -> None:
         print(f"wrote {out}")
 
 
-def _emit_json(doc: dict, out: str | None) -> None:
-    """Print ``doc`` as a JSON report, or stream it into the file ``out``."""
+def _write_report(cfg: RunConfig, before: str | None, doc: dict, out, after: str | None) -> None:
+    """Stamp ``doc`` with the provenance of the files ``cfg`` read, print
+    ``before``, then print ``doc`` as a JSON report, or stream it into the
+    file ``out`` and print ``after`` (by default, that ``out`` was written).
+    :func:`main` calls this once the command has returned, so the command's
+    parsed inputs are freed before any of them is digested."""
     from .reports import render_json, write_json
 
+    doc["provenance"] = _provenance(cfg)
+    if before:
+        print(before)
     if out is None:
         sys.stdout.write(render_json(doc))
     else:
         write_json(doc, out)
-        print(f"wrote {out}")
+        print(after or f"wrote {out}")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands. One whose report carries provenance returns what
+# :func:`_write_report` takes after ``cfg``: the line to print first, the
+# report, the file it goes to (stdout when None), and the line to print once
+# it is written. Files without provenance are written before it returns.
 
 
-def cmd_inspect(cfg: RunConfig) -> int:
+def cmd_inspect(cfg: RunConfig):
     from .catalog import compute_stats, parse_annotations, parse_labels
 
     catalog = _read(cfg, "labels", parse_labels)
@@ -261,12 +271,10 @@ def cmd_inspect(cfg: RunConfig) -> int:
                 },
             }
         )
-    doc["provenance"] = _provenance(cfg)
-    _emit_json(doc, cfg.out)
-    return 0
+    return None, doc, cfg.out, None
 
 
-def cmd_dupes(cfg: RunConfig) -> int:
+def cmd_dupes(cfg: RunConfig) -> None:
     from .catalog import parse_labels
     from .cleanse import find_duplicates, write_duplicate_candidates
 
@@ -279,10 +287,9 @@ def cmd_dupes(cfg: RunConfig) -> int:
     )
     print(f"{len(pairs)} duplicate candidates at similarity >= {cfg.similarity}")
     _emit_text(_render(write_duplicate_candidates, pairs), cfg.out)
-    return 0
 
 
-def cmd_hierarchy(cfg: RunConfig) -> int:
+def cmd_hierarchy(cfg: RunConfig) -> None:
     from .catalog import parse_labels
     from .cleanse import find_hierarchy_candidates, write_hierarchy_candidates
 
@@ -290,35 +297,33 @@ def cmd_hierarchy(cfg: RunConfig) -> int:
     candidates = find_hierarchy_candidates(catalog, category=cfg.category)
     print(f"{len(candidates)} hierarchy candidates")
     _emit_text(_render(write_hierarchy_candidates, candidates), cfg.out)
-    return 0
 
 
-def cmd_connectives(cfg: RunConfig) -> int:
+def cmd_connectives(cfg: RunConfig):
     from .catalog import parse_labels
     from .cleanse import classify_connectives, tally_as_dict
     from .textkit import Connective
 
     catalog = _read(cfg, "labels", parse_labels)
     doc: dict = {}
+    lines = []
     wanted = ("and", "or") if cfg.which == "both" else (cfg.which,)
     for word in wanted:
         tally = classify_connectives(catalog, Connective(word))
         doc[word] = tally_as_dict(tally, catalog)
-        print(
+        lines.append(
             f"{word}: total={tally.total} all_resolved={tally.all_resolved} "
             f"none_resolved={tally.none_resolved} partial={tally.partial}"
         )
-    doc["provenance"] = _provenance(cfg)
-    _emit_json(doc, cfg.out)
-    return 0
+    return "\n".join(lines), doc, cfg.out, None
 
 
-def cmd_apply(cfg: RunConfig) -> int:
+def cmd_apply(cfg: RunConfig):
     from pathlib import Path
 
     from .catalog import parse_annotations, parse_labels, write_annotations, write_labels
     from .cleanse import apply_plan, load_plan
-    from .reports import write_json, write_text
+    from .reports import write_text
 
     _require(cfg, "labels", "annotations", "plan", "out")
     catalog = _read(cfg, "labels", parse_labels)
@@ -342,11 +347,9 @@ def cmd_apply(cfg: RunConfig) -> int:
             "or_groups": len(plan.or_groups),
             "exclusion_groups": len(plan.exclusion_groups),
         },
-        "provenance": _provenance(cfg),
     }
-    write_json(summary, out_dir / "summary.json")
-    print(f"applied plan: {before_labels} -> {len(catalog)} labels; wrote {out_dir}")
-    return 0
+    done = f"applied plan: {before_labels} -> {len(catalog)} labels; wrote {out_dir}"
+    return None, summary, out_dir / "summary.json", done
 
 
 def _connective_relations(cfg: RunConfig, catalog, *sections: str) -> list[list]:
@@ -382,12 +385,12 @@ def _build_graph(cfg: RunConfig, catalog):
     )
 
 
-def cmd_graph(cfg: RunConfig) -> int:
+def cmd_graph(cfg: RunConfig):
     from pathlib import Path
 
     from .catalog import parse_labels
     from .relgraph import graph_summary, write_edge_list
-    from .reports import write_json, write_text
+    from .reports import write_text
 
     _require(cfg, "labels", "out")
     catalog = _read(cfg, "labels", parse_labels)
@@ -395,13 +398,11 @@ def cmd_graph(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     write_text(_render(write_edge_list, graph, catalog), out_dir / "edges.txt")
     doc = graph_summary(graph)
-    doc["provenance"] = _provenance(cfg)
-    write_json(doc, out_dir / "graph.json")
-    print(
+    done = (
         f"graph: {doc['nodes']} nodes, {doc['edges']} edges, "
         f"{doc['components']} components; wrote {out_dir}"
     )
-    return 0
+    return None, doc, out_dir / "graph.json", done
 
 
 def _load_eval_pair(cfg: RunConfig):
@@ -427,20 +428,17 @@ def _scope_from_category(cfg: RunConfig, catalog):
     return None if cfg.category is None else catalog.category_ids(cfg.category)
 
 
-def _finish_eval(cfg: RunConfig, report, extra: dict | None = None) -> int:
+def _finish_eval(cfg: RunConfig, report, extra: dict | None = None):
     doc = report.as_dict()
     if extra:
         doc.update(extra)
-    doc["provenance"] = _provenance(cfg)
     micro = doc.get("micro_f")
     macro = doc.get("macro_f")
     fmt = lambda v: "nan" if v is None else f"{v:.6f}"  # noqa: E731
-    print(f"{report.kind}: micro_f={fmt(micro)} macro_f={fmt(macro)}")
-    _emit_json(doc, cfg.out)
-    return 0
+    return f"{report.kind}: micro_f={fmt(micro)} macro_f={fmt(macro)}", doc, cfg.out, None
 
 
-def cmd_eval(cfg: RunConfig) -> int:
+def cmd_eval(cfg: RunConfig):
     from .metrics import fbeta_report
 
     catalog, truth, predictions, _ = _load_eval_pair(cfg)
@@ -450,7 +448,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     return _finish_eval(cfg, report)
 
 
-def cmd_eval_graph(cfg: RunConfig) -> int:
+def cmd_eval_graph(cfg: RunConfig):
     from .metrics import graph_fbeta_report
 
     catalog, truth, predictions, _ = _load_eval_pair(cfg)
@@ -466,7 +464,7 @@ def cmd_eval_graph(cfg: RunConfig) -> int:
     return _finish_eval(cfg, report)
 
 
-def cmd_eval_or(cfg: RunConfig) -> int:
+def cmd_eval_or(cfg: RunConfig):
     from .metrics import or_aware_report
 
     catalog, truth, predictions, _ = _load_eval_pair(cfg)
@@ -481,7 +479,7 @@ def cmd_eval_or(cfg: RunConfig) -> int:
     return _finish_eval(cfg, report, extra={"or_groups": len(or_groups)})
 
 
-def cmd_eval_excl(cfg: RunConfig) -> int:
+def cmd_eval_excl(cfg: RunConfig):
     from .cleanse import load_plan
     from .metrics import enforce_exclusion, fbeta_report
 
@@ -505,13 +503,13 @@ def cmd_eval_excl(cfg: RunConfig) -> int:
     )
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: RunConfig):
     from pathlib import Path
 
     from .catalog import parse_annotations, parse_labels
     from .metricmp import family_from_sweep, write_family
     from .metrics import parse_scores, sweep, write_sweep
-    from .reports import write_json, write_text
+    from .reports import write_text
 
     _require(cfg, "labels", "annotations", "scores", "out")
     catalog = _read(cfg, "labels", parse_labels)
@@ -530,26 +528,23 @@ def cmd_sweep(cfg: RunConfig) -> int:
     )
     out_dir = Path(cfg.out)
     write_text(_render(write_sweep, rows), out_dir / "sweep.csv")
-    write_json({"rows": rows, "provenance": _provenance(cfg)}, out_dir / "sweep.json")
     if graph is not None:
         write_text(_render(write_family, family_from_sweep(rows)), out_dir / "family.csv")
-    print(f"swept {len(rows)} thresholds; wrote {out_dir}")
-    return 0
+    done = f"swept {len(rows)} thresholds; wrote {out_dir}"
+    return None, {"rows": rows}, out_dir / "sweep.json", done
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(cfg: RunConfig):
     from .metricmp import compare, parse_family
 
     report = compare(_read(cfg, "family", parse_family), epsilon=cfg.epsilon)
     doc = report.as_dict()
-    doc["provenance"] = _provenance(cfg)
-    print(
+    line = (
         f"doc={'undefined' if report.doc is None else f'{report.doc:.6f}'} "
         f"dod={'undefined' if report.dod is None else report.dod} "
         f"verdict={doc['verdict']}"
     )
-    _emit_json(doc, cfg.out)
-    return 0
+    return line, doc, cfg.out, None
 
 
 _COMMANDS = {
@@ -637,10 +632,12 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         cfg.config = args.config
         _merge_config(cfg, args)
-        status = _COMMANDS[args.command](cfg)
+        report = _COMMANDS[args.command](cfg)
+        if report is not None:
+            _write_report(cfg, *report)
         if sys.stdout is not None:  # None when started with stdout closed
             sys.stdout.flush()  # so a reader that closed early is seen here, not at exit
-        return status
+        return 0
     except BrokenPipeError:
         # Stdout is the one pipe labelkit writes to. Its reader stopped early
         # (`| head`), which is not an error; what is left goes nowhere.

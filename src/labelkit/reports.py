@@ -9,7 +9,6 @@ dependence, and it shapes two conventions used everywhere: undefined values
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -22,7 +21,10 @@ from typing import Iterable, Mapping
 
 def file_digest(path: str | os.PathLike) -> str:
     """The SHA-256 of the file at ``path``, read 64 KiB at a time into one
-    reused buffer."""
+    reused buffer. hashlib loads OpenSSL, a few MB, so it is imported only
+    when a command digests its inputs, after its parsed inputs are freed."""
+    import hashlib
+
     digest = hashlib.sha256()
     buffer = memoryview(bytearray(1 << 16))
     with open(path, "rb", buffering=0) as handle:

@@ -1,6 +1,8 @@
 """End-to-end command behavior on a hand-checkable corpus."""
 
+import gc
 import hashlib
+import importlib
 import inspect
 import io
 import json
@@ -12,11 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from labelkit import cleanse, defaults
+from labelkit import cleanse, defaults, reports
+from labelkit.catalog import LabelCatalog, SampleTable
 from labelkit.cleanse import AndSplit, Merge, OrGroup, TransformPlan, find_duplicates, write_plan
 from labelkit.cli import _CONFIG_KEYS, RunConfig, build_parser, main
 from labelkit.metricmp import compare
 from labelkit.metrics import fbeta_report, graph_fbeta_report, or_aware_report, sweep
+from labelkit.relgraph import RelationGraph
 from conftest import annotations_csv, build_catalog, labels_csv
 
 SCORES_CSV = """id,attribute_id,score
@@ -535,6 +539,86 @@ def test_provenance_lists_the_inputs_read(corpus, tmp_path, command, given, repo
     for name, entry in inputs.items():
         assert entry == {"path": str(files[name]), "sha256": "sha256:" + digest(files[name])}
 
+
+# Each command whose report carries provenance, with every input it reads.
+FULL_INPUTS = {
+    "inspect": "labels annotations",
+    "connectives": "labels",
+    "apply": "labels annotations plan",
+    "graph": "labels plan graph_edges",
+    "eval": f"{EVAL_PAIR} scores",
+    "eval-or": f"{EVAL_PAIR} scores plan",
+    "eval-excl": f"{EVAL_PAIR} scores plan",
+    "eval-graph": f"{EVAL_PAIR} scores plan graph_edges",
+    "sweep": f"{EVAL_PAIR} scores plan graph_edges",
+    "compare": "family",
+}
+PARSED = (SampleTable, LabelCatalog, RelationGraph)
+
+
+def full_argv(corpus, tmp_path, command):
+    """``command`` reading every input of ``FULL_INPUTS``, writing under
+    ``tmp_path / "out"``, and the input files by option name."""
+    files = dict(corpus, graph_edges=corpus["edges"], family=tmp_path / "family.csv")
+    files["family"].write_text("model,f_score,g_score\na,0.0,0.0\nb,1.0,0.5\n")
+    argv = [command]
+    for name in FULL_INPUTS[command].split():
+        argv += [f"--{name.replace('_', '-')}", files[name]]
+    return [*argv, "--thresholds", "0.1,0.3", "--out", tmp_path / "out"], files
+
+
+@pytest.mark.parametrize("command", list(FULL_INPUTS))
+def test_inputs_are_digested_after_the_command_frees_them(corpus, tmp_path, monkeypatch, command):
+    # Parsed inputs of earlier tests stay referenced here, so no new object
+    # can take one of their ids.
+    earlier = [o for o in gc.get_objects() if issubclass(type(o), PARSED)]
+    known = set(map(id, earlier))
+    digest_file = reports.file_digest
+    digested = []
+
+    def checked_digest(path):
+        gc.collect()
+        alive = [type(o).__name__ for o in gc.get_objects()
+                 if issubclass(type(o), PARSED) and id(o) not in known]
+        assert alive == [], f"{path} digested while {alive} are alive"
+        digested.append(path)
+        return digest_file(path)
+
+    monkeypatch.setattr(reports, "file_digest", checked_digest)
+    argv, _ = full_argv(corpus, tmp_path, command)
+    assert run(*argv) == 0
+    assert len(digested) == len(FULL_INPUTS[command].split())
+
+
+@pytest.mark.parametrize(
+    "command, module, parse, name, report",
+    [
+        ("connectives", "catalog", "parse_labels", "labels", "out"),
+        ("apply", "cleanse", "load_plan", "plan", "out/summary.json"),
+        ("graph", "relgraph", "parse_curated_edges", "graph_edges", "out/graph.json"),
+        ("eval", "metrics", "parse_scores", "scores", "out"),
+        ("sweep", "metrics", "parse_scores", "scores", "out/sweep.json"),
+        ("compare", "metricmp", "parse_family", "family", "out"),
+    ],
+)
+def test_an_input_gone_before_its_digest_leaves_no_result(
+    corpus, tmp_path, capsys, monkeypatch, command, module, parse, name, report
+):
+    argv, files = full_argv(corpus, tmp_path, command)
+    parse_file = getattr(importlib.import_module(f"labelkit.{module}"), parse)
+
+    def parse_then_delete(handle, *args, **kwargs):
+        parsed = parse_file(handle, *args, **kwargs)
+        files[name].unlink()
+        return parsed
+
+    monkeypatch.setattr(f"labelkit.{module}.{parse}", parse_then_delete)
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert str(files[name]) in json.loads(err)["error"]
+    assert not (tmp_path / report).exists()
 
 def decode_cases():
     """(command, inputs given, input to break): every input option each

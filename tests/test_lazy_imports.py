@@ -1,5 +1,6 @@
 """Start-up cost: ``import labelkit`` loads no module, each CLI command loads
-only the modules it runs, and every exported name still resolves."""
+only the modules it runs, OpenSSL's hash module only when a command digests
+its inputs, and every exported name still resolves."""
 
 import importlib
 import os
@@ -14,8 +15,9 @@ from conftest import annotations_csv, labels_csv
 
 SRC = Path(labelkit.__file__).resolve().parents[1]
 
-# Runs the CLI in a fresh interpreter, then prints its exit status and the
-# labelkit modules it loaded as its last line.
+# Runs the CLI in a fresh interpreter, then prints its exit status, the
+# labelkit modules it loaded and, if it was loaded, _hashlib (OpenSSL's hashes,
+# which hashlib loads) as its last line.
 CHILD = """
 import sys
 from labelkit.cli import main
@@ -23,11 +25,13 @@ try:
     status = main(sys.argv[1:])
 except SystemExit as exc:
     status = exc.code
-print(status, *sorted(m for m in sys.modules if m.split(".")[0] == "labelkit"))
+print(status, *sorted(m for m in sys.modules if m.split(".")[0] in ("labelkit", "_hashlib")))
 """
 
 BASE = {"labelkit", "labelkit.cli", "labelkit.defaults", "labelkit.errors"}
 INSPECT = BASE | {"labelkit.catalog", "labelkit.csvio", "labelkit.reports"}
+CLEANSE = INSPECT | {"labelkit.cleanse", "labelkit.textkit"}
+DIGEST = {"_hashlib"}  # loaded by the commands whose reports carry provenance
 
 
 def loaded_modules(code: str, *argv, cwd: Path) -> set[str]:
@@ -59,21 +63,26 @@ def files(tmp_path):
         (["--version"], 0, BASE),
         (["--help"], 0, BASE),
         ([], 2, BASE),  # usage error: no command
-        (["inspect", "--labels", "labels.csv", "--annotations", "annotations.csv"], 0, INSPECT),
-        (["dupes", "--labels", "labels.csv"], 0, INSPECT | {"labelkit.cleanse", "labelkit.textkit"}),
+        (
+            ["inspect", "--labels", "labels.csv", "--annotations", "annotations.csv"],
+            0,
+            INSPECT | DIGEST,
+        ),
+        (["dupes", "--labels", "labels.csv"], 0, CLEANSE),
+        (["hierarchy", "--labels", "labels.csv"], 0, CLEANSE),
         (
             ["eval", "--labels", "labels.csv", "--annotations", "annotations.csv",
              "--scores", "scores.csv"],
             0,
-            INSPECT | {"labelkit.metrics"},
+            INSPECT | {"labelkit.metrics"} | DIGEST,
         ),
         (
             ["compare", "--family", "family.csv"],
             0,
-            BASE | {"labelkit.csvio", "labelkit.metricmp", "labelkit.reports"},
+            BASE | {"labelkit.csvio", "labelkit.metricmp", "labelkit.reports"} | DIGEST,
         ),
     ],
-    ids=["version", "help", "usage-error", "inspect", "dupes", "eval", "compare"],
+    ids=["version", "help", "usage-error", "inspect", "dupes", "hierarchy", "eval", "compare"],
 )
 def test_command_loads_only_its_modules(files, argv, status, modules):
     assert loaded_modules(CHILD, *argv, cwd=files) == {str(status)} | modules
