@@ -416,7 +416,7 @@ def _load_eval_pair(cfg: RunConfig):
     if (cfg.scores is None) == (cfg.predictions is None):
         raise LabelKitError("provide exactly one of --scores or --predictions")
     if cfg.scores:
-        scores = _read(cfg, "scores", parse_scores, catalog)
+        scores = _read(cfg, "scores", parse_scores, catalog, at_least=cfg.threshold)
         predictions = binarize(scores, cfg.threshold, truth.sample_ids())
     else:
         scores = None
@@ -508,19 +508,20 @@ def cmd_sweep(cfg: RunConfig):
 
     from .catalog import parse_annotations, parse_labels
     from .metricmp import family_from_sweep, write_family
-    from .metrics import parse_scores, sweep, write_sweep
+    from .metrics import default_threshold_grid, parse_scores, sweep, write_sweep
     from .reports import write_text
 
     _require(cfg, "labels", "annotations", "scores", "out")
     catalog = _read(cfg, "labels", parse_labels)
     truth = _read(cfg, "annotations", parse_annotations, catalog)
-    scores = _read(cfg, "scores", parse_scores, catalog)
+    grid = default_threshold_grid() if cfg.thresholds is None else cfg.thresholds
+    scores = _read(cfg, "scores", parse_scores, catalog, at_least=min(grid, default=0.0))
     use_graph = bool(cfg.plan or cfg.graph_edges)
     graph = _build_graph(cfg, catalog) if use_graph else None
     rows = sweep(
         scores,
         truth,
-        thresholds=cfg.thresholds,
+        thresholds=grid,
         graph=graph,
         beta=cfg.beta,
         fp_mode=cfg.fp_mode,

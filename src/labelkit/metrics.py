@@ -15,7 +15,7 @@ versions and does not depend on sample order. Scoring runs in one thread;
 has no effect.
 
 A score set is one compressed sparse row (CSR) table (:class:`ScoreSet`):
-two C arrays hold every cell, an array of positions in the catalog's
+two C arrays hold every kept cell, an array of positions in the catalog's
 ascending id list (its labels dictionary-encoded: 2-byte ``array('H')``
 for a catalog of up to 65,536 labels, 4-byte ``array('I')`` past that) and
 an ``array('d')`` of scores, grouped by sample behind an ``array('I')`` of
@@ -23,7 +23,11 @@ per-sample offsets. A sample's :class:`ScoreRow` is built over its cells
 only when it is read (late materialization); readers use its mapping
 interface. A plain score file is parsed in blocks, a column at a time; any
 other is parsed a row at a time, and only that path reports errors
-(:func:`parse_scores`).
+(:func:`parse_scores`). Every cell is validated, but a parse given a floor
+keeps only the cells scored at least that, the ones a decision threshold
+at or above it can predict (predicate pushdown, as in column stores:
+Abadi et al., "Materialization Strategies in a Column-Oriented DBMS",
+ICDE 2007); the set refuses any cut below its floor.
 
 Predictions are not stored (late materialization, as in column stores):
 :func:`threshold` and :func:`enforce_exclusion` return a
@@ -39,7 +43,7 @@ from collections import Counter, defaultdict
 from collections.abc import Collection, Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import ge, ne, sub
+from operator import ge, ne, not_, sub
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .catalog import AnnotationSet, LabelCatalog, SampleTable
@@ -106,10 +110,16 @@ class ScoreSet(SampleTable):
     compressed sparse row (CSR) table. ``_positions`` (each cell's position
     in ``_ids``, the ascending label ids: an ``array('H')``, or an
     ``array('I')`` past 65,536 labels) and ``_scores`` (an ``array('d')``)
-    hold every cell, 10 bytes each (12 past 65,536 labels); sample
+    hold every kept cell, 10 bytes each (12 past 65,536 labels); sample
     ``k`` owns the slots from ``_offsets[k]`` up to ``_offsets[k + 1]``,
     and ``_index`` maps each sample id to its ``k``. A sample costs about 60
     bytes more: its index entry, its ordinal and its offset.
+
+    ``floor`` is the lowest cut the set can answer: one parsed with
+    ``at_least`` keeps only the cells scored at least that, so
+    :func:`threshold` and :func:`sweep` refuse a cut below it. A sample
+    whose cells all fall below the floor is kept, with none. A set built
+    from mappings keeps every cell, and its floor is 0.0.
 
     When a file's rows come grouped by sample, as they are written, the
     slots are the cells themselves and ``_order`` is None. Otherwise (a file
@@ -132,6 +142,7 @@ class ScoreSet(SampleTable):
         self._offsets, self._scores = array("I", [0]), array("d")
         self._positions = _position_column(len(self._ids))
         self._order = None
+        self.floor = 0.0
         super().__init__(samples, known_labels)
 
     @classmethod
@@ -144,13 +155,14 @@ class ScoreSet(SampleTable):
         positions: array,
         scores: array,
         order: array | None = None,
+        floor: float = 0.0,
     ) -> ScoreSet:
         """Adopt a validated table as it is: ``index`` maps each sample id
         to its ordinal, in ordinal order, and the arrays are the table's
         columns, none of them copied."""
         self = super()._trusted(index, known_labels)
         self._ids, self._offsets, self._order = ids, offsets, order
-        self._positions, self._scores = positions, scores
+        self._positions, self._scores, self.floor = positions, scores, floor
         return self
 
     def _checked(self, sample_id: str, scores: Mapping[int, float]) -> int:
@@ -192,11 +204,17 @@ def _position_column(n_labels: int) -> array:
     return array("H" if n_labels <= 1 << 16 else "I")
 
 
-def parse_scores(stream: IO[str], catalog: LabelCatalog) -> ScoreSet:
+def parse_scores(stream: IO[str], catalog: LabelCatalog, at_least: float = 0.0) -> ScoreSet:
     """Read a score file with header id,attribute_id,score. Rows for one
     sample need not be contiguous; a repeated (sample, label) cell is a hard
     error because silently keeping either value would hide a producer bug.
     Every row is validated here, once, and errors name its physical line.
+
+    Only the cells scored at least ``at_least`` (in [0, 1]) are kept, so a
+    set read for one decision threshold holds just the cells that threshold
+    can predict (predicate pushdown); ``at_least`` becomes the set's
+    ``floor``. The rest are still validated, repeats included, so what a
+    file is rejected for does not depend on ``at_least``.
 
     A plain file is read in blocks of whole lines (:func:`csvio.plain_blocks`)
     that are checked and converted a column at a time. A file with a quote,
@@ -206,10 +224,13 @@ def parse_scores(stream: IO[str], catalog: LabelCatalog) -> ScoreSet:
     its place in file order.
 
     Both readers append the cells to one :class:`_Cells` table, a block of
-    rows at a time. Repeated cells are looked for once it is read (or when a
-    row fails, so the first error in the file is the one reported), one
-    sample at a time; only when one is found is the file read again, to
-    name its line. Both re-reads need a stream that can seek."""
+    rows at a time, which looks for repeated cells while reading; a repeated
+    cell before a failing row is the error reported. Only when one is found
+    is the file read again, to name its line. A file whose rows are not
+    grouped by sample is also read again from its start when a sample comes
+    back after a cell was dropped, this time keeping every cell's position
+    until the check has run. The re-reads need a stream that can seek."""
+    _check_decision_threshold(at_least, "at_least")
     source = getattr(stream, "name", "<scores>")
     start = stream.tell()
     # The table shares the catalog's ascending id list, whose int objects are
@@ -220,106 +241,193 @@ def parse_scores(stream: IO[str], catalog: LabelCatalog) -> ScoreSet:
     known = catalog.ids()
     position = {label_id: at for at, label_id in enumerate(ids)}
     by_text = {str(label_id): at for label_id, at in position.items()}
-    cells = _read_blocks(stream, by_text)
-    if cells is None:
-        stream.seek(start)
-        cells = _Cells(len(ids))
+    plain = True
+    for grouped in (True, False):
         try:
-            _read_rows(CsvTable(stream, _SCORE_COLUMNS, source), position, by_text, cells)
-        except ParseError:  # a repeated cell before the failing row comes first
-            _reject_duplicates(cells.table(ids, known), stream, start, source)
-            raise
-    scores = cells.table(ids, known)
-    _reject_duplicates(scores, stream, start, source)
-    return scores
+            if plain:
+                cells = _Cells(len(ids), at_least, grouped)
+                plain = _read_blocks(stream, by_text, cells)
+            if not plain:
+                stream.seek(start)
+                cells = _Cells(len(ids), at_least, grouped)
+                try:
+                    _read_rows(CsvTable(stream, _SCORE_COLUMNS, source), position, by_text, cells)
+                except ParseError:  # a repeated cell before the failing row comes first
+                    _reject_repeats(stream, start, source, cells.repeated())
+                    raise
+            break
+        except _Regroup:  # read again, keeping every cell's position
+            if plain:  # the row loop goes back to the start itself
+                stream.seek(start)
+    _reject_repeats(stream, start, source, cells.repeated())
+    return cells.table(ids, known)
+
+
+class _Regroup(Exception):
+    """A sample came back after one of the file's cells was dropped: looking
+    for repeats needs every cell's position, so the file is read again,
+    keeping them."""
 
 
 class _Cells:
-    """The cells of a score file as it is read: both columns in file order,
-    appended a block of rows at a time, and where each sample's cells are.
+    """The cells of a score file as it is read, appended a block of rows at
+    a time: every cell is checked for a repeat of its sample's earlier
+    cells, and both columns of those scored at least ``at_least`` are kept,
+    in file order.
 
-    While no sample id comes back after another sample's rows, a block costs
-    one step per sample: a row whose id differs from the row before begins a
-    sample, and only the cell it begins at is kept. From the first block
-    where a sample comes back (a file sorted by label, or shuffled), each
-    cell's sample ordinal is kept instead, and :meth:`table` orders the
-    slots by sample (:func:`_grouped`)."""
+    While no sample id comes back after another sample's rows (``grouped``),
+    a block costs a few steps per sample, each done in C over its cells: a
+    row whose id differs from the row before begins a sample, whose run is
+    checked for a repeated position (the run a block ends in is carried into
+    the next), and only the kept cell it begins at is recorded. From the
+    first block where a sample comes back (a file sorted by label, or
+    shuffled), or from the start when not ``grouped``, each kept cell's
+    sample ordinal is kept instead, and each dropped cell's ordinal and
+    position, until :meth:`repeated` has grouped both by sample. A sample
+    that comes back after a cell was dropped raises :class:`_Regroup`, as
+    that cell is gone."""
 
-    def __init__(self, n_labels: int) -> None:
+    def __init__(self, n_labels: int, at_least: float, grouped: bool) -> None:
         # Sample id -> ordinal, by first appearance: looking up a new id
         # gives it the next ordinal, in C, until :meth:`table` hands it over.
         self.index: defaultdict[str, int] = defaultdict()
         self.index.default_factory = self.index.__len__
+        self.at_least = at_least
         self.positions, self.scores = _position_column(n_labels), array("d")
-        self._starts = array("I")  # the cell each sample begins at, while contiguous
-        self._ordinals: array | None = None  # each cell's sample, once not
+        self.cells_read = 0  # kept or not
+        self._starts = array("I")  # the slot each sample begins at
+        self._run: set[int] = set()  # the positions of the last sample's run so far
+        self._repeats: set[str] = set()  # the samples of the first block with a repeat
         self._last: str | None = None  # the sample id of the last row
+        self._ordinals = None if grouped else array("I")  # each kept cell's sample, once not
+        self._dropped = (array("I"), _position_column(n_labels))  # ordinals, positions
+        self._order: array | None = None  # the kept cell at each slot, if not grouped
 
     def extend(self, sids: list[str], positions: list[int], scores: list[float]) -> None:
         """Append one block of rows, given as columns."""
         if not sids:
             return
+        keep = list(map(ge, scores, repeat(self.at_least)))
         base = len(self.positions)
-        self.positions.fromlist(positions)
-        self.scores.fromlist(scores)
         index = self.index
         if self._ordinals is None:
             begins = list(compress(count(), map(ne, sids, chain((self._last,), sids))))
             fresh = dict.fromkeys(map(sids.__getitem__, begins))
             if len(fresh) == len(begins) and index.keys().isdisjoint(fresh):
+                # One slice per run; the first continues the last block's.
+                bounds = [0, *begins, len(sids)]
+                runs = list(map(slice, bounds, islice(bounds, 1, None)))
+                if not self._repeats:
+                    self._check_runs(sids, positions, runs)
+                kept = map(sum, map(keep.__getitem__, runs))
+                self._starts.extend(islice(accumulate(kept, initial=base), 1, len(runs)))
                 index.update(zip(fresh, count(len(index))))
-                self._starts.extend([at + base for at in begins])
                 self._last = sids[-1]
+                self._keep(positions, scores, keep)
                 return
+            if base < self.cells_read:
+                raise _Regroup
             # A sample comes back: number the sample of every cell read so far.
             runs = map(sub, chain(islice(self._starts, 1, None), (base,)), self._starts)
             self._ordinals = array("I", chain.from_iterable(map(repeat, count(), runs)))
-        self._ordinals.extend(map(index.__getitem__, sids))
+        ordinals = list(map(index.__getitem__, sids))
+        self._ordinals.fromlist(list(compress(ordinals, keep)))
+        if not all(keep):
+            dropped = list(map(not_, keep))
+            self._dropped[0].fromlist(list(compress(ordinals, dropped)))
+            self._dropped[1].fromlist(list(compress(positions, dropped)))
+        self._keep(positions, scores, keep)
+
+    def _keep(self, positions: list[int], scores: list[float], keep: list[bool]) -> None:
+        self.cells_read += len(keep)
+        self.positions.fromlist(list(compress(positions, keep)))
+        self.scores.fromlist(list(compress(scores, keep)))
+
+    def _check_runs(self, sids: list[str], positions: list[int], runs: list[slice]) -> None:
+        """Look for a repeated position in each run of a grouped block, the
+        first continuing the run the last block ended in; on finding one,
+        record the block's samples for :func:`_reject_repeats`."""
+        pieces = list(map(positions.__getitem__, runs))
+        if sum(map(len, map(set, pieces))) < len(positions) or not self._run.isdisjoint(pieces[0]):
+            self._repeats = set(sids)
+        if len(pieces) > 1:
+            self._run = set(pieces[-1])
+        else:
+            self._run.update(pieces[0])
+
+    def repeated(self) -> set[str]:
+        """The samples to look among for the first repeated cell; none when
+        no cell is repeated. While grouped, those of the first block with a
+        repeat; otherwise each sample that repeats a cell, found once the
+        kept cells and the dropped ones are each grouped by sample."""
+        if self._ordinals is None:
+            return self._repeats
+        n_samples = len(self.index)
+        self._starts, self._order = _by_sample(self._ordinals, count(), n_samples, "I")
+        ordinals, below = self._dropped  # the dropped cells' positions, grouped next
+        self._dropped = None
+        spans: Iterable[slice] = repeat(slice(0))
+        if below:
+            below_starts, below = _by_sample(ordinals, below, n_samples, below.typecode)
+            spans = map(slice, below_starts, islice(below_starts, 1, None))
+        del ordinals
+        kept = map(self.positions.__getitem__, self._order)  # one sample after another
+        sizes = map(sub, islice(self._starts, 1, None), self._starts)
+        repeats = set()
+        for sid, size, span in zip(self.index, sizes, spans):
+            run = [*islice(kept, size), *below[span]]
+            if len(set(run)) < len(run):
+                repeats.add(sid)
+        return repeats
 
     def table(self, ids: list[int], known_labels: frozenset[int]) -> ScoreSet:
-        """The cells read so far as a score set over the ascending ``ids``."""
+        """The kept cells as a score set over the ascending ``ids``; once
+        :meth:`repeated` has run."""
         self.index.default_factory = None  # a lookup of an unknown id fails again
-        if self._ordinals is None:
-            offsets, order = array("I", [*self._starts, len(self.positions)]), None
-        else:
-            offsets, order = _grouped(self._ordinals)
+        if self._order is None:
+            self._starts.append(len(self.positions))
         return ScoreSet._trusted(
-            self.index, known_labels, ids, offsets, self.positions, self.scores, order
+            self.index, known_labels, ids, self._starts, self.positions, self.scores, self._order,
+            self.at_least,
         )
 
 
-def _grouped(ordinals: array) -> tuple[array, array]:
-    """The CSR offsets and slot order of cells whose samples are
-    ``ordinals``, numbered by first appearance: a stable counting sort,
-    so each sample's cells keep their file order."""
-    counts = Counter(ordinals)  # in ordinal order: ordinals are first appearances
-    offsets = array("I", accumulate(counts.values(), initial=0))
+def _by_sample(
+    ordinals: array, values: Iterable[int], n_samples: int, typecode: str
+) -> tuple[array, array]:
+    """A stable counting sort of ``values``, one per ordinal in
+    ``ordinals``: the CSR offsets of samples 0 to ``n_samples - 1`` (a
+    sample with no values has an empty run) and an array of ``typecode``
+    holding the values grouped by sample, each sample's in the order
+    given."""
+    counts = Counter(ordinals)
+    offsets = array("I", accumulate(map(counts.__getitem__, range(n_samples)), initial=0))
     del counts
-    order = array("I", [0]) * len(ordinals)  # the cell at each slot
+    slots = array(typecode, [0]) * len(ordinals)
     free = offsets.tolist()  # each sample's next free slot
-    for cell, ordinal in enumerate(ordinals):
+    for ordinal, value in zip(ordinals, values):
         at = free[ordinal]
         free[ordinal] = at + 1
-        order[at] = cell
-    return offsets, order
+        slots[at] = value
+    return offsets, slots
 
 
-def _read_blocks(stream: IO[str], by_text: dict[str, int]) -> _Cells | None:
-    """The cells of a plain score file, read a block at a time; None at the
-    first block that is not plain or holds a cell that is not a canonical
-    known id or a score in [0, 1], or that cannot be read at all."""
-    cells = _Cells(len(by_text))
+def _read_blocks(stream: IO[str], by_text: dict[str, int], cells: _Cells) -> bool:
+    """Append the cells of a plain score file to ``cells``, a block at a
+    time; False at the first block that is not plain or holds a cell that is
+    not a canonical known id or a score in [0, 1], or that cannot be read at
+    all."""
     try:
         for sids, raw_labels, raw_scores in plain_blocks(stream, _SCORE_COLUMNS):
             positions = list(map(by_text.get, raw_labels))
             scores = list(map(float, raw_scores))
             total = sum(scores)  # NaN if any score is NaN
             if None in positions or total != total or min(scores) < 0.0 or max(scores) > 1.0:
-                return None
+                return False
             cells.extend(sids, positions, scores)
     except ValueError:  # not plain CSV, a bad score or an undecodable byte
-        return None
-    return cells
+        return False
+    return True
 
 
 _ROW_BATCH = 1024  # rows the row loop appends to its _Cells at a time
@@ -357,36 +465,29 @@ def _read_rows(
             if len(sids) == _ROW_BATCH:
                 cells.extend(sids, positions, scores)
                 sids, positions, scores = [], [], []
-    finally:
+    except ParseError:
         cells.extend(sids, positions, scores)
+        raise
+    cells.extend(sids, positions, scores)
 
 
-def _reject_duplicates(scores: ScoreSet, stream: IO[str], start: int, source: str) -> None:
+def _reject_repeats(stream: IO[str], start: int, source: str, sample_ids: set[str]) -> None:
     """Raise for the first repeated (sample, label) cell in file order among
-    the cells of ``scores``, naming its line as a check on each row would:
+    the rows of ``sample_ids``, naming its line as a check on each row would:
     the rows are read again from ``start`` up to that cell."""
-    repeats = {}  # sample id -> index of its first repeated cell
-    for sid, ordinal in scores._index.items():
-        positions = scores._cells(scores._positions, ordinal)
-        if len(set(positions)) < len(positions):
-            seen: set[int] = set()
-            for index, at in enumerate(positions):
-                if at in seen:
-                    repeats[sid] = index
-                    break
-                seen.add(at)
-    if not repeats:
+    if not sample_ids:
         return
     stream.seek(start)
     table = CsvTable(stream, ("id", "attribute_id"), source)
-    counts = dict.fromkeys(repeats, 0)
+    seen: dict[str, set[int]] = {sid: set() for sid in sample_ids}
     # Every row up to the repeated cell was valid when first read.
-    for sid, _ in table:
-        if sid in counts:
-            if counts[sid] == repeats[sid]:
-                label_id = list(scores.scores_for(sid))[repeats[sid]]
+    for sid, raw_label in table:
+        labels = seen.get(sid)
+        if labels is not None:
+            label_id = int(raw_label)
+            if label_id in labels:
                 raise table.error(f"duplicate score for sample {sid!r}, label {label_id}")
-            counts[sid] += 1
+            labels.add(label_id)
 
 
 class PredictionView(AnnotationSet):
@@ -417,8 +518,11 @@ def threshold(
     ordinals (its own index when ``sample_ids`` are its ids in its order)
     whose read is the score set's own: each read of a sample builds its
     row and predictions again. The reports, the exclusion view,
-    ``write_annotations`` and ``compute_stats`` read each sample once."""
+    ``write_annotations`` and ``compute_stats`` read each sample once.
+    A threshold below the score set's ``floor`` raises :class:`EvalError`:
+    the cells it would predict were not kept."""
     _check_decision_threshold(decision_threshold)
+    _check_floor(scores, decision_threshold)
     wanted = list(sample_ids)
     _require_scored(scores, wanted)
     index = scores._index
@@ -430,17 +534,31 @@ def threshold(
                 if sid in seen:
                     raise ValueError(f"duplicate sample id {sid!r}")
                 seen.add(sid)
-    read = scores._read
+    if decision_threshold == scores.floor:  # every kept cell is predicted
+        ids, cells, positions = scores._ids, scores._cells, scores._positions
 
-    def predict(sample_id: str, ordinal: int) -> frozenset[int]:
-        return frozenset(read(sample_id, ordinal).labels_at_least(decision_threshold))
+        def predict(sample_id: str, ordinal: int) -> frozenset[int]:
+            return frozenset(map(ids.__getitem__, cells(positions, ordinal)))
+
+    else:
+        read = scores._read
+
+        def predict(sample_id: str, ordinal: int) -> frozenset[int]:
+            return frozenset(read(sample_id, ordinal).labels_at_least(decision_threshold))
 
     return PredictionView(index, scores.known_labels, predict)
 
 
-def _check_decision_threshold(decision_threshold: float) -> None:
-    if not 0.0 <= decision_threshold <= 1.0:
-        raise ValueError(f"decision threshold {decision_threshold!r} outside [0, 1]")
+def _check_decision_threshold(value: float, name: str = "decision threshold") -> None:
+    if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
+        raise ValueError(f"{name} {value!r} outside [0, 1]")
+
+
+def _check_floor(scores: ScoreSet, cut: float) -> None:
+    if cut < scores.floor:
+        raise EvalError(
+            f"decision threshold {cut!r} is below the score set's floor {scores.floor!r}"
+        )
 
 
 def _require_scored(scores: ScoreSet, sample_ids: list[str]) -> None:
@@ -878,7 +996,8 @@ def sweep(
     the graph micro score, so metric families for consistency comparison can
     be read straight off the sweep. Rows and errors are those of
     thresholding at each grid point and running :func:`fbeta_report` and
-    :func:`graph_fbeta_report` on the result.
+    :func:`graph_fbeta_report` on the result, so a grid point below the
+    score set's ``floor`` raises :class:`EvalError`.
 
     A score row is predicted at every grid point up to the highest one it
     reaches (``bisect_right``: thresholding is inclusive). Walking the grid
@@ -901,6 +1020,7 @@ def sweep(
         _check_fp_mode(fp_mode)
     for t in grid:
         _check_decision_threshold(t)
+    _check_floor(scores, grid[0])
     class_set = frozenset(classes)
     n = len(grid)
     # Per grid index: the labels first predicted there, split by truth, and

@@ -11,6 +11,7 @@ is a plain dict. Every way a set is built is covered: the constructor,
 
 import gc
 import io
+import random
 import sys
 import tracemalloc
 from collections import Counter
@@ -29,6 +30,7 @@ from labelkit.catalog import (
     write_annotations,
 )
 from labelkit.cleanse import AndSplit, Merge, TransformPlan, apply_plan, supercategory_closure
+from labelkit import csvio
 from labelkit.csvio import csv_writer
 from labelkit.metrics import ScoreSet, parse_scores, threshold
 from conftest import build_catalog
@@ -410,6 +412,60 @@ def test_a_parsed_score_sample_costs_under_100_bytes_beyond_its_cells_and_id():
     cells = 10 * 4 * len(scores)
     ids = sum(map(sys.getsizeof, scores.sample_ids()))
     assert (held - cells - ids) / len(scores) < 100
+
+
+def peak_of_parse(text: str, at_least: float):
+    """The score set ``text`` parses to with floor ``at_least``, and the
+    most bytes the parse held at once. The stream is made before tracing
+    starts, so only the parse is counted."""
+    stream = io.StringIO(text)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scores = parse_scores(stream, MEMORY_CATALOG, at_least=at_least)
+        return scores, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def floor_memory_file(order: str, n_samples: int) -> str:
+    """``n_samples`` samples of 40 cells, grouped by sample or sorted by label; a
+    score is a uniform draw to the fourth power, so 44% of the cells score
+    at least 0.1, about as many as in the benchmark's score file."""
+    rng = random.Random(7)
+    rows = [
+        (f"{s:016x}", label, f"{rng.random() ** 4:.6f}")
+        for s in range(n_samples)
+        for label in rng.sample(range(1000, 1400), 40)
+    ]
+    if order == "label":
+        rows.sort(key=lambda row: row[1])
+    return "id,attribute_id,score\n" + "".join(f"{s},{label},{x}\n" for s, label, x in rows)
+
+
+# One block's working set: its text, the structure bytes it is checked by,
+# its split cells and the columns built from them.
+BLOCK_ALLOWANCE = 20 * csvio.BLOCK_SIZE
+
+
+def test_a_parse_with_a_floor_peaks_within_11_bytes_a_kept_cell():
+    scores, peak = peak_of_parse(floor_memory_file("sample", 4000), 0.1)
+    kept = sum(map(len, dict(scores).values()))
+    assert scores._order is None and len(scores) == 4000 and 60_000 < kept < 80_000
+    ids = sum(map(sys.getsizeof, scores.sample_ids()))
+    # Without the floor, the 160,000 cells would take 10 bytes each.
+    assert peak - ids - 100 * len(scores) - BLOCK_ALLOWANCE < 11 * kept
+
+
+def test_a_label_sorted_parse_with_a_floor_peaks_no_higher_than_without():
+    # The rows of each sample are scattered, so every cell's position and
+    # sample are held until repeats are looked for.
+    text = floor_memory_file("label", 2000)
+    floored, floored_peak = peak_of_parse(text, 0.1)
+    full, full_peak = peak_of_parse(text, 0.0)
+    assert floored._order is not None and floored.sample_ids() == full.sample_ids()
+    assert floored_peak <= full_peak
 
 
 def test_a_parsed_seven_label_sample_costs_under_250_bytes():

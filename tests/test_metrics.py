@@ -528,3 +528,51 @@ def test_sweep_without_graph():
     assert "graph_micro_f" not in rows[0]
     assert rows[0]["flat_micro_f"] == 1.0
     assert rows[1]["flat_micro_f"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Score floors
+
+
+FLOOR_TEXT = "id,attribute_id,score\na,0,0.05\na,1,0.5\nb,0,0.09\nc,2,1\n"
+
+
+def test_a_floor_keeps_only_the_cells_at_or_above_it(mini_catalog):
+    scores = parse_scores(io.StringIO(FLOOR_TEXT), mini_catalog, at_least=0.1)
+    assert scores.floor == 0.1
+    # b's only cell is below the floor: it stays, with no cells.
+    assert [(sid, dict(row)) for sid, row in scores] == [("a", {1: 0.5}), ("b", {}), ("c", {2: 1.0})]
+    full = parse_scores(io.StringIO(FLOOR_TEXT), mini_catalog)
+    assert full.floor == 0.0
+    for cut in (0.1, 0.5, 1.0):
+        assert threshold(scores, cut, ["a", "b", "c"]) == threshold(full, cut, ["a", "b", "c"])
+
+
+def test_threshold_and_sweep_refuse_a_cut_below_the_floor(mini_catalog):
+    scores = parse_scores(io.StringIO(FLOOR_TEXT), mini_catalog, at_least=0.1)
+    truth = annset([("a", {1}), ("b", {0}), ("c", {2})], mini_catalog.ids())
+    message = "decision threshold 0.05 is below the score set's floor 0.1"
+    with pytest.raises(EvalError, match=f"^{message}$"):
+        threshold(scores, 0.05, ["a"])
+    with pytest.raises(EvalError, match=f"^{message}$"):
+        sweep(scores, truth, thresholds=[0.5, 0.05, 0.2])
+    # A threshold outside [0, 1] is still the error a set without a floor gives.
+    with pytest.raises(ValueError, match=r"^decision threshold -1 outside \[0, 1\]$"):
+        threshold(scores, -1, ["a"])
+    assert threshold(scores, 0.1, ["a"]).labels_for("a") == {1}
+    assert len(sweep(scores, truth, thresholds=[0.1, 0.5])) == 2
+
+
+@pytest.mark.parametrize("at_least", [-0.1, 1.5, math.nan, math.inf])
+def test_a_floor_outside_the_unit_interval_is_rejected(mini_catalog, at_least):
+    with pytest.raises(ValueError, match=rf"^at_least {at_least!r} outside \[0, 1\]$"):
+        parse_scores(io.StringIO(FLOOR_TEXT), mini_catalog, at_least=at_least)
+    with pytest.raises(ValueError, match=rf"^decision threshold {at_least!r} outside \[0, 1\]$"):
+        threshold(ScoreSet([("a", {0: 0.5})], {0}), at_least, ["a"])
+
+
+def test_a_score_set_built_from_mappings_keeps_every_cell():
+    scores = ScoreSet([("a", {0: 0.0, 1: 0.05}), ("b", {})], {0, 1})
+    assert scores.floor == 0.0
+    assert [(sid, dict(row)) for sid, row in scores] == [("a", {0: 0.0, 1: 0.05}), ("b", {})]
+    assert threshold(scores, 0.0, ["a", "b"]).labels_for("a") == {0, 1}

@@ -1,11 +1,15 @@
 """parse_scores reads plain files in column blocks; the row loop it falls
 back to is the oracle. Both must accept the same rows, or raise the same
-ParseError message at the same line."""
+ParseError message at the same line. A parse with a floor (``at_least``)
+must equal the oracle's full parse with the cells scored under it taken
+out afterwards: the same samples, empty ones included, and the same
+errors."""
 
 import csv
 import io
 import random
 from array import array
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -110,6 +114,24 @@ def row_loop_parse_scores(stream, catalog):
     return PlainScores(samples, frozenset(known))
 
 
+def floored(parse, at_least):
+    """``parse`` followed by taking out every cell scored under ``at_least``,
+    keeping each sample, in place; the oracle of a parse with that floor."""
+
+    def parse_then_filter(stream, catalog):
+        scores = parse(stream, catalog)
+        for held in scores.samples.values():
+            cells = [(label, s) for label, s in zip(held.labels, held.scores) if s >= at_least]
+            held.labels = [label for label, _ in cells]
+            held.scores = array("d", [s for _, s in cells])
+        return scores
+
+    return parse_then_filter
+
+
+FLOORS = (0.0, 0.1, 0.5, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Comparison
 
@@ -133,9 +155,9 @@ def outcome(parse, data, catalog=CATALOG, block_size=None, limit=DEFAULT_LIMIT):
     return ("ok", rows, scores.known_labels)
 
 
-def assert_same(data, **kwargs):
-    got = outcome(parse_scores, data, **kwargs)
-    assert got == outcome(row_loop_parse_scores, data, **kwargs)
+def assert_same(data, at_least=0.0, **kwargs):
+    got = outcome(partial(parse_scores, at_least=at_least), data, **kwargs)
+    assert got == outcome(floored(row_loop_parse_scores, at_least), data, **kwargs)
     return got
 
 
@@ -206,15 +228,17 @@ def score_files(draw):
     score_files(),
     st.sampled_from([1, 2, 3, 7, 16, 40, None]),  # None: the real block size
     st.sampled_from([DEFAULT_LIMIT, DEFAULT_LIMIT, 12, 4]),
+    st.sampled_from(FLOORS),
 )
-@example(b"id,attribute_id,score\na,5,0.5\nb,12,1\n", 1, DEFAULT_LIMIT)
-@example(b'id,attribute_id,score\na,5,0.5\n"b",12,1\n', 1, DEFAULT_LIMIT)
-@example(b"id,attribute_id,score\na,5,0.5\nb,12,-0.1\n", 1, DEFAULT_LIMIT)
-@example(b"id,attribute_id,score\na,5,0.5\nb,12,1\na,5,0.25\n", 3, DEFAULT_LIMIT)
-@example(b"id,attribute_id,score\na,5,0.5\nbb,12,1\n", 3, 4)
-@example(b"score,attribute_id,id\n0.5,5,a\r\n", None, DEFAULT_LIMIT)
-def test_block_reader_matches_row_loop(data, block_size, limit):
-    assert_same(data, block_size=block_size, limit=limit)
+@example(b"id,attribute_id,score\na,5,0.5\nb,12,1\n", 1, DEFAULT_LIMIT, 0.0)
+@example(b'id,attribute_id,score\na,5,0.5\n"b",12,1\n', 1, DEFAULT_LIMIT, 0.0)
+@example(b"id,attribute_id,score\na,5,0.5\nb,12,-0.1\n", 1, DEFAULT_LIMIT, 0.0)
+@example(b"id,attribute_id,score\na,5,0.5\nb,12,1\na,5,0.25\n", 3, DEFAULT_LIMIT, 0.0)
+@example(b"id,attribute_id,score\na,5,0.5\nbb,12,1\n", 3, 4, 0.0)
+@example(b"score,attribute_id,id\n0.5,5,a\r\n", None, DEFAULT_LIMIT, 0.0)
+@example(b"id,attribute_id,score\na,5,0.05\nb,12,1\na,12,0.5\na,5,0.25\n", 3, DEFAULT_LIMIT, 0.1)
+def test_block_reader_matches_row_loop(data, block_size, limit, at_least):
+    assert_same(data, at_least, block_size=block_size, limit=limit)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +298,35 @@ CASES = {
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_fixed_cases_match_row_loop(name):
-    assert_same(CASES[name])
+    for at_least in FLOORS:
+        assert_same(CASES[name], at_least)
+
+
+def repeat_cases():
+    """Files that repeat the cell (a, 5), with the copies' scores to put on
+    either side of a floor, named by where the repeat is."""
+    low, high = b"0.05", b"0.75"
+    for first, second in ((low, high), (high, low), (low, low)):
+        yield f"{first.decode()} then {second.decode()}", {
+            "in one run": HEADER + b"a,5," + first + b"\na,12,0.5\na,5," + second + b"\n",
+            "after another sample": HEADER + b"a,5," + first + b"\nb,5,0.5\na,5," + second + b"\n",
+            "across blocks": HEADER + b"a,5," + first + b"\n" + padding(6000) + b"a,5," + second + b"\n",
+            "before a bad row": HEADER + b"a,5," + first + b"\na,5," + second + b"\nb,5,x\n",
+            "before a quoted row": HEADER + b"a,5," + first + b"\na,5," + second + b'\n"b",5,0.5\n',
+            "before a bad byte": HEADER + b"a,5," + first + b"\na,5," + second + b"\nb\xe9,5,0.5\n",
+        }
+
+
+@pytest.mark.parametrize("scores, files", list(repeat_cases()))
+def test_repeats_across_the_floor_match_row_loop(scores, files):
+    for where, data in files.items():
+        for at_least in FLOORS:
+            got = assert_same(data, at_least)
+            if where != "before a bad byte":  # the undecodable byte is reported instead
+                assert got[0] == "error" and "duplicate score for sample 'a', label 5" in got[2]
+        # A run that crosses a block boundary, cut in every place.
+        for block_size in (1, 7, 16, 23):
+            assert_same(data, 0.1, block_size=block_size)
 
 
 def test_the_line_3_error_wins_over_a_later_bad_byte():

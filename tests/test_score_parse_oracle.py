@@ -1,8 +1,11 @@
-"""The positional score parser against the DictReader parser it replaced."""
+"""The positional score parser against the DictReader parser it replaced.
+With a floor (``at_least``), the oracle is the DictReader parse with the
+cells scored under it taken out afterwards, every sample kept."""
 
 import csv
 import io
 import math
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -74,6 +77,22 @@ def oracle_parse_scores(stream, catalog: LabelCatalog) -> ScoreSet:
 # Comparison
 
 
+def floored(parse, at_least):
+    """``parse`` followed by taking out every cell scored under ``at_least``."""
+
+    def parse_then_filter(stream, catalog):
+        scores = parse(stream, catalog)
+        return ScoreSet(
+            ((sid, {k: s for k, s in cells.items() if s >= at_least}) for sid, cells in scores),
+            scores.known_labels,
+        )
+
+    return parse_then_filter
+
+
+FLOORS = (0.0, 0.1, 0.5, 1.0)
+
+
 def outcome(parse, text):
     """("ok", repr of the samples) or ("error", line, message)."""
     try:
@@ -91,12 +110,12 @@ def data_records(text):
     return header, records
 
 
-def expected_outcome(text):
-    """The oracle's outcome, corrected where the new parser differs on
-    purpose: errors name the physical line, and the first short row (one
-    without a cell for every required column) is rejected as
+def expected_outcome(text, at_least=0.0):
+    """The oracle's outcome at floor ``at_least``, corrected where the new
+    parser differs on purpose: errors name the physical line, and the first
+    short row (one without a cell for every required column) is rejected as
     ``wrong number of fields`` unless the oracle fails on an earlier row."""
-    result = outcome(oracle_parse_scores, text)
+    result = outcome(floored(oracle_parse_scores, at_least), text)
     header, records = data_records(text)
     if result[0] == "error" and result[1] is None:
         return result
@@ -166,19 +185,23 @@ def score_files(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(score_files())
-@example("score,extra,attribute_id,id\r\n0.5,z,5,a\r\n-0.0,,12,b\r\n")
-@example("id,score,attribute_id,score\n\na,0.1,5,0.9\n\nb,0.2,17\n")
-@example('id,attribute_id,score\n" 5",+5,0.5\n"multi\nline",05,1\n"a,b", 5 ,0\n')
-@example("id,attribute_id,score\na,5,0.5\na,05,0.6\n")
-@example("id,attribute_id,score\na,99999,0.5\n")
-@example("id,attribute_id,score\na,5,nan\n")
-@example("id,attribute_id,score\na,5,inf\n")
-@example("id,attribute_id,score\nb,5\n")
-@example("attribute_id,score,id\n5,0.5\n")
-@example("")
-def test_parse_scores_matches_dictreader_oracle(text):
-    assert outcome(parse_scores, text) == expected_outcome(text)
+@given(score_files(), st.sampled_from(FLOORS))
+@example("score,extra,attribute_id,id\r\n0.5,z,5,a\r\n-0.0,,12,b\r\n", 0.0)
+@example("id,score,attribute_id,score\n\na,0.1,5,0.9\n\nb,0.2,17\n", 0.0)
+@example('id,attribute_id,score\n" 5",+5,0.5\n"multi\nline",05,1\n"a,b", 5 ,0\n', 0.0)
+@example("id,attribute_id,score\na,5,0.5\na,05,0.6\n", 0.0)
+@example("id,attribute_id,score\na,99999,0.5\n", 0.0)
+@example("id,attribute_id,score\na,5,nan\n", 0.0)
+@example("id,attribute_id,score\na,5,inf\n", 0.0)
+@example("id,attribute_id,score\nb,5\n", 0.0)
+@example("attribute_id,score,id\n5,0.5\n", 0.0)
+@example("", 0.0)
+@example("id,attribute_id,score\na,5,0.05\nb,5,0.5\na,5,0.75\n", 0.1)
+@example("id,attribute_id,score\na,5,0.75\na,5,0.05\nb,5,2\n", 0.1)
+def test_parse_scores_matches_dictreader_oracle(text, at_least):
+    assert outcome(partial(parse_scores, at_least=at_least), text) == expected_outcome(
+        text, at_least
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,14 @@ the same file:line for the first repeated cell.
 
 Small block sizes make samples straddle block boundaries; a copy with a
 quoted cell or CRLF line ends takes the row fallback instead of the blocks.
+At each floor (``at_least``) the parse must equal the oracle's full parse
+with the cells scored under the floor taken out: a file that is not grouped
+by sample keeps every cell's position until its repeats are looked for.
 """
 
 import io
 import random
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -19,7 +23,13 @@ from hypothesis import example, given, settings, strategies as st
 from labelkit import csvio, metrics
 from labelkit.metrics import parse_scores
 from conftest import build_catalog
-from test_score_blocks_oracle import benchmark_shaped, outcome, row_loop_parse_scores
+from test_score_blocks_oracle import (
+    FLOORS,
+    benchmark_shaped,
+    floored,
+    outcome,
+    row_loop_parse_scores,
+)
 
 CATALOG = build_catalog()
 LABELS = sorted(CATALOG.ids())
@@ -58,12 +68,15 @@ def contiguous(rows):
     return True
 
 
-def assert_matches_row_loop(data, rows, catalog=CATALOG, block_size=None, fallback=False):
+def assert_matches_row_loop(
+    data, rows, catalog=CATALOG, block_size=None, fallback=False, at_least=0.0
+):
+    parse = partial(parse_scores, at_least=at_least)
     row_loop = mock.Mock(wraps=metrics._read_rows)
     with mock.patch.object(metrics, "_read_rows", row_loop):
-        got = outcome(parse_scores, data, catalog, block_size=block_size)
+        got = outcome(parse, data, catalog, block_size=block_size)
     assert row_loop.called == fallback
-    expected = outcome(row_loop_parse_scores, data, catalog, block_size=block_size)
+    expected = outcome(floored(row_loop_parse_scores, at_least), data, catalog, block_size=block_size)
     assert got == expected
     if got[0] != "ok":
         return
@@ -71,8 +84,9 @@ def assert_matches_row_loop(data, rows, catalog=CATALOG, block_size=None, fallba
     # some sample's rows are not contiguous.
     stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
     with mock.patch.object(csvio, "BLOCK_SIZE", block_size or csvio.BLOCK_SIZE):
-        scores = parse_scores(stream, catalog)
+        scores = parse(stream, catalog)
     assert (scores._order is None) == contiguous(rows)
+    assert scores.floor == at_least
     for sid, labels, score_bits in got[1]:
         row = scores.scores_for(sid)
         cells = list(zip(labels, row.scores))
@@ -105,19 +119,30 @@ def score_cells(draw):
     copy=st.sampled_from(["plain", "plain", "quoted", "crlf"]),
     block_size=st.sampled_from([1, 5, 16, 33, None]),  # None: the real block size
     seed=st.integers(0, 2**16),
+    at_least=st.sampled_from(FLOORS),
 )
 @example(
     rows=[("a", "5", "0.5"), ("a", "12", "1"), ("b", "5", "0.25"), ("a", "0", "0.75")],
-    order="sample", copy="plain", block_size=5, seed=0,
+    order="sample", copy="plain", block_size=5, seed=0, at_least=0.0,
 )
 @example(
     rows=[("a", "5", "0.5"), ("b", "5", "0.25"), ("a", "12", "1"), ("b", "12", "0.5")],
-    order="attribute", copy="crlf", block_size=None, seed=0,
+    order="attribute", copy="crlf", block_size=None, seed=0, at_least=0.0,
 )
-def test_row_orders_match_row_loop(rows, order, copy, block_size, seed):
+@example(  # a sample comes back in the third block, after a cell was dropped
+    rows=[("a", "5", "1e-3"), ("b", "12", "0.5"), ("c", "0", "1"), ("a", "5", "0.75")],
+    order="sample", copy="plain", block_size=5, seed=0, at_least=0.1,
+)
+@example(
+    rows=[("a", "5", "1e-3"), ("b", "12", "0.5"), ("c", "0", "1"), ("a", "5", "0.75")],
+    order="sample", copy="crlf", block_size=None, seed=0, at_least=0.1,
+)
+def test_row_orders_match_row_loop(rows, order, copy, block_size, seed, at_least):
     rows = in_order(rows, order, random.Random(seed))
     data = file_bytes(rows, copy)
-    assert_matches_row_loop(data, rows, block_size=block_size, fallback=copy != "plain")
+    assert_matches_row_loop(
+        data, rows, block_size=block_size, fallback=copy != "plain", at_least=at_least
+    )
 
 
 @pytest.mark.parametrize("copy", ["plain", "quoted", "crlf"])
@@ -128,9 +153,15 @@ def test_benchmark_shaped_orders_match_row_loop(order, copy):
     rows = in_order([tuple(line.split(",")) for line in lines[1:]], order, random.Random(3))
     data = file_bytes(rows, copy)
     assert len(data) > 3 * csvio.BLOCK_SIZE
-    assert_matches_row_loop(data, rows, catalog, fallback=copy != "plain")
-    # A cell repeated at the end names the last line.
-    repeated = file_bytes([*rows, rows[len(rows) // 2]], copy)
-    got = outcome(parse_scores, repeated, catalog)
-    assert got[:2] == ("error", len(rows) + 2)
-    assert got == outcome(row_loop_parse_scores, repeated, catalog)
+    for at_least in FLOORS:
+        assert_matches_row_loop(data, rows, catalog, fallback=copy != "plain", at_least=at_least)
+    # A cell repeated at the end names the last line, at every floor; so
+    # does one whose first copy is below the floor.
+    middle = rows[len(rows) // 2]
+    low = (middle[0], middle[1], "0.000001")
+    for repeated_rows in ([*rows, middle], [*rows[: len(rows) // 2], low, *rows[len(rows) // 2 + 1 :], middle]):
+        repeated = file_bytes(repeated_rows, copy)
+        for at_least in FLOORS:
+            got = outcome(partial(parse_scores, at_least=at_least), repeated, catalog)
+            assert got[:2] == ("error", len(rows) + 2)
+            assert got == outcome(row_loop_parse_scores, repeated, catalog)

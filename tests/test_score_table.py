@@ -15,6 +15,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from labelkit import csvio, metrics
 from labelkit.catalog import AnnotationSet, SampleTable
 from labelkit.errors import ParseError
 from labelkit.metrics import (
@@ -43,7 +44,10 @@ def scores_text(cells) -> str:
 
 class PlainScores(SampleTable):
     """The old layout: one dict per sample, read through the score set's
-    mapping interface."""
+    mapping interface. It keeps every cell, as a score set with floor 0.0
+    does."""
+
+    floor = 0.0
 
     def _read(self, sample_id, scores):
         return scores
@@ -218,6 +222,27 @@ def test_file_is_read_again_only_for_a_duplicate():
     with pytest.raises(ParseError, match=r":5: duplicate"):
         parse_scores(repeated, CATALOG)
     assert repeated.seeks == 1
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_a_sample_back_after_a_dropped_cell_is_read_again(monkeypatch, quoted):
+    # One row a block, two rows a batch: a comes back after its cell below
+    # the floor was dropped, so the file is read again keeping every cell.
+    monkeypatch.setattr(csvio, "BLOCK_SIZE", 8)
+    monkeypatch.setattr(metrics, "_ROW_BATCH", 2)
+    head = "id,attribute_id,score\n" + ('"a"' if quoted else "a") + ",0,0.05\nb,1,0.5\nc,2,0.5\n"
+    stream = CountingStream(head + "a,1,0.9\n")
+    scores = parse_scores(stream, CATALOG, at_least=0.1)
+    assert stream.seeks == 1 + quoted  # a quoted file is read by rows first
+    assert scores._order is not None
+    assert [(sid, dict(row)) for sid, row in scores] == [
+        ("a", {1: 0.9}),
+        ("b", {1: 0.5}),
+        ("c", {2: 0.5}),
+    ]
+    # The dropped cell is still there to be repeated.
+    with pytest.raises(ParseError, match=r"^<scores>:5: duplicate score for sample 'a', label 0$"):
+        parse_scores(io.StringIO(head + "a,0,0.9\n"), CATALOG, at_least=0.1)
 
 
 # ---------------------------------------------------------------------------
