@@ -307,7 +307,8 @@ class _Cells:
         """Append one block of rows, given as columns."""
         if not sids:
             return
-        keep = list(map(ge, scores, repeat(self.at_least)))
+        # None keeps every cell: at floor 0.0 no valid score falls below it.
+        keep = list(map(ge, scores, repeat(self.at_least))) if self.at_least else None
         base = len(self.positions)
         index = self.index
         if self._ordinals is None:
@@ -319,8 +320,11 @@ class _Cells:
                 runs = list(map(slice, bounds, islice(bounds, 1, None)))
                 if not self._repeats:
                     self._check_runs(sids, positions, runs)
-                kept = map(sum, map(keep.__getitem__, runs))
-                self._starts.extend(islice(accumulate(kept, initial=base), 1, len(runs)))
+                if keep is None:
+                    self._starts.extend(map(base.__add__, begins))
+                else:
+                    kept = map(sum, map(keep.__getitem__, runs))
+                    self._starts.extend(islice(accumulate(kept, initial=base), 1, len(runs)))
                 index.update(zip(fresh, count(len(index))))
                 self._last = sids[-1]
                 self._keep(positions, scores, keep)
@@ -331,17 +335,21 @@ class _Cells:
             runs = map(sub, chain(islice(self._starts, 1, None), (base,)), self._starts)
             self._ordinals = array("I", chain.from_iterable(map(repeat, count(), runs)))
         ordinals = list(map(index.__getitem__, sids))
-        self._ordinals.fromlist(list(compress(ordinals, keep)))
-        if not all(keep):
+        if keep is None or all(keep):
+            self._ordinals.fromlist(ordinals)
+        else:
+            self._ordinals.fromlist(list(compress(ordinals, keep)))
             dropped = list(map(not_, keep))
             self._dropped[0].fromlist(list(compress(ordinals, dropped)))
             self._dropped[1].fromlist(list(compress(positions, dropped)))
         self._keep(positions, scores, keep)
 
-    def _keep(self, positions: list[int], scores: list[float], keep: list[bool]) -> None:
-        self.cells_read += len(keep)
-        self.positions.fromlist(list(compress(positions, keep)))
-        self.scores.fromlist(list(compress(scores, keep)))
+    def _keep(self, positions: list[int], scores: list[float], keep: list[bool] | None) -> None:
+        self.cells_read += len(positions)
+        if keep is not None:
+            positions, scores = list(compress(positions, keep)), list(compress(scores, keep))
+        self.positions.fromlist(positions)
+        self.scores.fromlist(scores)
 
     def _check_runs(self, sids: list[str], positions: list[int], runs: list[slice]) -> None:
         """Look for a repeated position in each run of a grouped block, the
@@ -534,17 +542,10 @@ def threshold(
                 if sid in seen:
                     raise ValueError(f"duplicate sample id {sid!r}")
                 seen.add(sid)
-    if decision_threshold == scores.floor:  # every kept cell is predicted
-        ids, cells, positions = scores._ids, scores._cells, scores._positions
+    read = scores._read
 
-        def predict(sample_id: str, ordinal: int) -> frozenset[int]:
-            return frozenset(map(ids.__getitem__, cells(positions, ordinal)))
-
-    else:
-        read = scores._read
-
-        def predict(sample_id: str, ordinal: int) -> frozenset[int]:
-            return frozenset(read(sample_id, ordinal).labels_at_least(decision_threshold))
+    def predict(sample_id: str, ordinal: int) -> frozenset[int]:
+        return frozenset(read(sample_id, ordinal).labels_at_least(decision_threshold))
 
     return PredictionView(index, scores.known_labels, predict)
 
