@@ -13,7 +13,6 @@ nonzero exit status.
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
 import sys
@@ -203,39 +202,33 @@ def _read(cfg: RunConfig, name: str, parse, *args, **kwargs):
             raise undecodable(path, source) from None
 
 
-def _render(write, *args) -> str:
-    """The text a stream writer such as ``write_sweep`` produces."""
-    buffer = io.StringIO()
-    write(*args, buffer)
-    return buffer.getvalue()
-
-
-def _emit_text(text: str, out: str | None) -> None:
-    from .reports import write_text
+def _output(cfg: RunConfig, out, write, *args, done: str | None = None) -> None:
+    """The one way a command writes a report: the stream writer ``write``,
+    such as ``write_sweep`` or ``dump_json``, writes it as it is produced to
+    stdout when ``out`` is None, or else into the atomic write of the file
+    ``out``, after which ``done`` is printed."""
+    from .reports import write_file
 
     if out is None:
-        sys.stdout.write(text)
+        write(*args, sys.stdout)
     else:
-        write_text(text, out)
-        print(f"wrote {out}")
+        write_file(out, write, *args)
+        if done:
+            print(done)
 
 
 def _write_report(cfg: RunConfig, before: str | None, doc: dict, out, after: str | None) -> None:
     """Stamp ``doc`` with the provenance of the files ``cfg`` read, print
-    ``before``, then print ``doc`` as a JSON report, or stream it into the
+    ``before``, then write ``doc`` as a JSON report to stdout, or to the
     file ``out`` and print ``after`` (by default, that ``out`` was written).
     :func:`main` calls this once the command has returned, so the command's
     parsed inputs are freed before any of them is digested."""
-    from .reports import render_json, write_json
+    from .reports import dump_json
 
     doc["provenance"] = _provenance(cfg)
     if before:
         print(before)
-    if out is None:
-        sys.stdout.write(render_json(doc))
-    else:
-        write_json(doc, out)
-        print(after or f"wrote {out}")
+    _output(cfg, out, dump_json, doc, done=after or f"wrote {out}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +279,7 @@ def cmd_dupes(cfg: RunConfig) -> None:
         category=cfg.category,
     )
     print(f"{len(pairs)} duplicate candidates at similarity >= {cfg.similarity}")
-    _emit_text(_render(write_duplicate_candidates, pairs), cfg.out)
+    _output(cfg, cfg.out, write_duplicate_candidates, pairs, done=f"wrote {cfg.out}")
 
 
 def cmd_hierarchy(cfg: RunConfig) -> None:
@@ -296,7 +289,7 @@ def cmd_hierarchy(cfg: RunConfig) -> None:
     catalog = _read(cfg, "labels", parse_labels)
     candidates = find_hierarchy_candidates(catalog, category=cfg.category)
     print(f"{len(candidates)} hierarchy candidates")
-    _emit_text(_render(write_hierarchy_candidates, candidates), cfg.out)
+    _output(cfg, cfg.out, write_hierarchy_candidates, candidates, done=f"wrote {cfg.out}")
 
 
 def cmd_connectives(cfg: RunConfig):
@@ -323,7 +316,6 @@ def cmd_apply(cfg: RunConfig):
 
     from .catalog import parse_annotations, parse_labels, write_annotations, write_labels
     from .cleanse import apply_plan, load_plan
-    from .reports import write_text
 
     _require(cfg, "labels", "annotations", "plan", "out")
     catalog = _read(cfg, "labels", parse_labels)
@@ -334,8 +326,8 @@ def cmd_apply(cfg: RunConfig):
     annotations, catalog = apply_plan(annotations, catalog, plan)
 
     out_dir = Path(cfg.out)
-    write_text(_render(write_labels, catalog), out_dir / "labels.csv")
-    write_text(_render(write_annotations, annotations), out_dir / "annotations.csv")
+    _output(cfg, out_dir / "labels.csv", write_labels, catalog)
+    _output(cfg, out_dir / "annotations.csv", write_annotations, annotations)
     summary = {
         "labels_before": before_labels,
         "labels_after": len(catalog),
@@ -390,13 +382,12 @@ def cmd_graph(cfg: RunConfig):
 
     from .catalog import parse_labels
     from .relgraph import graph_summary, write_edge_list
-    from .reports import write_text
 
     _require(cfg, "labels", "out")
     catalog = _read(cfg, "labels", parse_labels)
     graph = _build_graph(cfg, catalog)
     out_dir = Path(cfg.out)
-    write_text(_render(write_edge_list, graph, catalog), out_dir / "edges.txt")
+    _output(cfg, out_dir / "edges.txt", write_edge_list, graph, catalog)
     doc = graph_summary(graph)
     done = (
         f"graph: {doc['nodes']} nodes, {doc['edges']} edges, "
@@ -509,7 +500,6 @@ def cmd_sweep(cfg: RunConfig):
     from .catalog import parse_annotations, parse_labels
     from .metricmp import family_from_sweep, write_family
     from .metrics import default_threshold_grid, parse_scores, sweep, write_sweep
-    from .reports import write_text
 
     _require(cfg, "labels", "annotations", "scores", "out")
     catalog = _read(cfg, "labels", parse_labels)
@@ -528,9 +518,9 @@ def cmd_sweep(cfg: RunConfig):
         scope=_scope_from_category(cfg, catalog),
     )
     out_dir = Path(cfg.out)
-    write_text(_render(write_sweep, rows), out_dir / "sweep.csv")
+    _output(cfg, out_dir / "sweep.csv", write_sweep, rows)
     if graph is not None:
-        write_text(_render(write_family, family_from_sweep(rows)), out_dir / "family.csv")
+        _output(cfg, out_dir / "family.csv", write_family, family_from_sweep(rows))
     done = f"swept {len(rows)} thresholds; wrote {out_dir}"
     return None, {"rows": rows}, out_dir / "sweep.json", done
 

@@ -16,7 +16,7 @@ import tempfile
 from itertools import chain
 from operator import is_
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import IO, Callable, Mapping
 
 
 def file_digest(path: str | os.PathLike) -> str:
@@ -88,35 +88,38 @@ def render_json(doc) -> str:
     return json.dumps(sanitize(doc), **_JSON_SETTINGS) + "\n"
 
 
+def dump_json(doc, stream: IO[str]) -> None:
+    """Write :func:`render_json`'s text for ``doc`` to ``stream`` chunk by
+    chunk as it is encoded, so the whole text is never held."""
+    stream.writelines(json.JSONEncoder(**_JSON_SETTINGS).iterencode(sanitize(doc)))
+    stream.write("\n")
+
+
+# For callers holding a whole document or text; the CLI uses write_file.
 def write_json(doc, path: str | os.PathLike) -> None:
-    """Atomically and durably replace ``path`` with :func:`render_json`'s
-    text for ``doc``, written chunk by chunk as it is encoded, so the whole
-    text is never held. A value the encoder rejects fails the write part way
-    and leaves the old file."""
-    chunks = json.JSONEncoder(**_JSON_SETTINGS).iterencode(sanitize(doc))
-    _atomic_write(chain(chunks, ("\n",)), path)
+    write_file(path, dump_json, doc)
 
 
 def write_text(text: str, path: str | os.PathLike) -> None:
-    """Atomically and durably replace ``path`` with ``text`` (UTF-8)."""
-    _atomic_write((text,), path)
+    write_file(path, lambda stream: stream.write(text))
 
 
-def _atomic_write(pieces: Iterable[str], path: str | os.PathLike) -> None:
-    """Replace ``path`` with ``pieces`` written one after another (UTF-8).
+def write_file(path: str | os.PathLike, write: Callable[..., object], *args) -> None:
+    """Atomically and durably replace ``path`` with what ``write(*args,
+    stream)`` writes to ``stream`` (UTF-8), as it writes it.
 
-    They are written to a temporary file in the target's directory. The file
-    is synced before the rename, so the rename never exposes a file whose
-    bytes are not yet on disk, and the directory is synced after it, so the
-    rename itself survives a crash. If producing a piece raises, the
-    temporary file is removed and the target keeps its old bytes.
+    The stream is a temporary file in the target's directory. It is synced
+    before the rename, so the rename never exposes a file whose bytes are
+    not yet on disk, and the directory is synced after it, so the rename
+    itself survives a crash. If ``write`` raises, the temporary file is
+    removed and the target keeps its old bytes.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(pieces)
+            write(*args, handle)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, target)
