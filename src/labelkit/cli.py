@@ -55,11 +55,13 @@ class RunConfig:
     cross_category: bool = False
 
     def __init__(self) -> None:
-        # Neither is a setting: the config file the settings come from, and
-        # option name -> (path given, file holding the bytes read) of each
-        # file read, the config file included.
+        # None is a setting: the config file the settings come from; option
+        # name -> (path given, file holding the bytes read) of each file
+        # read, the config file included; and option name -> digest of each
+        # input digested before an output replaced it.
         self.config: str | None = None
         self.inputs_read: dict[str, tuple[str, str]] = {}
+        self.digests: dict[str, str] = {}
 
 
 # Setting name -> its annotation, which says what a config-file value must be.
@@ -159,11 +161,14 @@ def _validate_config(cfg: RunConfig) -> None:
 
 
 def _provenance(cfg: RunConfig) -> dict:
-    from .reports import provenance
+    from .reports import file_digest, provenance
 
     knobs = {name: getattr(cfg, name) for name in _SETTINGS if name not in _NOT_KNOBS}
     # The config file's settings are listed as knobs, not the file itself.
-    inputs = {name: read for name, read in cfg.inputs_read.items() if name != "config"}
+    inputs = {
+        name: (path, cfg.digests.get(name) or file_digest(source))
+        for name, (path, source) in sorted(cfg.inputs_read.items()) if name != "config"
+    }
     return provenance(inputs, knobs)
 
 
@@ -206,15 +211,20 @@ def _output(cfg: RunConfig, out, write, *args, done: str | None = None) -> None:
     """The one way a command writes a report: the stream writer ``write``,
     such as ``write_sweep`` or ``dump_json``, writes it as it is produced to
     stdout when ``out`` is None, or else into the atomic write of the file
-    ``out``, after which ``done`` is printed."""
-    from .reports import write_file
+    ``out``, after which ``done`` is printed. An input that the file
+    replaces is digested first, so provenance lists the bytes parsed."""
+    from .reports import file_digest, write_file
 
     if out is None:
         write(*args, sys.stdout)
-    else:
-        write_file(out, write, *args)
-        if done:
-            print(done)
+        return
+    if os.path.exists(out):
+        for name, (_, source) in cfg.inputs_read.items():
+            if os.path.samefile(out, source):
+                cfg.digests[name] = file_digest(source)
+    write_file(out, write, *args)
+    if done:
+        print(done)
 
 
 def _write_report(cfg: RunConfig, before: str | None, doc: dict, out, after: str | None) -> None:

@@ -22,7 +22,8 @@ from typing import IO, Callable, Mapping
 def file_digest(path: str | os.PathLike) -> str:
     """The SHA-256 of the file at ``path``, read 64 KiB at a time into one
     reused buffer. hashlib loads OpenSSL, a few MB, so it is imported only
-    when a command digests its inputs, after its parsed inputs are freed."""
+    when a command digests an input: after its parsed inputs are freed, or
+    just before an output replaces that input."""
     import hashlib
 
     digest = hashlib.sha256()
@@ -37,8 +38,7 @@ def provenance(inputs: Mapping[str, tuple[str, str]], config: Mapping) -> dict:
     """Provenance block tying a report to its exact inputs.
 
     ``inputs`` maps each input's name to the path it was given as and the
-    file holding the bytes that were read (the path itself, or the copy of a
-    pipe), which is the file digested. ``config`` must hold only
+    :func:`file_digest` of the bytes that were read. ``config`` must hold only
     result-affecting knobs; performance knobs like thread counts stay out so
     reruns at different parallelism produce the same bytes.
     """
@@ -48,8 +48,8 @@ def provenance(inputs: Mapping[str, tuple[str, str]], config: Mapping) -> dict:
         "tool": "labelkit",
         "tool_version": __version__,
         "inputs": {
-            name: {"path": str(path), "sha256": file_digest(source)}
-            for name, (path, source) in sorted(inputs.items())
+            name: {"path": str(path), "sha256": digest}
+            for name, (path, digest) in sorted(inputs.items())
         },
         "config": sanitize(dict(config)),
     }

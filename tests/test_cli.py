@@ -620,6 +620,41 @@ def test_an_input_gone_before_its_digest_leaves_no_result(
     assert str(files[name]) in json.loads(err)["error"]
     assert not (tmp_path / report).exists()
 
+
+@pytest.mark.parametrize(
+    "command, replaced, report",
+    [
+        ("apply", {"labels": "labels.csv", "annotations": "annotations.csv"}, "summary.json"),
+        ("graph", {"graph_edges": "edges.txt"}, "graph.json"),
+    ],
+)
+def test_an_output_over_an_input_keeps_the_digest_of_the_bytes_parsed(
+    corpus, tmp_path, command, replaced, report
+):
+    # The output directory holds the inputs the command writes over.
+    out = tmp_path / "in-place"
+    out.mkdir()
+    files = {"labels": corpus["labels"], "plan": corpus["plan"]}
+    for name, file_name in replaced.items():
+        files[name] = out / file_name
+        files[name].write_bytes(corpus["edges" if name == "graph_edges" else name].read_bytes())
+    parsed = {name: "sha256:" + digest(path) for name, path in files.items()}
+    argv = [command]
+    for name, path in files.items():
+        argv += [f"--{name.replace('_', '-')}", path]
+
+    assert run(*argv, "--out", out) == 0
+    inputs = read_json(out / report)["provenance"]["inputs"]
+    assert {name: entry["sha256"] for name, entry in inputs.items()} == parsed
+    for name in replaced:
+        assert "sha256:" + digest(files[name]) != parsed[name]  # it was replaced
+    # The same report as from inputs left in place, written elsewhere.
+    for name in replaced:
+        files[name].write_bytes(corpus["edges" if name == "graph_edges" else name].read_bytes())
+    assert run(*argv, "--out", tmp_path / "elsewhere") == 0
+    assert (out / report).read_bytes() == (tmp_path / "elsewhere" / report).read_bytes()
+
+
 def decode_cases():
     """(command, inputs given, input to break): every input option each
     command reads, the config file included, with inputs that let the
