@@ -128,36 +128,34 @@ def _parse_config(handle) -> dict:
 
 
 def _merge_config(cfg: RunConfig, args: argparse.Namespace) -> None:
-    """Flags beat the config file, the config file beats defaults."""
+    """Flags beat the config file, the config file beats defaults. A value
+    out of range fails, naming the config file if it came from there."""
     file_values = _read(cfg, "config", _parse_config) if cfg.config else {}
     for name in _CONFIG_KEYS:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             setattr(cfg, name, flag_value)
+            file_values.pop(name, None)
         elif name in file_values:
             setattr(cfg, name, file_values[name])
-    _validate_config(cfg)
 
+    def check(name: str, valid: bool, message: str) -> None:
+        if not valid:  # a value taken from the config file names the file
+            where = f"config file {cfg.config}: " if name in file_values else ""
+            raise LabelKitError(where + message)
 
-def _validate_config(cfg: RunConfig) -> None:
-    if not 0.0 <= cfg.threshold <= 1.0:
-        raise LabelKitError(f"threshold {cfg.threshold} outside [0, 1]")
-    if not 0.0 < cfg.beta < math.inf:
-        raise LabelKitError(f"beta must be positive and finite, got {cfg.beta}")
-    if not 0.0 < cfg.similarity <= 1.0:
-        raise LabelKitError(f"similarity {cfg.similarity} outside (0, 1]")
-    if cfg.fp_mode not in ("literal", "complement"):
-        raise LabelKitError(f"fp_mode must be literal or complement, got {cfg.fp_mode!r}")
-    if not 0.0 <= cfg.epsilon < math.inf:
-        raise LabelKitError(f"epsilon must be nonnegative and finite, got {cfg.epsilon}")
-    if cfg.which not in ("and", "or", "both"):
-        raise LabelKitError(f"--which must be and, or, or both, got {cfg.which!r}")
-    if cfg.threads < 0:
-        raise LabelKitError(f"threads must be nonnegative, got {cfg.threads}")
-    if cfg.thresholds is not None:
-        for value in cfg.thresholds:
-            if not 0.0 <= value <= 1.0:
-                raise LabelKitError(f"sweep threshold {value} outside [0, 1]")
+    check("threshold", 0.0 <= cfg.threshold <= 1.0, f"threshold {cfg.threshold} outside [0, 1]")
+    check("beta", 0.0 < cfg.beta < math.inf, f"beta must be positive and finite, got {cfg.beta}")
+    check("similarity", 0.0 < cfg.similarity <= 1.0, f"similarity {cfg.similarity} outside (0, 1]")
+    check("fp_mode", cfg.fp_mode in ("literal", "complement"),
+          f"fp_mode must be literal or complement, got {cfg.fp_mode!r}")
+    check("epsilon", 0.0 <= cfg.epsilon < math.inf,
+          f"epsilon must be nonnegative and finite, got {cfg.epsilon}")
+    check("which", cfg.which in ("and", "or", "both"),
+          f"which must be and, or, or both, got {cfg.which!r}")
+    check("threads", cfg.threads >= 0, f"threads must be nonnegative, got {cfg.threads}")
+    for value in cfg.thresholds or ():
+        check("thresholds", 0.0 <= value <= 1.0, f"sweep threshold {value} outside [0, 1]")
 
 
 def _provenance(cfg: RunConfig) -> dict:

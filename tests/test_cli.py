@@ -869,6 +869,37 @@ def test_config_wrong_value_types(corpus, tmp_path, capsys, doc, key):
     assert f"{key} must be" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "doc, flags, message",
+    [
+        ({"threshold": 1.5}, ("--threshold", "1.5"), "threshold 1.5 outside [0, 1]"),
+        ({"threshold": math.nan}, ("--threshold", "nan"), "threshold nan outside [0, 1]"),
+        ({"beta": -50}, ("--beta=-50",), "beta must be positive and finite, got -50.0"),
+        ({"similarity": 0}, ("--similarity", "0"), "similarity 0.0 outside (0, 1]"),
+        ({"fp_mode": "loose"}, None, "fp_mode must be literal or complement, got 'loose'"),
+        ({"epsilon": -1}, ("--epsilon=-1",), "epsilon must be nonnegative and finite, got -1.0"),
+        ({"which": "xor"}, None, "which must be and, or, or both, got 'xor'"),
+        ({"threads": -2}, ("--threads=-2",), "threads must be nonnegative, got -2"),
+        ({"thresholds": [0.1, 2]}, ("--thresholds", "0.1,2"), "sweep threshold 2.0 outside [0, 1]"),
+    ],
+)
+def test_config_values_out_of_range_name_the_config_file(corpus, tmp_path, capsys, doc, flags,
+                                                         message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert run("dupes", "--config", config, "--labels", corpus["labels"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == f"config file {config}: {message}"
+    if flags is not None:  # the same value given by flag names no file
+        assert run("dupes", *flags, "--labels", corpus["labels"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == message
+        # and a flag that overrides the file's value leaves nothing to report
+        good = {"--threshold": "0.5", "--thresholds": "0.5"}.get(flags[0], "1")
+        name = flags[0].split("=")[0]
+        assert run("dupes", "--config", config, name, good, "--labels", corpus["labels"]) == 0
+
+
 def test_config_accepts_ints_and_nulls(corpus, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"similarity": 1, "category": None, "thresholds": None,
