@@ -15,8 +15,11 @@ from pathlib import Path
 import pytest
 
 from labelkit import cleanse, defaults, reports
-from labelkit.catalog import LabelCatalog, SampleTable
-from labelkit.cleanse import AndSplit, Merge, OrGroup, TransformPlan, find_duplicates, write_plan
+from labelkit.catalog import LabelCatalog, SampleTable, parse_annotations
+from labelkit.cleanse import (
+    AndSplit, Merge, OrGroup, TransformPlan, find_duplicates, find_hierarchy_candidates,
+    write_duplicate_candidates, write_hierarchy_candidates, write_plan,
+)
 from labelkit.cli import _CONFIG_KEYS, RunConfig, build_parser, main
 from labelkit.metricmp import compare
 from labelkit.metrics import fbeta_report, graph_fbeta_report, or_aware_report, sweep
@@ -168,6 +171,47 @@ def test_hierarchy_command(corpus, tmp_path):
     text = out.read_text()
     assert "black chalk on blue paper" in text
     assert "present-day france" in text
+
+
+def rendered(write, *args) -> str:
+    buffer = io.StringIO()
+    write(*args, buffer)
+    return buffer.getvalue()
+
+
+def test_stdout_reports_are_the_text_of_their_writers(corpus, capsys, tmp_path):
+    # Streamed to stdout, a report is the text its writer gives a StringIO
+    # (or render_json's), after the command's summary line, and the same
+    # bytes as the file --out writes.
+    catalog = build_catalog()
+    pairs = find_duplicates(catalog, threshold=defaults.DEFAULT_SIMILARITY)
+    candidates = find_hierarchy_candidates(catalog)
+    cases = [
+        (("dupes",), f"{len(pairs)} duplicate candidates at similarity >= "
+                     f"{defaults.DEFAULT_SIMILARITY}\n" + rendered(write_duplicate_candidates, pairs)),
+        (("hierarchy",), f"{len(candidates)} hierarchy candidates\n"
+                         + rendered(write_hierarchy_candidates, candidates)),
+    ]
+    for argv, expected in cases:
+        assert run(*argv, "--labels", corpus["labels"]) == 0
+        assert capsys.readouterr().out == expected
+        assert run(*argv, "--labels", corpus["labels"], "--out", tmp_path / "report.csv") == 0
+        summary, text = expected.split("\n", 1)
+        assert capsys.readouterr().out == f"{summary}\nwrote {tmp_path / 'report.csv'}\n"
+        assert (tmp_path / "report.csv").read_text() == text
+
+    pair = ("--labels", corpus["labels"], "--annotations", corpus["annotations"])
+    assert run("eval", *pair, "--predictions", corpus["predictions"]) == 0
+    line, text = capsys.readouterr().out.split("\n", 1)
+    truth = parse_annotations(io.StringIO(annotations_csv()), catalog)
+    predictions = parse_annotations(io.StringIO(PREDICTIONS_CSV), catalog)
+    doc = fbeta_report(predictions, truth, beta=defaults.DEFAULT_BETA).as_dict()
+    doc["provenance"] = json.loads(text)["provenance"]
+    assert line.startswith("flat: micro_f=")
+    assert text == reports.render_json(doc)
+    assert run("eval", *pair, "--predictions", corpus["predictions"], "--out", tmp_path / "e.json") == 0
+    assert capsys.readouterr().out == f"{line}\nwrote {tmp_path / 'e.json'}\n"
+    assert (tmp_path / "e.json").read_text() == text
 
 
 @pytest.mark.parametrize("command", ["dupes", "hierarchy"])
