@@ -13,14 +13,13 @@ every JSON report parses as strict JSON. Score files have their own fuzz in
 """
 
 import csv
-import io
 import json
 import random
 import shutil
 
-from labelkit.cleanse import AndSplit, Merge, OrGroup, TransformPlan, write_plan
 from labelkit.cli import main
-from conftest import MINI_SAMPLE_ROWS, annotations_csv, build_catalog, labels_csv
+from conftest import annotations_csv, labels_csv
+from test_cli import EDGES_TXT, SCORES_CSV, make_plan_json
 
 SEED = 29
 CASES = 1200
@@ -51,33 +50,19 @@ TOKENS = [
 
 
 def base_files() -> dict[str, bytes]:
-    catalog = build_catalog()
-    plan = io.StringIO()
-    write_plan(
-        TransformPlan(
-            merges=[Merge(12, (13,)), Merge(14, (15,))],
-            hierarchy_edges=[(17, 16), (16, 18)],
-            and_splits=[AndSplit(3, (4, 0), remove_source=True)],
-            or_groups=[OrGroup(2, (0, 1)), OrGroup(28, (5, 29))],
-            exclusion_groups=[frozenset({19, 20, 21, 22, 23})],
-        ),
-        catalog,
-        plan,
-    )
-    scores = ["id,attribute_id,score"]
-    for sid, labels in MINI_SAMPLE_ROWS:
-        scores += [f"{sid},{label},0.9" for label in sorted(labels)] + [f"{sid},27,0.2"]
+    """The ``test_cli.py`` corpus, with a config file and a model family."""
     config = {"threshold": 0.3, "beta": 1.0, "similarity": 0.8, "thresholds": [0.1, 0.5],
               "epsilon": 0.01, "which": "both", "fp_mode": "literal", "category": None}
-    return {
-        "labels": labels_csv().encode(),
-        "annotations": annotations_csv().encode(),
-        "scores": ("\n".join(scores) + "\n").encode(),
-        "plan": plan.getvalue().encode(),
-        "config": json.dumps(config, indent=1).encode(),
-        "graph_edges": b"# links\nfrench, france\nunited kingdom, england\nmedium::silk,medium::wool and silk\n",
-        "family": b"model,f_score,g_score\na,0.1,0.2\nb,0.3,0.4\nc,0.5,0.45\n",
+    texts = {
+        "labels": labels_csv(),
+        "annotations": annotations_csv(),
+        "scores": SCORES_CSV,
+        "plan": make_plan_json(),
+        "config": json.dumps(config, indent=1),
+        "graph_edges": EDGES_TXT,
+        "family": "model,f_score,g_score\na,0.1,0.2\nb,0.3,0.4\nc,0.5,0.45\n",
     }
+    return {name: text.encode() for name, text in texts.items()}
 
 
 def mutate(data: bytes, rng: random.Random) -> bytes:
