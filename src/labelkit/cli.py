@@ -487,7 +487,7 @@ def cmd_eval_excl(cfg: RunConfig):
     plan = _read(cfg, "plan", load_plan, catalog, sections=("exclusion_groups",))
     groups = plan.exclusion_groups
     if not groups:
-        raise LabelKitError("plan has no exclusion groups")
+        raise LabelKitError(f"{cfg.plan}: plan has no exclusion groups")
     predictions = enforce_exclusion(predictions, scores, groups)
     scope = frozenset().union(*groups)
     report = fbeta_report(

@@ -412,6 +412,16 @@ def test_eval_excl_prunes_and_scopes(corpus, tmp_path):
     assert doc["n_samples"] == 3
 
 
+def test_eval_excl_without_exclusion_groups_names_the_plan(corpus, tmp_path, capsys):
+    plan = tmp_path / "no-groups.json"
+    plan.write_text(json.dumps({"exclusion_groups": []}))
+    code = run("eval-excl", "--labels", corpus["labels"], "--annotations", corpus["annotations"],
+               "--scores", corpus["scores"], "--plan", plan, "--out", tmp_path / "excl.json")
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == f"{plan}: plan has no exclusion groups"
+    assert not (tmp_path / "excl.json").exists()
+
+
 def test_eval_graph_runs_and_exceeds_flat(corpus, tmp_path):
     flat_out = tmp_path / "flat.json"
     graph_out = tmp_path / "graph.json"
