@@ -16,6 +16,7 @@ from itertools import chain
 from typing import IO, Collection, Iterable, Iterator
 
 from .csvio import CsvTable, csv_writer
+from .errors import UnknownCategory
 
 UNCATEGORIZED = "uncategorized"
 
@@ -105,11 +106,11 @@ class LabelCatalog:
         return sorted({r.category for r in self.records})
 
     def category_ids(self, category: str) -> frozenset[int]:
-        """Ids of the category's labels; ``ValueError`` for a category the
-        catalog does not hold (a held one has at least one label)."""
+        """Ids of the category's labels; :class:`UnknownCategory`, a
+        ``ValueError``, for a category the catalog does not hold."""
         ids = frozenset(r.id for r in self.records if r.category == category)
         if not ids:
-            raise ValueError(f"unknown category {category!r}")
+            raise UnknownCategory(f"unknown category {category!r}")
         return ids
 
     def resolve_name(self, text: str) -> LabelRecord:

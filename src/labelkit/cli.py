@@ -525,10 +525,11 @@ def cmd_sweep(cfg: RunConfig):
         fp_mode=cfg.fp_mode,
         scope=_scope_from_category(cfg, catalog),
     )
+    family = None if graph is None else family_from_sweep(rows)  # can fail, so before any write
     out_dir = Path(cfg.out)
     _output(cfg, out_dir / "sweep.csv", write_sweep, rows)
-    if graph is not None:
-        _output(cfg, out_dir / "family.csv", write_family, family_from_sweep(rows))
+    if family is not None:
+        _output(cfg, out_dir / "family.csv", write_family, family)
     done = f"swept {len(rows)} thresholds; wrote {out_dir}"
     return None, {"rows": rows}, out_dir / "sweep.json", done
 
@@ -644,7 +645,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())  # so the flush at exit cannot fail again
         os.close(devnull)
         return 0
-    except (LabelKitError, OSError, ValueError, KeyError) as exc:
+    except (LabelKitError, OSError) as exc:  # anything else is a bug: a traceback
         import json
 
         message = exc.args[0] if exc.args and isinstance(exc.args[0], str) else str(exc)

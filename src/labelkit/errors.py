@@ -44,6 +44,10 @@ def undecodable(path: str, source: str) -> ParseError:
     return ParseError("invalid UTF-8", source=path)
 
 
+class UnknownCategory(LabelKitError, ValueError):
+    """A category the catalog does not hold; still a ``ValueError``."""
+
+
 class PlanError(LabelKitError):
     """An invalid transformation plan."""
 

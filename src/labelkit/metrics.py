@@ -110,25 +110,19 @@ class ScoreSet(SampleTable):
     compressed sparse row (CSR) table. ``_positions`` (each cell's position
     in ``_ids``, the ascending label ids: an ``array('H')``, or an
     ``array('I')`` past 65,536 labels) and ``_scores`` (an ``array('d')``)
-    hold every kept cell, 10 bytes each (12 past 65,536 labels); sample
-    ``k`` owns the slots from ``_offsets[k]`` up to ``_offsets[k + 1]``,
-    and ``_index`` maps each sample id to its ``k``. A sample costs about 60
-    bytes more: its index entry, its ordinal and its offset.
+    hold every kept cell, 10 bytes each (12 past 65,536 labels). Whatever
+    order a file's rows came in, sample ``k``'s cells, in file order, are
+    the slice from ``_offsets[k]`` up to ``_offsets[k + 1]`` of both, and
+    ``_index`` maps each sample id to its ``k``, the value it stores. A
+    sample costs about 60 bytes more: its index entry, ordinal and offset.
+    It reads as a :class:`ScoreRow` over its slice, built each time it is
+    read, by :meth:`scores_for` and iteration alike.
 
     ``floor`` is the lowest cut the set can answer: one parsed with
     ``at_least`` keeps only the cells scored at least that, so
     :func:`threshold` and :func:`sweep` refuse a cut below it. A sample
     whose cells all fall below the floor is kept, with none. A set built
     from mappings keeps every cell, and its floor is 0.0.
-
-    When a file's rows come grouped by sample, as they are written, the
-    slots are the cells themselves and ``_order`` is None. Otherwise (a file
-    sorted by label, or shuffled) the cells stay in file order and
-    ``_order``, 4 more bytes a cell, holds the cell at each slot: grouping
-    sorts slot numbers, so no second copy of a column is held.
-    A sample's stored value is its ordinal, and it reads as a
-    :class:`ScoreRow` over its cells, in file order, built each time it is
-    read, by :meth:`scores_for` and iteration alike.
 
     The constructor checks every cell of each sample's mapping and appends
     it to the table; :func:`parse_scores` validates while reading and hands
@@ -141,7 +135,6 @@ class ScoreSet(SampleTable):
         self._ids = sorted(known_labels)
         self._offsets, self._scores = array("I", [0]), array("d")
         self._positions = _position_column(len(self._ids))
-        self._order = None
         self.floor = 0.0
         super().__init__(samples, known_labels)
 
@@ -154,14 +147,13 @@ class ScoreSet(SampleTable):
         offsets: array,
         positions: array,
         scores: array,
-        order: array | None = None,
         floor: float = 0.0,
     ) -> ScoreSet:
         """Adopt a validated table as it is: ``index`` maps each sample id
         to its ordinal, in ordinal order, and the arrays are the table's
         columns, none of them copied."""
         self = super()._trusted(index, known_labels)
-        self._ids, self._offsets, self._order = ids, offsets, order
+        self._ids, self._offsets = ids, offsets
         self._positions, self._scores, self.floor = positions, scores, floor
         return self
 
@@ -178,17 +170,9 @@ class ScoreSet(SampleTable):
         self._offsets.append(len(self._positions))
         return len(self._index)
 
-    def _cells(self, column: array, ordinal: int) -> array:
-        """Sample ``ordinal``'s cells of ``column``, in file order."""
-        start, stop = self._offsets[ordinal], self._offsets[ordinal + 1]
-        if self._order is None:
-            return column[start:stop]
-        return array(column.typecode, map(column.__getitem__, self._order[start:stop]))
-
     def _read(self, sample_id: str, ordinal: int) -> ScoreRow:
-        return ScoreRow(
-            self._ids, self._cells(self._positions, ordinal), self._cells(self._scores, ordinal)
-        )
+        cells = slice(self._offsets[ordinal], self._offsets[ordinal + 1])
+        return ScoreRow(self._ids, self._positions[cells], self._scores[cells])
 
     scores_for = SampleTable._lookup
 
@@ -270,10 +254,10 @@ class _Regroup(Exception):
 
 
 class _Cells:
-    """The cells of a score file as it is read, appended a block of rows at
-    a time: every cell is checked for a repeat of its sample's earlier
-    cells, and both columns of those scored at least ``at_least`` are kept,
-    in file order.
+    """The cells of a score file as it is read, a block of rows at a time:
+    each is checked for a repeat of its sample's earlier cells, and both
+    columns of those scored at least ``at_least`` are kept, grouped by
+    sample, each sample's in file order.
 
     While no sample id comes back after another sample's rows (``grouped``),
     a block costs a few steps per sample, each done in C over its cells: a
@@ -282,8 +266,8 @@ class _Cells:
     the next), and only the kept cell it begins at is recorded. From the
     first block where a sample comes back (a file sorted by label, or
     shuffled), or from the start when not ``grouped``, each kept cell's
-    sample ordinal is kept instead, and each dropped cell's ordinal and
-    position, until :meth:`repeated` has grouped both by sample. A sample
+    sample ordinal is kept, and each dropped cell's ordinal and position,
+    for :meth:`repeated` and :meth:`table` to group by sample. A sample
     that comes back after a cell was dropped raises :class:`_Regroup`, as
     that cell is gone."""
 
@@ -295,13 +279,12 @@ class _Cells:
         self.at_least = at_least
         self.positions, self.scores = _position_column(n_labels), array("d")
         self.cells_read = 0  # kept or not
-        self._starts = array("I")  # the slot each sample begins at
+        self._starts = array("I")  # the kept cell each sample begins at
         self._run: set[int] = set()  # the positions of the last sample's run so far
         self._repeats: set[str] = set()  # the samples of the first block with a repeat
         self._last: str | None = None  # the sample id of the last row
         self._ordinals = None if grouped else array("I")  # each kept cell's sample, once not
         self._dropped = (array("I"), _position_column(n_labels))  # ordinals, positions
-        self._order: array | None = None  # the kept cell at each slot, if not grouped
 
     def extend(self, sids: list[str], positions: list[int], scores: list[float]) -> None:
         """Append one block of rows, given as columns."""
@@ -367,57 +350,56 @@ class _Cells:
         """The samples to look among for the first repeated cell; none when
         no cell is repeated. While grouped, those of the first block with a
         repeat; otherwise each sample that repeats a cell, found once the
-        kept cells and the dropped ones are each grouped by sample."""
+        dropped positions (then freed) and the kept ones are grouped."""
         if self._ordinals is None:
             return self._repeats
         n_samples = len(self.index)
-        self._starts, self._order = _by_sample(self._ordinals, count(), n_samples, "I")
-        ordinals, below = self._dropped  # the dropped cells' positions, grouped next
-        self._dropped = None
-        spans: Iterable[slice] = repeat(slice(0))
-        if below:
-            below_starts, below = _by_sample(ordinals, below, n_samples, below.typecode)
-            spans = map(slice, below_starts, islice(below_starts, 1, None))
+        ordinals, below = self._dropped
+        self._dropped = None  # freed before the kept columns are grouped
+        below_starts = _sample_offsets(ordinals, n_samples)
+        below = _by_sample(ordinals, below, below_starts)
         del ordinals
-        kept = map(self.positions.__getitem__, self._order)  # one sample after another
-        sizes = map(sub, islice(self._starts, 1, None), self._starts)
+        self._starts = starts = _sample_offsets(self._ordinals, n_samples)
+        self.positions = positions = _by_sample(self._ordinals, self.positions, starts)
+        kept_runs = map(slice, starts, islice(starts, 1, None))
+        dropped_runs = map(slice, below_starts, islice(below_starts, 1, None))
         repeats = set()
-        for sid, size, span in zip(self.index, sizes, spans):
-            run = [*islice(kept, size), *below[span]]
+        for sid, kept, dropped in zip(self.index, kept_runs, dropped_runs):
+            run = [*positions[kept], *below[dropped]]
             if len(set(run)) < len(run):
                 repeats.add(sid)
         return repeats
 
     def table(self, ids: list[int], known_labels: frozenset[int]) -> ScoreSet:
-        """The kept cells as a score set over the ascending ``ids``; once
-        :meth:`repeated` has run."""
+        """The kept cells as a score set over the ascending ``ids``, their
+        scores grouped as :meth:`repeated` grouped their positions."""
         self.index.default_factory = None  # a lookup of an unknown id fails again
-        if self._order is None:
+        if self._ordinals is None:
             self._starts.append(len(self.positions))
+        else:
+            self.scores = _by_sample(self._ordinals, self.scores, self._starts)
         return ScoreSet._trusted(
-            self.index, known_labels, ids, self._starts, self.positions, self.scores, self._order,
+            self.index, known_labels, ids, self._starts, self.positions, self.scores,
             self.at_least,
         )
 
 
-def _by_sample(
-    ordinals: array, values: Iterable[int], n_samples: int, typecode: str
-) -> tuple[array, array]:
-    """A stable counting sort of ``values``, one per ordinal in
-    ``ordinals``: the CSR offsets of samples 0 to ``n_samples - 1`` (a
-    sample with no values has an empty run) and an array of ``typecode``
-    holding the values grouped by sample, each sample's in the order
-    given."""
+def _sample_offsets(ordinals: array, n_samples: int) -> array:
+    """The CSR offsets of samples 0 to ``n_samples - 1``, one cell an ordinal."""
     counts = Counter(ordinals)
-    offsets = array("I", accumulate(map(counts.__getitem__, range(n_samples)), initial=0))
-    del counts
-    slots = array(typecode, [0]) * len(ordinals)
+    return array("I", accumulate(map(counts.__getitem__, range(n_samples)), initial=0))
+
+
+def _by_sample(ordinals: array, values: array, offsets: array) -> array:
+    """``values``, one per ordinal, grouped behind ``offsets`` by a stable
+    counting sort into a new array of their type."""
+    slots = array(values.typecode, [0]) * len(values)
     free = offsets.tolist()  # each sample's next free slot
     for ordinal, value in zip(ordinals, values):
         at = free[ordinal]
         free[ordinal] = at + 1
         slots[at] = value
-    return offsets, slots
+    return slots
 
 
 def _read_blocks(stream: IO[str], by_text: dict[str, int], cells: _Cells) -> bool:

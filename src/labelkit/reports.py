@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import tempfile
 from itertools import chain
 from operator import is_
@@ -95,11 +96,7 @@ def dump_json(doc, stream: IO[str]) -> None:
     stream.write("\n")
 
 
-# For callers holding a whole document or text; the CLI uses write_file.
-def write_json(doc, path: str | os.PathLike) -> None:
-    write_file(path, dump_json, doc)
-
-
+# For callers holding a whole text; the CLI uses write_file.
 def write_text(text: str, path: str | os.PathLike) -> None:
     write_file(path, lambda stream: stream.write(text))
 
@@ -112,7 +109,8 @@ def write_file(path: str | os.PathLike, write: Callable[..., object], *args) -> 
     before the rename, so the rename never exposes a file whose bytes are
     not yet on disk, and the directory is synced after it, so the rename
     itself survives a crash. If ``write`` raises, the temporary file is
-    removed and the target keeps its old bytes.
+    removed and the target keeps its old bytes. The file gets the mode
+    ``open(path, "w")`` would leave, not the temporary file's 0o600.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -121,6 +119,13 @@ def write_file(path: str | os.PathLike, write: Callable[..., object], *args) -> 
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             write(*args, handle)
             handle.flush()
+            try:  # the target's own mode, or 0o666 less the umask
+                mode = stat.S_IMODE(os.stat(target).st_mode)
+            except FileNotFoundError:
+                umask = os.umask(0)  # the one way to read it: set it, then put it back
+                os.umask(umask)
+                mode = 0o666 & ~umask
+            os.fchmod(handle.fileno(), mode)
             os.fsync(handle.fileno())
         os.replace(tmp_name, target)
     except BaseException:

@@ -1,4 +1,5 @@
-"""Shared corpus builders for the test suite.
+"""Shared corpus builders for the test suite, and the layout check every
+score set must pass.
 
 The mini corpus mirrors the shape of a real museum attribute vocabulary:
 five category verticals, spelling variants, hyphen variants, connective
@@ -96,3 +97,33 @@ def annotations_csv(rows=MINI_SAMPLE_ROWS) -> str:
 
 def catalog_from_csv(text: str) -> LabelCatalog:
     return parse_labels(io.StringIO(text))
+
+
+def file_order_cells(rows, at_least=0.0) -> dict:
+    """``{sample id: [(label, score), ...]}`` for score rows given as
+    ``(sample id, label text, score text)`` in file order: samples in order
+    of first appearance, each with its cells scored at least ``at_least`` in
+    file order (a sample whose cells all fall below keeps an empty list)."""
+    cells: dict = {}
+    for sid, label, score in rows:
+        kept = cells.setdefault(sid, [])
+        if float(score) >= at_least:
+            kept.append((int(label), float(score)))
+    return cells
+
+
+def assert_one_layout(scores, cells: dict) -> None:
+    """``scores`` has a score set's one layout, whatever order its file's
+    rows came in: the offsets never decrease and end at the length of both
+    columns, and sample k's slice of the columns holds ``cells[sid]``, its
+    (label, score) cells in file order."""
+    offsets = scores._offsets
+    assert offsets[0] == 0 and len(offsets) == len(scores) + 1
+    assert all(a <= b for a, b in zip(offsets, offsets[1:]))
+    assert offsets[-1] == len(scores._positions) == len(scores._scores)
+    assert list(scores._index.values()) == list(range(len(scores)))
+    assert scores.sample_ids() == list(cells)
+    for sid, k in scores._index.items():
+        run = slice(offsets[k], offsets[k + 1])
+        labels = [scores._ids[at] for at in scores._positions[run]]
+        assert list(zip(labels, scores._scores[run])) == cells[sid]

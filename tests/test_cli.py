@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from labelkit import cleanse, defaults, reports
+from labelkit import cleanse, cli, defaults, reports
 from labelkit.catalog import LabelCatalog, SampleTable, parse_annotations
 from labelkit.cleanse import (
     AndSplit, Merge, OrGroup, TransformPlan, find_duplicates, find_hierarchy_candidates,
@@ -223,6 +223,18 @@ def test_unknown_category_rejected(corpus, tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "unknown category 'nosuch'"
+
+
+def test_an_error_from_outside_labelkit_escapes_main(corpus, monkeypatch):
+    # main prints labelkit's own errors and OSError as one JSON line; any
+    # other exception is a bug, so it is raised as a traceback, not passed
+    # off as bad input.
+    def broken(cfg):
+        raise ValueError("a bug")
+
+    monkeypatch.setitem(cli._COMMANDS, "inspect", broken)
+    with pytest.raises(ValueError, match="^a bug$"):
+        run("inspect", "--labels", corpus["labels"])
 
 
 def test_connectives_command(corpus, tmp_path):
@@ -485,6 +497,26 @@ def test_sweep_default_grid_size(corpus, tmp_path):
     assert doc["rows"][0]["threshold"] == 0.0025
     assert doc["rows"][-1]["threshold"] == 0.5
     assert not (out_dir / "family.csv").exists()
+
+
+def test_a_failed_sweep_writes_nothing(corpus, tmp_path, capsys):
+    # One grid point makes no model family, so the sweep fails after it is
+    # computed, before its first output is written.
+    out_dir = tmp_path / "sweep"
+    code = run(
+        "sweep",
+        "--labels", corpus["labels"],
+        "--annotations", corpus["annotations"],
+        "--scores", corpus["scores"],
+        "--plan", corpus["plan"],
+        "--thresholds", "0.5",
+        "--out", out_dir,
+    )
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "fewer than two sweep rows have defined scores"
+    }
+    assert not out_dir.exists()
 
 
 def test_compare_command(corpus, tmp_path):

@@ -15,6 +15,7 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,7 +34,7 @@ from labelkit.cleanse import AndSplit, Merge, TransformPlan, apply_plan, superca
 from labelkit import csvio
 from labelkit.csvio import csv_writer
 from labelkit.metrics import ScoreSet, parse_scores, threshold
-from conftest import build_catalog
+from conftest import assert_one_layout, build_catalog, file_order_cells
 
 CATALOG = build_catalog()
 KNOWN = CATALOG.ids()
@@ -341,7 +342,9 @@ def test_positions_hold_catalogs_past_65536_labels(n_labels, typecode):
     # loop and a file whose sample comes back store the same.
     ids = list(range(0, 3 * n_labels, 3))
     cells = {ids[-1]: 0.25, ids[0]: 1.0, ids[1000]: 0.5}
-    row = ScoreSet([("a", cells)], ids).scores_for("a")
+    built = ScoreSet([("a", cells)], ids)
+    assert_one_layout(built, {"a": list(cells.items())})
+    row = built.scores_for("a")
     assert row.positions.typecode == typecode
     assert_mapping_as(row, cells, [ids[-1], ids[-1] + 1, ids[1001]])
 
@@ -358,7 +361,8 @@ def test_positions_hold_catalogs_past_65536_labels(n_labels, typecode):
     lines = text.splitlines(keepends=True)
     interleaved = "".join([lines[0], lines[1], f"b,{ids[1]},0.75\n", *lines[2:]])
     parsed = parse_scores(io.StringIO(interleaved), catalog)
-    assert parsed._order is not None and parsed._positions.typecode == typecode
+    assert parsed._positions.typecode == typecode
+    assert_one_layout(parsed, {"a": list(cells.items()), "b": [(ids[1], 0.75)]})
     row = parsed.scores_for("a")
     assert row.positions.typecode == typecode and row == cells
     assert parsed.scores_for("b") == {ids[1]: 0.75}
@@ -444,15 +448,22 @@ def floor_memory_file(order: str, n_samples: int) -> str:
     return "id,attribute_id,score\n" + "".join(f"{s},{label},{x}\n" for s, label, x in rows)
 
 
+def file_rows(text: str) -> list[list[str]]:
+    """The (sample id, label, score) rows of a plain score file's text."""
+    return [line.split(",") for line in text.splitlines()[1:]]
+
+
 # One block's working set: its text, the structure bytes it is checked by,
 # its split cells and the columns built from them.
 BLOCK_ALLOWANCE = 20 * csvio.BLOCK_SIZE
 
 
 def test_a_parse_with_a_floor_peaks_within_11_bytes_a_kept_cell():
-    scores, peak = peak_of_parse(floor_memory_file("sample", 4000), 0.1)
+    text = floor_memory_file("sample", 4000)
+    scores, peak = peak_of_parse(text, 0.1)
     kept = sum(map(len, dict(scores).values()))
-    assert scores._order is None and len(scores) == 4000 and 60_000 < kept < 80_000
+    assert len(scores) == 4000 and 60_000 < kept < 80_000
+    assert_one_layout(scores, file_order_cells(file_rows(text), 0.1))
     ids = sum(map(sys.getsizeof, scores.sample_ids()))
     # Without the floor, the 160,000 cells would take 10 bytes each.
     assert peak - ids - 100 * len(scores) - BLOCK_ALLOWANCE < 11 * kept
@@ -464,8 +475,21 @@ def test_a_label_sorted_parse_with_a_floor_peaks_no_higher_than_without():
     text = floor_memory_file("label", 2000)
     floored, floored_peak = peak_of_parse(text, 0.1)
     full, full_peak = peak_of_parse(text, 0.0)
-    assert floored._order is not None and floored.sample_ids() == full.sample_ids()
+    assert floored.sample_ids() == full.sample_ids()
+    assert_one_layout(floored, file_order_cells(file_rows(text), 0.1))
     assert floored_peak <= full_peak
+
+
+def test_a_label_sorted_parse_with_a_floor_holds_no_more_than_a_grouped_one():
+    # Once read, every file's kept cells are grouped by sample, so the same
+    # cells in label order hold what the grouped file holds. The allowance
+    # covers the columns' spare capacity, which differs with how each grew.
+    parse = partial(parse_scores, at_least=0.1)
+    grouped, grouped_held = traced(parse, floor_memory_file("sample", 2000))
+    by_label, label_held = traced(parse, floor_memory_file("label", 2000))
+    kept = sum(map(len, dict(grouped).values()))
+    assert len(by_label) == len(grouped) and sum(map(len, dict(by_label).values())) == kept
+    assert label_held <= grouped_held + kept // 2
 
 
 def test_a_parsed_seven_label_sample_costs_under_250_bytes():

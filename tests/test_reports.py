@@ -54,8 +54,39 @@ def test_write_json_syncs_file_then_directory(tmp_path, monkeypatch):
     target = tmp_path / "out" / "report.json"
     # Enough keys for the text to reach the file in several buffer flushes.
     doc = {"ünïcode": "ç", "rows": [{"k": i, "v": i / 7} for i in range(3000)]}
-    write = lambda: reports.write_json(doc, target)  # noqa: E731
+    write = lambda: reports.write_file(target, reports.dump_json, doc)  # noqa: E731
     assert_synced_then_renamed(write, target, reports.render_json(doc).encode("utf-8"), monkeypatch)
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def mode(path) -> int:
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+def test_a_new_file_gets_the_mode_the_umask_leaves(tmp_path, umask_022):
+    # As open(path, "w") would: 0o666 less the umask, not the temporary
+    # file's 0o600.
+    target = tmp_path / "report.json"
+    reports.write_file(target, reports.dump_json, {"a": 1})
+    assert mode(target) == 0o644
+    os.umask(0o027)
+    reports.write_file(tmp_path / "other.json", reports.dump_json, {"a": 1})
+    assert mode(tmp_path / "other.json") == 0o640
+
+
+@pytest.mark.parametrize("old_mode", [0o644, 0o640, 0o600, 0o664])
+def test_a_replaced_file_keeps_its_mode(tmp_path, umask_022, old_mode):
+    target = tmp_path / "report.csv"
+    target.write_text("old\n")
+    os.chmod(target, old_mode)
+    reports.write_text("new\n", target)
+    assert target.read_text() == "new\n" and mode(target) == old_mode
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +153,7 @@ def test_write_json_writes_the_text_of_the_whole_document(doc, tmp_path):
     assert reports.sanitize(doc) == copying_sanitize(doc)
     assert reports.render_json(doc) == expected
     target = tmp_path / "report.json"
-    reports.write_json(doc, target)
+    reports.write_file(target, reports.dump_json, doc)
     assert target.read_bytes() == expected.encode("utf-8")
     assert repr(doc) == before  # the document is not changed
 
@@ -141,7 +172,7 @@ def test_a_failed_json_write_keeps_the_old_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "unlink", recording_unlink)
     with pytest.raises(TypeError, match="not JSON serializable"):
-        reports.write_json(doc, target)
+        reports.write_file(target, reports.dump_json, doc)
     assert left and left[0] > 0  # the temporary file had been written to
     assert target.read_bytes() == b"old bytes\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
@@ -178,7 +209,7 @@ def test_write_json_holds_a_small_part_of_its_text(tmp_path):
     }
     text = reports.render_json(doc)
     target = tmp_path / "groups.json"
-    peak = traced_peak(lambda: reports.write_json(doc, target))
+    peak = traced_peak(lambda: reports.write_file(target, reports.dump_json, doc))
     assert target.read_bytes() == text.encode("utf-8")
     assert peak < 0.25 * len(text)
 
@@ -194,7 +225,7 @@ def test_write_json_on_a_flat_report_holds_no_rendered_copy(tmp_path):
     doc = fbeta_report(predictions, truth).as_dict()
     text = reports.render_json(doc)
     target = tmp_path / "eval.json"
-    peak = traced_peak(lambda: reports.write_json(doc, target))
+    peak = traced_peak(lambda: reports.write_file(target, reports.dump_json, doc))
     assert target.read_bytes() == text.encode("utf-8")
     # Rendering the whole text first holds it and the list of its pieces,
     # about 14 times its length. Streamed, the peak is the file's write

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from labelkit import csvio, metrics
 from labelkit.metrics import parse_scores
-from conftest import build_catalog
+from conftest import assert_one_layout, build_catalog, file_order_cells
 from test_score_blocks_oracle import (
     FLOORS,
     benchmark_shaped,
@@ -56,18 +56,6 @@ def file_bytes(rows, copy):
     return "".join(line + end for line in lines).encode()
 
 
-def contiguous(rows):
-    """Whether each sample's rows form one run."""
-    seen, last = set(), None
-    for sid, _, _ in rows:
-        if sid != last:
-            if sid in seen:
-                return False
-            seen.add(sid)
-            last = sid
-    return True
-
-
 def assert_matches_row_loop(
     data, rows, catalog=CATALOG, block_size=None, fallback=False, at_least=0.0
 ):
@@ -80,12 +68,11 @@ def assert_matches_row_loop(
     assert got == expected
     if got[0] != "ok":
         return
-    # The layout: cells stay in file order behind a slot order only when
-    # some sample's rows are not contiguous.
+    # The one layout, whether or not each sample's rows are contiguous.
     stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
     with mock.patch.object(csvio, "BLOCK_SIZE", block_size or csvio.BLOCK_SIZE):
         scores = parse(stream, catalog)
-    assert (scores._order is None) == contiguous(rows)
+    assert_one_layout(scores, file_order_cells(rows, at_least))
     assert scores.floor == at_least
     for sid, labels, score_bits in got[1]:
         row = scores.scores_for(sid)

@@ -27,7 +27,7 @@ from labelkit.metrics import (
     threshold,
 )
 from labelkit.relgraph import RelationGraph
-from conftest import build_catalog
+from conftest import assert_one_layout, build_catalog
 
 CATALOG = build_catalog()
 KNOWN = CATALOG.ids()
@@ -234,7 +234,7 @@ def test_a_sample_back_after_a_dropped_cell_is_read_again(monkeypatch, quoted):
     stream = CountingStream(head + "a,1,0.9\n")
     scores = parse_scores(stream, CATALOG, at_least=0.1)
     assert stream.seeks == 1 + quoted  # a quoted file is read by rows first
-    assert scores._order is not None
+    assert_one_layout(scores, {"a": [(1, 0.9)], "b": [(1, 0.5)], "c": [(2, 0.5)]})
     assert [(sid, dict(row)) for sid, row in scores] == [
         ("a", {1: 0.9}),
         ("b", {1: 0.5}),
