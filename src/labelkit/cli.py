@@ -154,6 +154,7 @@ def _merge_config(cfg: RunConfig, args: argparse.Namespace) -> None:
     check("which", cfg.which in ("and", "or", "both"),
           f"which must be and, or, or both, got {cfg.which!r}")
     check("threads", cfg.threads >= 0, f"threads must be nonnegative, got {cfg.threads}")
+    check("thresholds", cfg.thresholds != [], "empty sweep")
     for value in cfg.thresholds or ():
         check("thresholds", 0.0 <= value <= 1.0, f"sweep threshold {value} outside [0, 1]")
 
@@ -404,27 +405,32 @@ def cmd_graph(cfg: RunConfig):
     return None, doc, out_dir / "graph.json", done
 
 
-def _load_eval_pair(cfg: RunConfig):
-    """Catalog, truth, predictions, and the score set when one was given."""
-    from .catalog import parse_annotations, parse_labels
+def _load_catalog(cfg: RunConfig, *required: str):
+    """Check that --labels and the ``required`` inputs are given, then read
+    the catalog and the label ids --category restricts to (None for every
+    label). An unknown category fails here, before any other input is read."""
+    from .catalog import parse_labels
+
+    _require(cfg, "labels", *required)
+    catalog = _read(cfg, "labels", parse_labels)
+    return catalog, None if cfg.category is None else catalog.category_ids(cfg.category)
+
+
+def _load_eval_pair(cfg: RunConfig, catalog):
+    """Truth, predictions, and the score set when one was given."""
+    from .catalog import parse_annotations
     from .metrics import parse_scores, threshold as binarize
 
-    _require(cfg, "labels", "annotations")
-    catalog = _read(cfg, "labels", parse_labels)
-    truth = _read(cfg, "annotations", parse_annotations, catalog)
     if (cfg.scores is None) == (cfg.predictions is None):
         raise LabelKitError("provide exactly one of --scores or --predictions")
+    truth = _read(cfg, "annotations", parse_annotations, catalog)
     if cfg.scores:
         scores = _read(cfg, "scores", parse_scores, catalog, at_least=cfg.threshold)
         predictions = binarize(scores, cfg.threshold, truth.sample_ids())
     else:
         scores = None
         predictions = _read(cfg, "predictions", parse_annotations, catalog)
-    return catalog, truth, predictions, scores
-
-
-def _scope_from_category(cfg: RunConfig, catalog):
-    return None if cfg.category is None else catalog.category_ids(cfg.category)
+    return truth, predictions, scores
 
 
 def _finish_eval(cfg: RunConfig, report, extra: dict | None = None):
@@ -440,25 +446,20 @@ def _finish_eval(cfg: RunConfig, report, extra: dict | None = None):
 def cmd_eval(cfg: RunConfig):
     from .metrics import fbeta_report
 
-    catalog, truth, predictions, _ = _load_eval_pair(cfg)
-    report = fbeta_report(
-        predictions, truth, beta=cfg.beta, scope=_scope_from_category(cfg, catalog)
-    )
+    catalog, scope = _load_catalog(cfg, "annotations")
+    truth, predictions, _ = _load_eval_pair(cfg, catalog)
+    report = fbeta_report(predictions, truth, beta=cfg.beta, scope=scope)
     return _finish_eval(cfg, report)
 
 
 def cmd_eval_graph(cfg: RunConfig):
     from .metrics import graph_fbeta_report
 
-    catalog, truth, predictions, _ = _load_eval_pair(cfg)
+    catalog, scope = _load_catalog(cfg, "annotations")
+    truth, predictions, _ = _load_eval_pair(cfg, catalog)
     graph = _build_graph(cfg, catalog)
     report = graph_fbeta_report(
-        predictions,
-        truth,
-        graph,
-        beta=cfg.beta,
-        fp_mode=cfg.fp_mode,
-        scope=_scope_from_category(cfg, catalog),
+        predictions, truth, graph, beta=cfg.beta, fp_mode=cfg.fp_mode, scope=scope
     )
     return _finish_eval(cfg, report)
 
@@ -466,15 +467,10 @@ def cmd_eval_graph(cfg: RunConfig):
 def cmd_eval_or(cfg: RunConfig):
     from .metrics import or_aware_report
 
-    catalog, truth, predictions, _ = _load_eval_pair(cfg)
+    catalog, scope = _load_catalog(cfg, "annotations")
+    truth, predictions, _ = _load_eval_pair(cfg, catalog)
     (or_groups,) = _connective_relations(cfg, catalog, "or_groups")
-    report = or_aware_report(
-        predictions,
-        truth,
-        or_groups,
-        beta=cfg.beta,
-        scope=_scope_from_category(cfg, catalog),
-    )
+    report = or_aware_report(predictions, truth, or_groups, beta=cfg.beta, scope=scope)
     return _finish_eval(cfg, report, extra={"or_groups": len(or_groups)})
 
 
@@ -482,12 +478,12 @@ def cmd_eval_excl(cfg: RunConfig):
     from .cleanse import load_plan
     from .metrics import enforce_exclusion, fbeta_report
 
-    _require(cfg, "plan")
-    catalog, truth, predictions, scores = _load_eval_pair(cfg)
+    catalog, _ = _load_catalog(cfg, "annotations", "plan")
     plan = _read(cfg, "plan", load_plan, catalog, sections=("exclusion_groups",))
     groups = plan.exclusion_groups
     if not groups:
         raise LabelKitError(f"{cfg.plan}: plan has no exclusion groups")
+    truth, predictions, scores = _load_eval_pair(cfg, catalog)
     predictions = enforce_exclusion(predictions, scores, groups)
     scope = frozenset().union(*groups)
     report = fbeta_report(
@@ -505,15 +501,14 @@ def cmd_eval_excl(cfg: RunConfig):
 def cmd_sweep(cfg: RunConfig):
     from pathlib import Path
 
-    from .catalog import parse_annotations, parse_labels
+    from .catalog import parse_annotations
     from .metricmp import family_from_sweep, write_family
     from .metrics import default_threshold_grid, parse_scores, sweep, write_sweep
 
-    _require(cfg, "labels", "annotations", "scores", "out")
-    catalog = _read(cfg, "labels", parse_labels)
-    truth = _read(cfg, "annotations", parse_annotations, catalog)
     grid = default_threshold_grid() if cfg.thresholds is None else cfg.thresholds
-    scores = _read(cfg, "scores", parse_scores, catalog, at_least=min(grid, default=0.0))
+    catalog, scope = _load_catalog(cfg, "annotations", "scores", "out")
+    truth = _read(cfg, "annotations", parse_annotations, catalog)
+    scores = _read(cfg, "scores", parse_scores, catalog, at_least=min(grid))
     use_graph = bool(cfg.plan or cfg.graph_edges)
     graph = _build_graph(cfg, catalog) if use_graph else None
     rows = sweep(
@@ -523,7 +518,7 @@ def cmd_sweep(cfg: RunConfig):
         graph=graph,
         beta=cfg.beta,
         fp_mode=cfg.fp_mode,
-        scope=_scope_from_category(cfg, catalog),
+        scope=scope,
     )
     family = None if graph is None else family_from_sweep(rows)  # can fail, so before any write
     out_dir = Path(cfg.out)

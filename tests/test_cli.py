@@ -519,6 +519,23 @@ def test_a_failed_sweep_writes_nothing(corpus, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("graph", [False, True])
+def test_an_empty_sweep_grid_fails_and_leaves_no_out_path(corpus, tmp_path, capsys, graph):
+    out_dir = tmp_path / "sweep"
+    code = run(
+        "sweep",
+        "--labels", corpus["labels"],
+        "--annotations", corpus["annotations"],
+        "--scores", corpus["scores"],
+        *(("--plan", corpus["plan"]) if graph else ()),
+        "--thresholds", ",",
+        "--out", out_dir,
+    )
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "empty sweep"}
+    assert not out_dir.exists()
+
+
 def test_compare_command(corpus, tmp_path):
     family = tmp_path / "family.csv"
     family.write_text(
@@ -967,6 +984,7 @@ def test_config_wrong_value_types(corpus, tmp_path, capsys, doc, key):
         ({"which": "xor"}, None, "which must be and, or, or both, got 'xor'"),
         ({"threads": -2}, ("--threads=-2",), "threads must be nonnegative, got -2"),
         ({"thresholds": [0.1, 2]}, ("--thresholds", "0.1,2"), "sweep threshold 2.0 outside [0, 1]"),
+        ({"thresholds": []}, ("--thresholds", ","), "empty sweep"),
     ],
 )
 def test_config_values_out_of_range_name_the_config_file(corpus, tmp_path, capsys, doc, flags,
@@ -1286,6 +1304,36 @@ def test_unknown_category_fails(corpus, capsys):
     )
     assert code == 2
     assert "category" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("command", ["eval", "eval-or", "eval-excl", "eval-graph", "sweep"])
+def test_an_unknown_category_fails_before_the_annotations_are_read(corpus, capsys, tmp_path,
+                                                                   command):
+    # The annotations and scores do not exist: the category is checked
+    # against the catalog before either is opened.
+    code = run(
+        command,
+        "--labels", corpus["labels"],
+        "--annotations", tmp_path / "absent.csv",
+        "--scores", tmp_path / "absent-scores.csv",
+        "--plan", corpus["plan"],
+        "--category", "nosuch",
+        "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert one_json_error(capsys) == "unknown category 'nosuch'"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["{not json", json.dumps({"exclusion_groups": []})])
+def test_eval_excl_checks_its_plan_before_the_annotations_are_read(corpus, capsys, tmp_path,
+                                                                   text):
+    plan = tmp_path / "bad-plan.json"
+    plan.write_text(text)
+    code = run("eval-excl", "--labels", corpus["labels"], "--annotations", tmp_path / "absent.csv",
+               "--scores", tmp_path / "absent-scores.csv", "--plan", plan)
+    assert code == 2
+    assert one_json_error(capsys).startswith(str(plan))
 
 
 def test_missing_file_reports_json(corpus, capsys, tmp_path):

@@ -7,15 +7,17 @@ NUL, quotes, commas, ``nan``, ``inf``, ``1e309``, an invalid UTF-8 byte,
 ``::``, ``#``, deep ``[`` nesting, long runs, cut bytes and repeated rows.
 Whatever the bytes, the command must exit 0 or 2 without raising. On exit
 2, the last stderr line is the only JSON line, and its error names one of
-the command's input files; warning lines may come before it. On exit 0,
-every JSON report parses as strict JSON. Score files have their own fuzz in
-``test_score_fuzz.py``.
+the command's input files; warning lines may come before it. Nothing exists
+under the command's ``--out`` either. On exit 0, every JSON report parses
+as strict JSON. Score files have their own fuzz in ``test_score_fuzz.py``.
 """
 
 import csv
 import json
 import random
 import shutil
+
+import pytest
 
 from labelkit.cli import main
 from conftest import annotations_csv, labels_csv
@@ -97,43 +99,65 @@ def is_json(line: str) -> bool:
     return True
 
 
+def run_case(command: str, given: list[str], paths: dict, out, context: str, capsys) -> int:
+    """Run ``command`` on the files ``paths`` names for the inputs
+    ``given``, writing under ``out``, and check its outcome as the module
+    docstring says. Returns the exit status."""
+    argv = [command]
+    for name in given:
+        argv += [f"--{name.replace('_', '-')}", str(paths[name])]
+    shutil.rmtree(out, ignore_errors=True)
+    # A directory for apply, graph and sweep; a file for the others.
+    suffix = {"dupes": ".csv", "hierarchy": ".csv", "apply": "", "graph": "", "sweep": ""}
+    argv += ["--out", str(out / ("report" + suffix.get(command, ".json")))]
+    try:
+        status = main(argv)
+    except BaseException as exc:
+        raise AssertionError(f"{context}: {exc!r} escaped main") from exc
+    captured = capsys.readouterr()
+    assert status in (0, 2), context
+    lines = captured.err.splitlines()
+    if status == 2:
+        assert lines and captured.err.endswith("\n"), context
+        assert not any(map(is_json, lines[:-1])), context
+        error = json.loads(lines[-1])["error"]
+        assert not out.exists(), f"{context}: {error}: {sorted(out.rglob('*'))}"
+        assert any(str(paths[name]) in error for name in given), f"{context}: {error}"
+    else:
+        assert not any(map(is_json, lines)), context
+        for report in out.rglob("*.json"):
+            json.loads(report.read_text(encoding="utf-8"), parse_constant=reject_constant)
+    return status
+
+
+def write_inputs(tmp_path, files: dict[str, bytes]) -> dict:
+    paths = {name: tmp_path / f"{name}.in" for name in files}
+    for name, path in paths.items():
+        path.write_bytes(files[name])
+    return paths
+
+
 def test_hostile_inputs_exit_cleanly(tmp_path, capsys):
     rng = random.Random(SEED)
     base = base_files()
-    paths = {name: tmp_path / f"{name}.in" for name in base}
-    out = tmp_path / "out"
     statuses = {0: 0, 2: 0}
     for case in range(CASES):
         target = rng.choice(sorted(READERS))
         command = rng.choice(READERS[target])
         data = mutate(base[target], rng)
-        for name, path in paths.items():
-            path.write_bytes(data if name == target else base[name])
+        paths = write_inputs(tmp_path, {**base, target: data})
         given = COMMAND_INPUTS[command].split() + (["config"] if target == "config" else [])
-        argv = [command]
-        for name in given:
-            argv += [f"--{name.replace('_', '-')}", str(paths[name])]
-        shutil.rmtree(out, ignore_errors=True)
-        # A directory for apply, graph and sweep; a file for the others.
-        suffix = {"dupes": ".csv", "hierarchy": ".csv", "apply": "", "graph": "", "sweep": ""}
-        argv += ["--out", str(out / ("report" + suffix.get(command, ".json")))]
         context = f"case {case}: {command} with {target} {data[:300]!r}"
-        try:
-            status = main(argv)
-        except BaseException as exc:
-            raise AssertionError(f"{context}: {exc!r} escaped main") from exc
-        captured = capsys.readouterr()
-        assert status in (0, 2), context
-        statuses[status] += 1
-        lines = captured.err.splitlines()
-        if status == 2:
-            assert lines and captured.err.endswith("\n"), context
-            assert not any(map(is_json, lines[:-1])), context
-            error = json.loads(lines[-1])["error"]
-            assert any(str(paths[name]) in error for name in given), f"{context}: {error}"
-        else:
-            assert not any(map(is_json, lines)), context
-            for report in out.rglob("*.json"):
-                json.loads(report.read_text(encoding="utf-8"), parse_constant=reject_constant)
+        statuses[run_case(command, given, paths, tmp_path / "out", context, capsys)] += 1
     # Both outcomes are exercised.
     assert statuses[0] > 0.1 * CASES and statuses[2] > 0.1 * CASES, statuses
+
+
+@pytest.mark.parametrize("graph", [False, True])
+def test_an_empty_sweep_grid_in_the_config_fails_and_leaves_no_out_path(tmp_path, capsys, graph):
+    # A case the seeded cases above do not reach.
+    paths = write_inputs(tmp_path, {**base_files(), "config": b'{"thresholds": []}'})
+    given = COMMAND_INPUTS["sweep"].split() + ["config"]
+    if not graph:
+        given = [name for name in given if name not in ("plan", "graph_edges")]
+    assert run_case("sweep", given, paths, tmp_path / "out", "empty grid", capsys) == 2

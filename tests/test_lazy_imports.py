@@ -1,7 +1,8 @@
 """Start-up cost: ``import labelkit`` loads no module, each CLI command loads
 only the modules it runs, OpenSSL's hash module only when a command digests
-its inputs, and every exported name still resolves."""
+an input of 8 MiB or more, and every exported name still resolves."""
 
+import hashlib
 import importlib
 import os
 import subprocess
@@ -15,23 +16,26 @@ from conftest import annotations_csv, labels_csv
 
 SRC = Path(labelkit.__file__).resolve().parents[1]
 
-# Runs the CLI in a fresh interpreter, then prints its exit status, the
-# labelkit modules it loaded and, if it was loaded, _hashlib (OpenSSL's hashes,
-# which hashlib loads) as its last line.
+# Prints ``result``, the labelkit modules loaded and, if it was loaded, _hashlib
+# (OpenSSL's hashes, which hashlib loads). CPython's builtin SHA-256 is not
+# listed: on 3.12, tempfile loads it through random.
+LOADED = """
+print(result, *sorted(m for m in sys.modules if m.split(".")[0] in ("labelkit", "_hashlib")))
+"""
+# Runs the CLI in a fresh interpreter, then prints LOADED, with the exit status
+# as the result, as its last line.
 CHILD = """
 import sys
 from labelkit.cli import main
 try:
-    status = main(sys.argv[1:])
+    result = main(sys.argv[1:])
 except SystemExit as exc:
-    status = exc.code
-print(status, *sorted(m for m in sys.modules if m.split(".")[0] in ("labelkit", "_hashlib")))
-"""
+    result = exc.code
+""" + LOADED
 
 BASE = {"labelkit", "labelkit.cli", "labelkit.defaults", "labelkit.errors"}
 INSPECT = BASE | {"labelkit.catalog", "labelkit.csvio", "labelkit.reports"}
 CLEANSE = INSPECT | {"labelkit.cleanse", "labelkit.textkit"}
-DIGEST = {"_hashlib"}  # loaded by the commands whose reports carry provenance
 
 
 def loaded_modules(code: str, *argv, cwd: Path) -> set[str]:
@@ -66,7 +70,7 @@ def files(tmp_path):
         (
             ["inspect", "--labels", "labels.csv", "--annotations", "annotations.csv"],
             0,
-            INSPECT | DIGEST,
+            INSPECT,
         ),
         (["dupes", "--labels", "labels.csv"], 0, CLEANSE),
         (["hierarchy", "--labels", "labels.csv"], 0, CLEANSE),
@@ -74,12 +78,12 @@ def files(tmp_path):
             ["eval", "--labels", "labels.csv", "--annotations", "annotations.csv",
              "--scores", "scores.csv"],
             0,
-            INSPECT | {"labelkit.metrics"} | DIGEST,
+            INSPECT | {"labelkit.metrics"},
         ),
         (
             ["compare", "--family", "family.csv"],
             0,
-            BASE | {"labelkit.csvio", "labelkit.metricmp", "labelkit.reports"} | DIGEST,
+            BASE | {"labelkit.csvio", "labelkit.metricmp", "labelkit.reports"},
         ),
     ],
     ids=["version", "help", "usage-error", "inspect", "dupes", "hierarchy", "eval", "compare"],
@@ -91,6 +95,19 @@ def test_command_loads_only_its_modules(files, argv, status, modules):
 def test_import_labelkit_loads_no_module(tmp_path):
     code = 'import sys, labelkit; print(" ".join(m for m in sys.modules if m.startswith("labelkit")))'
     assert loaded_modules(code, cwd=tmp_path) == {"labelkit"}
+
+
+def test_a_file_of_the_cut_size_is_digested_by_openssl(tmp_path):
+    from labelkit.reports import _BUILTIN_SHA256_BELOW
+
+    big = tmp_path / "big.bin"
+    big.touch()
+    os.truncate(big, _BUILTIN_SHA256_BELOW)  # sparse: no 8 MiB written
+    code = "import sys; from labelkit.reports import file_digest; result = file_digest(sys.argv[1])"
+    assert loaded_modules(code + LOADED, big, cwd=tmp_path) == {
+        f"sha256:{hashlib.sha256(bytes(_BUILTIN_SHA256_BELOW)).hexdigest()}",
+        "labelkit", "labelkit.reports", "_hashlib",
+    }
 
 
 # The names the package exports: those the commands and the benchmark use, and

@@ -2,13 +2,16 @@
 
 import gc
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
 import random
 import stat
+import sys
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -270,3 +273,51 @@ def test_file_digest_reads_in_small_chunks(tmp_path):
 
     assert traced_peak(run) < 128 << 10
     assert digest == f"sha256:{hashlib.sha256(data).hexdigest()}"
+
+
+CUT = 3 << 16  # stands in for the 8 MiB cut, so both sides are quick to hash
+BUILTIN = "_sha2" if sys.version_info >= (3, 12) else "_sha256"  # CPython's SHA-256 module
+
+
+@pytest.fixture
+def sha256_used(monkeypatch):
+    """The modules each ``file_digest`` call took ``sha256`` from, in call
+    order: each is replaced by one whose ``sha256`` records its name and
+    hands over to the real one."""
+    used = []
+
+    def recording(name, sha256):
+        module = types.ModuleType(name)
+        module.sha256 = lambda: used.append(name) or sha256()
+        return module
+
+    builtin = importlib.import_module(BUILTIN).sha256
+    monkeypatch.setitem(sys.modules, BUILTIN, recording(BUILTIN, builtin))
+    monkeypatch.setitem(sys.modules, "hashlib", recording("hashlib", hashlib.sha256))
+    return used
+
+
+@pytest.mark.parametrize(
+    "size", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, CUT - 1, CUT, CUT + 1]
+)
+def test_file_digest_matches_hashlib_on_both_sides_of_the_cut(
+    tmp_path, monkeypatch, sha256_used, size
+):
+    monkeypatch.setattr(reports, "_BUILTIN_SHA256_BELOW", CUT)
+    data = random.Random(size).randbytes(size)
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    assert reports.file_digest(path) == f"sha256:{hashlib.sha256(data).hexdigest()}"
+    assert sha256_used == [BUILTIN if size < CUT else "hashlib"]
+
+
+def test_file_digest_falls_back_to_hashlib_without_the_builtin(
+    tmp_path, monkeypatch, sha256_used
+):
+    monkeypatch.setitem(sys.modules, "_sha2", None)  # importing it now fails
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    data = b"id,attribute_id,score\ns1,12,0.5\n"
+    path = tmp_path / "scores.csv"
+    path.write_bytes(data)
+    assert reports.file_digest(path) == f"sha256:{hashlib.sha256(data).hexdigest()}"
+    assert sha256_used == ["hashlib"]
