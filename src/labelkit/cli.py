@@ -241,116 +241,22 @@ def _write_report(cfg: RunConfig, before: str | None, doc: dict, out, after: str
 
 
 # ---------------------------------------------------------------------------
-# Subcommands. One whose report carries provenance returns what
-# :func:`_write_report` takes after ``cfg``: the line to print first, the
-# report, the file it goes to (stdout when None), and the line to print once
-# it is written. Files without provenance are written before it returns.
+# One load order for every command: the settings (main), --labels and
+# --category (_load_catalog), the inputs checked against the catalog alone,
+# the annotations, the scores or predictions (_load_eval); then compute, then
+# write. A bad small input fails before a large one is parsed or any output
+# exists.
 
 
-def cmd_inspect(cfg: RunConfig):
-    from .catalog import compute_stats, parse_annotations, parse_labels
-
-    catalog = _read(cfg, "labels", parse_labels)
-    doc: dict = {
-        "n_labels": len(catalog),
-        "per_category_counts": {
-            c: len(catalog.category_ids(c)) for c in catalog.categories()
-        },
-    }
-    if cfg.annotations:
-        annotations = _read(cfg, "annotations", parse_annotations, catalog)
-        stats = compute_stats(annotations, catalog)
-        doc.update(
-            {
-                "n_samples": stats.n_samples,
-                "median_labels_per_sample": stats.median_labels_per_sample,
-                "labels_per_sample_histogram": sorted(
-                    stats.labels_per_sample_histogram.items()
-                ),
-                "category_coverage": stats.category_coverage,
-                "per_label_frequency": {
-                    str(i): n for i, n in stats.per_label_frequency.items()
-                },
-            }
-        )
-    return None, doc, cfg.out, None
-
-
-def cmd_dupes(cfg: RunConfig) -> None:
+def _load_catalog(cfg: RunConfig, *required: str):
+    """Check that --labels and the ``required`` inputs are given, then read
+    the catalog and the label ids --category restricts to (None for every
+    label). An unknown category fails here, before any other input is read."""
     from .catalog import parse_labels
-    from .cleanse import find_duplicates, write_duplicate_candidates
 
+    _require(cfg, "labels", *required)
     catalog = _read(cfg, "labels", parse_labels)
-    pairs = find_duplicates(
-        catalog,
-        threshold=cfg.similarity,
-        same_category_only=not cfg.cross_category,
-        category=cfg.category,
-    )
-    print(f"{len(pairs)} duplicate candidates at similarity >= {cfg.similarity}")
-    _output(cfg, cfg.out, write_duplicate_candidates, pairs, done=f"wrote {cfg.out}")
-
-
-def cmd_hierarchy(cfg: RunConfig) -> None:
-    from .catalog import parse_labels
-    from .cleanse import find_hierarchy_candidates, write_hierarchy_candidates
-
-    catalog = _read(cfg, "labels", parse_labels)
-    candidates = find_hierarchy_candidates(catalog, category=cfg.category)
-    print(f"{len(candidates)} hierarchy candidates")
-    _output(cfg, cfg.out, write_hierarchy_candidates, candidates, done=f"wrote {cfg.out}")
-
-
-def cmd_connectives(cfg: RunConfig):
-    from .catalog import parse_labels
-    from .cleanse import classify_connectives, tally_as_dict
-    from .textkit import Connective
-
-    catalog = _read(cfg, "labels", parse_labels)
-    doc: dict = {}
-    lines = []
-    wanted = ("and", "or") if cfg.which == "both" else (cfg.which,)
-    for word in wanted:
-        tally = classify_connectives(catalog, Connective(word))
-        doc[word] = tally_as_dict(tally, catalog)
-        lines.append(
-            f"{word}: total={tally.total} all_resolved={tally.all_resolved} "
-            f"none_resolved={tally.none_resolved} partial={tally.partial}"
-        )
-    return "\n".join(lines), doc, cfg.out, None
-
-
-def cmd_apply(cfg: RunConfig):
-    from pathlib import Path
-
-    from .catalog import parse_annotations, parse_labels, write_annotations, write_labels
-    from .cleanse import apply_plan, load_plan
-
-    _require(cfg, "labels", "annotations", "plan", "out")
-    catalog = _read(cfg, "labels", parse_labels)
-    annotations = _read(cfg, "annotations", parse_annotations, catalog)
-    plan = _read(cfg, "plan", load_plan, catalog)
-
-    before_labels, before_samples = len(catalog), len(annotations)
-    annotations, catalog = apply_plan(annotations, catalog, plan)
-
-    out_dir = Path(cfg.out)
-    _output(cfg, out_dir / "labels.csv", write_labels, catalog)
-    _output(cfg, out_dir / "annotations.csv", write_annotations, annotations)
-    summary = {
-        "labels_before": before_labels,
-        "labels_after": len(catalog),
-        "samples": before_samples,
-        "plan": {
-            "merges": len(plan.merges),
-            "hierarchy_edges": len(plan.hierarchy_edges),
-            "and_splits": len(plan.and_splits),
-            "or_groups": len(plan.or_groups),
-            "exclusion_groups": len(plan.exclusion_groups),
-        },
-    }
-    done = f"applied plan: {before_labels} -> {len(catalog)} labels; wrote {out_dir}"
-    return None, summary, out_dir / "summary.json", done
+    return catalog, None if cfg.category is None else catalog.category_ids(cfg.category)
 
 
 def _connective_relations(cfg: RunConfig, catalog, *sections: str) -> list[list]:
@@ -386,14 +292,154 @@ def _build_graph(cfg: RunConfig, catalog):
     )
 
 
+def _exclusion_groups(cfg: RunConfig, catalog):
+    """The plan's exclusion groups, of which there must be at least one."""
+    from .cleanse import load_plan
+
+    groups = _read(cfg, "plan", load_plan, catalog, sections=("exclusion_groups",)).exclusion_groups
+    if not groups:
+        raise LabelKitError(f"{cfg.plan}: plan has no exclusion groups")
+    return groups
+
+
+def _load_eval(cfg: RunConfig, *required: str, relations=None, floor: float | None = None):
+    """(scope, relations, truth, predictions, scores) of an eval command or
+    sweep, which needs --annotations and the ``required`` inputs, read in the
+    load order: --category's scope, ``relations(cfg, catalog)``, the truth,
+    then the scores or predictions. An eval command takes exactly one of
+    --predictions and --scores, kept from --threshold; sweep gives ``floor``
+    and gets no predictions: it thresholds the scores itself."""
+    from .catalog import parse_annotations
+    from .metrics import parse_scores, threshold as binarize
+
+    catalog, scope = _load_catalog(cfg, "annotations", *required)
+    sweep = floor is not None
+    if not sweep and (cfg.scores is None) == (cfg.predictions is None):
+        raise LabelKitError("provide exactly one of --scores or --predictions")
+    related = relations(cfg, catalog) if relations else None
+    truth = _read(cfg, "annotations", parse_annotations, catalog)
+    if cfg.scores is None:
+        return scope, related, truth, _read(cfg, "predictions", parse_annotations, catalog), None
+    scores = _read(cfg, "scores", parse_scores, catalog, at_least=floor if sweep else cfg.threshold)
+    predictions = None if sweep else binarize(scores, cfg.threshold, truth.sample_ids())
+    return scope, related, truth, predictions, scores
+
+
+# ---------------------------------------------------------------------------
+# Subcommands. One whose report carries provenance returns what
+# :func:`_write_report` takes after ``cfg``: the line to print first, the
+# report, the file it goes to (stdout when None), and the line to print once
+# it is written. Files without provenance are written before it returns.
+
+
+def cmd_inspect(cfg: RunConfig):
+    from .catalog import compute_stats, parse_annotations
+
+    catalog, _ = _load_catalog(cfg)
+    doc: dict = {
+        "n_labels": len(catalog),
+        "per_category_counts": {
+            c: len(catalog.category_ids(c)) for c in catalog.categories()
+        },
+    }
+    if cfg.annotations:
+        annotations = _read(cfg, "annotations", parse_annotations, catalog)
+        stats = compute_stats(annotations, catalog)
+        doc.update(
+            {
+                "n_samples": stats.n_samples,
+                "median_labels_per_sample": stats.median_labels_per_sample,
+                "labels_per_sample_histogram": sorted(
+                    stats.labels_per_sample_histogram.items()
+                ),
+                "category_coverage": stats.category_coverage,
+                "per_label_frequency": {
+                    str(i): n for i, n in stats.per_label_frequency.items()
+                },
+            }
+        )
+    return None, doc, cfg.out, None
+
+
+def cmd_dupes(cfg: RunConfig) -> None:
+    from .cleanse import find_duplicates, write_duplicate_candidates
+
+    catalog, _ = _load_catalog(cfg)
+    pairs = find_duplicates(
+        catalog,
+        threshold=cfg.similarity,
+        same_category_only=not cfg.cross_category,
+        category=cfg.category,
+    )
+    print(f"{len(pairs)} duplicate candidates at similarity >= {cfg.similarity}")
+    _output(cfg, cfg.out, write_duplicate_candidates, pairs, done=f"wrote {cfg.out}")
+
+
+def cmd_hierarchy(cfg: RunConfig) -> None:
+    from .cleanse import find_hierarchy_candidates, write_hierarchy_candidates
+
+    catalog, _ = _load_catalog(cfg)
+    candidates = find_hierarchy_candidates(catalog, category=cfg.category)
+    print(f"{len(candidates)} hierarchy candidates")
+    _output(cfg, cfg.out, write_hierarchy_candidates, candidates, done=f"wrote {cfg.out}")
+
+
+def cmd_connectives(cfg: RunConfig):
+    from .cleanse import classify_connectives, tally_as_dict
+    from .textkit import Connective
+
+    catalog, _ = _load_catalog(cfg)
+    doc: dict = {}
+    lines = []
+    wanted = ("and", "or") if cfg.which == "both" else (cfg.which,)
+    for word in wanted:
+        tally = classify_connectives(catalog, Connective(word))
+        doc[word] = tally_as_dict(tally, catalog)
+        lines.append(
+            f"{word}: total={tally.total} all_resolved={tally.all_resolved} "
+            f"none_resolved={tally.none_resolved} partial={tally.partial}"
+        )
+    return "\n".join(lines), doc, cfg.out, None
+
+
+def cmd_apply(cfg: RunConfig):
+    from pathlib import Path
+
+    from .catalog import parse_annotations, write_annotations, write_labels
+    from .cleanse import apply_plan, load_plan
+
+    catalog, _ = _load_catalog(cfg, "annotations", "plan", "out")
+    plan = _read(cfg, "plan", load_plan, catalog)
+    annotations = _read(cfg, "annotations", parse_annotations, catalog)
+
+    before_labels, before_samples = len(catalog), len(annotations)
+    annotations, catalog = apply_plan(annotations, catalog, plan)
+
+    out_dir = Path(cfg.out)
+    _output(cfg, out_dir / "labels.csv", write_labels, catalog)
+    _output(cfg, out_dir / "annotations.csv", write_annotations, annotations)
+    summary = {
+        "labels_before": before_labels,
+        "labels_after": len(catalog),
+        "samples": before_samples,
+        "plan": {
+            "merges": len(plan.merges),
+            "hierarchy_edges": len(plan.hierarchy_edges),
+            "and_splits": len(plan.and_splits),
+            "or_groups": len(plan.or_groups),
+            "exclusion_groups": len(plan.exclusion_groups),
+        },
+    }
+    done = f"applied plan: {before_labels} -> {len(catalog)} labels; wrote {out_dir}"
+    return None, summary, out_dir / "summary.json", done
+
+
 def cmd_graph(cfg: RunConfig):
     from pathlib import Path
 
-    from .catalog import parse_labels
     from .relgraph import graph_summary, write_edge_list
 
-    _require(cfg, "labels", "out")
-    catalog = _read(cfg, "labels", parse_labels)
+    catalog, _ = _load_catalog(cfg, "out")
     graph = _build_graph(cfg, catalog)
     out_dir = Path(cfg.out)
     _output(cfg, out_dir / "edges.txt", write_edge_list, graph, catalog)
@@ -403,34 +449,6 @@ def cmd_graph(cfg: RunConfig):
         f"{doc['components']} components; wrote {out_dir}"
     )
     return None, doc, out_dir / "graph.json", done
-
-
-def _load_catalog(cfg: RunConfig, *required: str):
-    """Check that --labels and the ``required`` inputs are given, then read
-    the catalog and the label ids --category restricts to (None for every
-    label). An unknown category fails here, before any other input is read."""
-    from .catalog import parse_labels
-
-    _require(cfg, "labels", *required)
-    catalog = _read(cfg, "labels", parse_labels)
-    return catalog, None if cfg.category is None else catalog.category_ids(cfg.category)
-
-
-def _load_eval_pair(cfg: RunConfig, catalog):
-    """Truth, predictions, and the score set when one was given."""
-    from .catalog import parse_annotations
-    from .metrics import parse_scores, threshold as binarize
-
-    if (cfg.scores is None) == (cfg.predictions is None):
-        raise LabelKitError("provide exactly one of --scores or --predictions")
-    truth = _read(cfg, "annotations", parse_annotations, catalog)
-    if cfg.scores:
-        scores = _read(cfg, "scores", parse_scores, catalog, at_least=cfg.threshold)
-        predictions = binarize(scores, cfg.threshold, truth.sample_ids())
-    else:
-        scores = None
-        predictions = _read(cfg, "predictions", parse_annotations, catalog)
-    return truth, predictions, scores
 
 
 def _finish_eval(cfg: RunConfig, report, extra: dict | None = None):
@@ -446,18 +464,14 @@ def _finish_eval(cfg: RunConfig, report, extra: dict | None = None):
 def cmd_eval(cfg: RunConfig):
     from .metrics import fbeta_report
 
-    catalog, scope = _load_catalog(cfg, "annotations")
-    truth, predictions, _ = _load_eval_pair(cfg, catalog)
-    report = fbeta_report(predictions, truth, beta=cfg.beta, scope=scope)
-    return _finish_eval(cfg, report)
+    scope, _, truth, predictions, _ = _load_eval(cfg)
+    return _finish_eval(cfg, fbeta_report(predictions, truth, beta=cfg.beta, scope=scope))
 
 
 def cmd_eval_graph(cfg: RunConfig):
     from .metrics import graph_fbeta_report
 
-    catalog, scope = _load_catalog(cfg, "annotations")
-    truth, predictions, _ = _load_eval_pair(cfg, catalog)
-    graph = _build_graph(cfg, catalog)
+    scope, graph, truth, predictions, _ = _load_eval(cfg, relations=_build_graph)
     report = graph_fbeta_report(
         predictions, truth, graph, beta=cfg.beta, fp_mode=cfg.fp_mode, scope=scope
     )
@@ -467,59 +481,40 @@ def cmd_eval_graph(cfg: RunConfig):
 def cmd_eval_or(cfg: RunConfig):
     from .metrics import or_aware_report
 
-    catalog, scope = _load_catalog(cfg, "annotations")
-    truth, predictions, _ = _load_eval_pair(cfg, catalog)
-    (or_groups,) = _connective_relations(cfg, catalog, "or_groups")
+    scope, or_groups, truth, predictions, _ = _load_eval(
+        cfg, relations=lambda cfg, catalog: _connective_relations(cfg, catalog, "or_groups")[0]
+    )
     report = or_aware_report(predictions, truth, or_groups, beta=cfg.beta, scope=scope)
     return _finish_eval(cfg, report, extra={"or_groups": len(or_groups)})
 
 
 def cmd_eval_excl(cfg: RunConfig):
-    from .cleanse import load_plan
     from .metrics import enforce_exclusion, fbeta_report
 
-    catalog, _ = _load_catalog(cfg, "annotations", "plan")
-    plan = _read(cfg, "plan", load_plan, catalog, sections=("exclusion_groups",))
-    groups = plan.exclusion_groups
-    if not groups:
-        raise LabelKitError(f"{cfg.plan}: plan has no exclusion groups")
-    truth, predictions, scores = _load_eval_pair(cfg, catalog)
+    scope, groups, truth, predictions, scores = _load_eval(cfg, "plan", relations=_exclusion_groups)
     predictions = enforce_exclusion(predictions, scores, groups)
-    scope = frozenset().union(*groups)
-    report = fbeta_report(
-        predictions,
-        truth,
-        beta=cfg.beta,
-        scope=scope,
-        sample_filter=lambda sid: bool(truth.labels_for(sid) & scope),
-    )
+    labels = frozenset().union(*groups)  # the exclusion labels, within --category
+    if scope is not None:
+        labels &= scope
+    touched = lambda sid: bool(truth.labels_for(sid) & labels)  # noqa: E731
+    report = fbeta_report(predictions, truth, beta=cfg.beta, scope=labels, sample_filter=touched)
     return _finish_eval(
-        cfg, report, extra={"exclusion_groups": len(groups), "exclusion_labels": len(scope)}
+        cfg, report, extra={"exclusion_groups": len(groups), "exclusion_labels": len(labels)}
     )
 
 
 def cmd_sweep(cfg: RunConfig):
     from pathlib import Path
 
-    from .catalog import parse_annotations
     from .metricmp import family_from_sweep, write_family
-    from .metrics import default_threshold_grid, parse_scores, sweep, write_sweep
+    from .metrics import default_threshold_grid, sweep, write_sweep
 
     grid = default_threshold_grid() if cfg.thresholds is None else cfg.thresholds
-    catalog, scope = _load_catalog(cfg, "annotations", "scores", "out")
-    truth = _read(cfg, "annotations", parse_annotations, catalog)
-    scores = _read(cfg, "scores", parse_scores, catalog, at_least=min(grid))
-    use_graph = bool(cfg.plan or cfg.graph_edges)
-    graph = _build_graph(cfg, catalog) if use_graph else None
-    rows = sweep(
-        scores,
-        truth,
-        thresholds=grid,
-        graph=graph,
-        beta=cfg.beta,
-        fp_mode=cfg.fp_mode,
-        scope=scope,
+    relations = _build_graph if cfg.plan or cfg.graph_edges else None
+    scope, graph, truth, _, scores = _load_eval(
+        cfg, "scores", "out", relations=relations, floor=min(grid)
     )
+    rows = sweep(scores, truth, grid, graph=graph, beta=cfg.beta, fp_mode=cfg.fp_mode, scope=scope)
     family = None if graph is None else family_from_sweep(rows)  # can fail, so before any write
     out_dir = Path(cfg.out)
     _output(cfg, out_dir / "sweep.csv", write_sweep, rows)

@@ -424,6 +424,29 @@ def test_eval_excl_prunes_and_scopes(corpus, tmp_path):
     assert doc["n_samples"] == 3
 
 
+def test_eval_excl_scores_the_exclusion_labels_within_the_category(corpus, tmp_path):
+    # One exclusion group in dimension, one in medium: --category dimension
+    # keeps the first group's five labels, whose report is the one-group plan's.
+    plan = tmp_path / "two-groups.json"
+    buffer = io.StringIO()
+    groups = [frozenset({19, 20, 21, 22, 23}), frozenset({12, 16, 17})]
+    write_plan(TransformPlan(exclusion_groups=groups), build_catalog(), buffer)
+    plan.write_text(buffer.getvalue())
+    docs = {}
+    for category in (None, "dimension"):
+        out = tmp_path / f"excl-{category}.json"
+        assert run("eval-excl", "--labels", corpus["labels"], "--annotations", corpus["annotations"],
+                   "--scores", corpus["scores"], "--plan", plan, "--out", out,
+                   *(("--category", category) if category else ())) == 0
+        docs[category] = read_json(out)
+    assert [docs[None][key] for key in ("n_classes", "exclusion_labels", "n_samples")] == [8, 8, 5]
+    scoped = docs["dimension"]
+    assert [scoped[key] for key in ("n_classes", "exclusion_labels", "n_samples")] == [5, 5, 3]
+    assert scoped["exclusion_groups"] == 2
+    assert scoped["totals"] == {"tp": 1, "fp": 1, "fn": 2}
+    assert scoped["provenance"]["config"]["category"] == "dimension"
+
+
 def test_eval_excl_without_exclusion_groups_names_the_plan(corpus, tmp_path, capsys):
     plan = tmp_path / "no-groups.json"
     plan.write_text(json.dumps({"exclusion_groups": []}))
@@ -1306,7 +1329,10 @@ def test_unknown_category_fails(corpus, capsys):
     assert "category" in json.loads(capsys.readouterr().err)["error"]
 
 
-@pytest.mark.parametrize("command", ["eval", "eval-or", "eval-excl", "eval-graph", "sweep"])
+@pytest.mark.parametrize("command", [
+    "eval", "eval-or", "eval-excl", "eval-graph", "sweep",
+    "inspect", "dupes", "hierarchy", "connectives", "apply", "graph",
+])
 def test_an_unknown_category_fails_before_the_annotations_are_read(corpus, capsys, tmp_path,
                                                                    command):
     # The annotations and scores do not exist: the category is checked
@@ -1334,6 +1360,27 @@ def test_eval_excl_checks_its_plan_before_the_annotations_are_read(corpus, capsy
                "--scores", tmp_path / "absent-scores.csv", "--plan", plan)
     assert code == 2
     assert one_json_error(capsys).startswith(str(plan))
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("eval-or", "--plan"),
+    ("eval-graph", "--plan"),
+    ("eval-graph", "--graph-edges"),
+    ("sweep", "--plan"),
+    ("sweep", "--graph-edges"),
+    ("apply", "--plan"),
+])
+def test_a_relation_file_is_checked_before_the_annotations_are_read(corpus, capsys, tmp_path,
+                                                                    command, flag):
+    # The annotations and scores do not exist: the plan or edge file, checked
+    # against the catalog alone, is read and fails before either is opened.
+    bad = tmp_path / "bad-relations"
+    bad.write_text("{not json" if flag == "--plan" else "france, nowhere\n")
+    code = run(command, "--labels", corpus["labels"], "--annotations", tmp_path / "absent.csv",
+               "--scores", tmp_path / "absent-scores.csv", flag, bad, "--out", tmp_path / "out")
+    assert code == 2
+    assert one_json_error(capsys).startswith(str(bad))
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_file_reports_json(corpus, capsys, tmp_path):
