@@ -293,13 +293,21 @@ def _build_graph(cfg: RunConfig, catalog):
 
 
 def _exclusion_groups(cfg: RunConfig, catalog):
-    """The plan's exclusion groups, of which there must be at least one."""
+    """The plan's exclusion groups, of which there must be at least one, and
+    their labels within --category, of which there must be one too."""
     from .cleanse import load_plan
 
     groups = _read(cfg, "plan", load_plan, catalog, sections=("exclusion_groups",)).exclusion_groups
     if not groups:
         raise LabelKitError(f"{cfg.plan}: plan has no exclusion groups")
-    return groups
+    labels = frozenset().union(*groups)
+    if cfg.category is not None:
+        labels &= catalog.category_ids(cfg.category)
+        if not labels:
+            raise LabelKitError(
+                f"{cfg.plan}: plan has no exclusion labels in category {cfg.category!r}"
+            )
+    return groups, labels
 
 
 def _load_eval(cfg: RunConfig, *required: str, relations=None, floor: float | None = None):
@@ -491,11 +499,10 @@ def cmd_eval_or(cfg: RunConfig):
 def cmd_eval_excl(cfg: RunConfig):
     from .metrics import enforce_exclusion, fbeta_report
 
-    scope, groups, truth, predictions, scores = _load_eval(cfg, "plan", relations=_exclusion_groups)
+    _, (groups, labels), truth, predictions, scores = _load_eval(
+        cfg, "plan", relations=_exclusion_groups
+    )
     predictions = enforce_exclusion(predictions, scores, groups)
-    labels = frozenset().union(*groups)  # the exclusion labels, within --category
-    if scope is not None:
-        labels &= scope
     touched = lambda sid: bool(truth.labels_for(sid) & labels)  # noqa: E731
     report = fbeta_report(predictions, truth, beta=cfg.beta, scope=labels, sample_filter=touched)
     return _finish_eval(

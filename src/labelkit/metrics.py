@@ -19,10 +19,10 @@ two C arrays hold every kept cell, an array of positions in the catalog's
 ascending id list (its labels dictionary-encoded: 2-byte ``array('H')``
 for a catalog of up to 65,536 labels, 4-byte ``array('I')`` past that) and
 an ``array('d')`` of scores, grouped by sample behind an ``array('I')`` of
-per-sample offsets. A sample's :class:`ScoreRow` is built over its cells
-only when it is read (late materialization); readers use its mapping
-interface. A plain score file is parsed in blocks, a column at a time; any
-other is parsed a row at a time, and only that path reports errors
+per-sample offsets. A sample reads as a plain ``{label id: score}`` dict,
+built in C from its slice only when it is read (late materialization). A
+plain score file is parsed in blocks, a column at a time; any other is
+parsed a row at a time, and only that path reports errors
 (:func:`parse_scores`). Every cell is validated, but a parse given a floor
 keeps only the cells scored at least that, the ones a decision threshold
 at or above it can predict (predicate pushdown, as in column stores:
@@ -42,6 +42,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Collection, Iterator, Mapping
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import ge, ne, not_, sub
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Sequence
@@ -62,49 +63,6 @@ NAN = float("nan")
 # Scores and thresholding
 
 
-class ScoreRow(Mapping):
-    """One sample's scores as two C arrays in file order, built when a
-    sample of a :class:`ScoreSet` is read: ``positions`` holds each label's
-    position in ``ids``, the ascending list of label ids that the whole
-    score set shares (a parsed set shares the catalog's own int objects),
-    as 2-byte unsigned ints in an ``array('H')`` (4-byte ``array('I')``
-    past 65,536 labels), and ``scores`` the matching scores as C doubles in
-    an ``array('d')``. Iteration and :meth:`items` map the positions back
-    through ``ids``, so readers get the label ids; :meth:`labels_at_least`
-    looks at the scores first and maps only the positions it keeps. A
-    lookup by label bisects ``ids`` and scans the positions, which suits the
-    few dozen labels a sample holds."""
-
-    __slots__ = ("ids", "positions", "scores")
-
-    def __init__(self, ids: list[int], positions: array, scores: array) -> None:
-        self.ids, self.positions, self.scores = ids, positions, scores
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def __iter__(self) -> Iterator[int]:
-        return map(self.ids.__getitem__, self.positions)
-
-    def __getitem__(self, label_id: int) -> float:
-        ids = self.ids
-        try:
-            at = bisect_left(ids, label_id)
-            if ids[at] == label_id:
-                return self.scores[self.positions.index(at)]
-        except (IndexError, TypeError, ValueError):  # past the end, not an id, not scored
-            pass
-        raise KeyError(label_id)
-
-    def items(self) -> Iterator[tuple[int, float]]:
-        return zip(map(self.ids.__getitem__, self.positions), self.scores)
-
-    def labels_at_least(self, cut: float) -> Iterator[int]:
-        """The labels scored at least ``cut``, in row order."""
-        kept = compress(self.positions, map(ge, self.scores, repeat(cut)))
-        return map(self.ids.__getitem__, kept)
-
-
 class ScoreSet(SampleTable):
     """Per-sample, per-label prediction scores in [0, 1], held as one
     compressed sparse row (CSR) table. ``_positions`` (each cell's position
@@ -115,8 +73,10 @@ class ScoreSet(SampleTable):
     the slice from ``_offsets[k]`` up to ``_offsets[k + 1]`` of both, and
     ``_index`` maps each sample id to its ``k``, the value it stores. A
     sample costs about 60 bytes more: its index entry, ordinal and offset.
-    It reads as a :class:`ScoreRow` over its slice, built each time it is
-    read, by :meth:`scores_for` and iteration alike.
+    Only its methods index the columns: a sample reads as a plain dict in
+    file order, built from its slice each time it is read, by
+    :meth:`scores_for` and iteration alike; :meth:`_predict` maps the slice
+    to labels with no dict.
 
     ``floor`` is the lowest cut the set can answer: one parsed with
     ``at_least`` keeps only the cells scored at least that, so
@@ -170,9 +130,15 @@ class ScoreSet(SampleTable):
         self._offsets.append(len(self._positions))
         return len(self._index)
 
-    def _read(self, sample_id: str, ordinal: int) -> ScoreRow:
+    def _read(self, sample_id: str, ordinal: int) -> dict[int, float]:
         cells = slice(self._offsets[ordinal], self._offsets[ordinal + 1])
-        return ScoreRow(self._ids, self._positions[cells], self._scores[cells])
+        return dict(zip(map(self._ids.__getitem__, self._positions[cells]), self._scores[cells]))
+
+    def _predict(self, cut: float, sample_id: str, ordinal: int) -> frozenset[int]:
+        """The labels of sample ``ordinal`` scored at least ``cut``."""
+        cells = slice(self._offsets[ordinal], self._offsets[ordinal + 1])
+        kept = compress(self._positions[cells], map(ge, self._scores[cells], repeat(cut)))
+        return frozenset(map(self._ids.__getitem__, kept))
 
     scores_for = SampleTable._lookup
 
@@ -506,9 +472,9 @@ def threshold(
 
     The result is a :class:`PredictionView` over the score set's sample
     ordinals (its own index when ``sample_ids`` are its ids in its order)
-    whose read is the score set's own: each read of a sample builds its
-    row and predictions again. The reports, the exclusion view,
-    ``write_annotations`` and ``compute_stats`` read each sample once.
+    whose read is the score set's ``_predict`` at this threshold: each read
+    of a sample maps its cells to labels again. The reports, the exclusion
+    view, ``write_annotations`` and ``compute_stats`` read each sample once.
     A threshold below the score set's ``floor`` raises :class:`EvalError`:
     the cells it would predict were not kept."""
     _check_decision_threshold(decision_threshold)
@@ -524,12 +490,7 @@ def threshold(
                 if sid in seen:
                     raise ValueError(f"duplicate sample id {sid!r}")
                 seen.add(sid)
-    read = scores._read
-
-    def predict(sample_id: str, ordinal: int) -> frozenset[int]:
-        return frozenset(read(sample_id, ordinal).labels_at_least(decision_threshold))
-
-    return PredictionView(index, scores.known_labels, predict)
+    return PredictionView(index, scores.known_labels, partial(scores._predict, decision_threshold))
 
 
 def _check_decision_threshold(value: float, name: str = "decision threshold") -> None:
@@ -575,12 +536,14 @@ def enforce_exclusion(
 
     def prune(sample_id: str, value: object) -> frozenset[int]:
         labels = predictions._read(sample_id, value)
-        row_scores = scores.scores_for(sample_id) if scores and sample_id in scores else {}
+        row_scores = None  # read once a group holds two of the labels
         dropped: set[int] = set()
         for group in groups:
             hits = labels & group
             if len(hits) < 2:
                 continue
+            if row_scores is None:
+                row_scores = scores.scores_for(sample_id) if scores and sample_id in scores else {}
             keep = max(hits, key=lambda i: (row_scores.get(i, 0.0), -i))
             dropped |= hits - {keep}
         return labels - dropped if dropped else labels

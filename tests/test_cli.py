@@ -1369,6 +1369,7 @@ def test_eval_excl_checks_its_plan_before_the_annotations_are_read(corpus, capsy
     ("sweep", "--plan"),
     ("sweep", "--graph-edges"),
     ("apply", "--plan"),
+    ("eval-excl", "--category"),
 ])
 def test_a_relation_file_is_checked_before_the_annotations_are_read(corpus, capsys, tmp_path,
                                                                     command, flag):
@@ -1376,10 +1377,16 @@ def test_a_relation_file_is_checked_before_the_annotations_are_read(corpus, caps
     # against the catalog alone, is read and fails before either is opened.
     bad = tmp_path / "bad-relations"
     bad.write_text("{not json" if flag == "--plan" else "france, nowhere\n")
+    relations = [flag, bad]
+    if flag == "--category":  # a valid plan, none of whose exclusion labels is in medium
+        bad, relations = corpus["plan"], ["--plan", corpus["plan"], "--category", "medium"]
     code = run(command, "--labels", corpus["labels"], "--annotations", tmp_path / "absent.csv",
-               "--scores", tmp_path / "absent-scores.csv", flag, bad, "--out", tmp_path / "out")
+               "--scores", tmp_path / "absent-scores.csv", *relations, "--out", tmp_path / "out")
     assert code == 2
-    assert one_json_error(capsys).startswith(str(bad))
+    error = one_json_error(capsys)
+    assert error.startswith(str(bad))
+    if flag == "--category":
+        assert error == f"{bad}: plan has no exclusion labels in category 'medium'"
     assert not (tmp_path / "out").exists()
 
 

@@ -4,9 +4,10 @@ and what they cost.
 An :class:`AnnotationSet` stores each sample as a tuple of its distinct
 labels and builds a frozenset when a sample is read; the oracle is an ordered dict of
 frozensets, read by the readers as they were when sets were stored. A
-:class:`ScoreRow` stores positions in a shared ascending id list; the oracle
-is a plain dict. Every way a set is built is covered: the constructor,
-``_trusted``, ``parse_annotations`` and each step of a cleaning plan.
+:class:`ScoreSet` stores positions in a shared ascending id list and reads
+a sample as a plain dict; the oracle is the dict it was built from. Every
+way a set is built is covered: the constructor, ``_trusted``,
+``parse_annotations`` and each step of a cleaning plan.
 """
 
 import gc
@@ -14,6 +15,7 @@ import io
 import random
 import sys
 import tracemalloc
+from array import array
 from collections import Counter
 from functools import partial
 
@@ -273,10 +275,10 @@ def test_prediction_views_read_as_frozensets(rows, cut, edges):
 
 
 # ---------------------------------------------------------------------------
-# ScoreRow against a dict
+# A score set's sample against a dict
 
 # Sparse ids, ids past the cached small ints, and ids no C integer holds, so
-# that positions, not ids, are what a row stores.
+# that positions, not ids, are what the table stores.
 WIDE_IDS = [0, 3, 255, 256, 257, 1000, 65_535, 65_536, 2**31, 2**32 + 5, 2**63, 10**30]
 
 
@@ -284,20 +286,11 @@ def wide_catalog(ids) -> LabelCatalog:
     return LabelCatalog(LabelRecord(i, "c", f"n{i}") for i in ids)
 
 
-def assert_mapping_as(row, cells: dict, probes) -> None:
-    assert row == cells and cells == row
-    assert list(row) == list(cells) and list(row.items()) == list(cells.items())
-    assert len(row) == len(cells)
-    for cut in (0.0, 0.25, 0.5, 1.0):
-        assert list(row.labels_at_least(cut)) == [k for k, v in cells.items() if v >= cut]
-    for key in probes:
-        assert (key in row) == (key in cells)
-        assert row.get(key) == cells.get(key) and row.get(key, -1.0) == cells.get(key, -1.0)
-        if key in cells:
-            assert row[key] == cells[key]
-        else:
-            with pytest.raises(KeyError):
-                row[key]
+def assert_dict_of(row, cells: dict) -> None:
+    """``row`` is a plain dict of ``cells``, in their order, with every
+    score bit (a -0.0 stays -0.0)."""
+    assert type(row) is dict and list(row.items()) == list(cells.items())
+    assert array("d", row.values()).tobytes() == array("d", cells.values()).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -314,18 +307,17 @@ def test_score_row_reads_as_a_dict(known, data):
         cells = data.draw(
             st.dictionaries(st.sampled_from(ids), st.floats(0.0, 1.0), max_size=len(ids))
         )
-    probes = [*ids, ids[0] - 1, ids[-1] + 1, -1, 1.5, "x", None]
-    row = ScoreSet([("a", cells)], known).scores_for("a")
-    assert row.ids == ids and row.positions.typecode == "H"
-    assert_mapping_as(row, cells, probes)
+    built = ScoreSet([("a", cells)], known)
+    assert built._ids == ids and built._positions.typecode == "H"
+    assert_dict_of(built.scores_for("a"), cells)
 
     catalog = wide_catalog(ids)
     text = "id,attribute_id,score\n" + "".join(f"a,{i},{s!r}\n" for i, s in cells.items())
     parsed = parse_scores(io.StringIO(text), catalog)
     if cells:
+        assert list(parsed._positions) == [ids.index(i) for i in cells]
         row = parsed.scores_for("a")
-        assert list(row.positions) == [ids.index(i) for i in cells]
-        assert_mapping_as(row, cells, probes)
+        assert_dict_of(row, cells)
         own = {record.id: record.id for record in catalog}
         assert all(label is own[label] for label in row)
     else:
@@ -344,28 +336,28 @@ def test_positions_hold_catalogs_past_65536_labels(n_labels, typecode):
     cells = {ids[-1]: 0.25, ids[0]: 1.0, ids[1000]: 0.5}
     built = ScoreSet([("a", cells)], ids)
     assert_one_layout(built, {"a": list(cells.items())})
-    row = built.scores_for("a")
-    assert row.positions.typecode == typecode
-    assert_mapping_as(row, cells, [ids[-1], ids[-1] + 1, ids[1001]])
+    assert built._positions.typecode == typecode
+    assert_dict_of(built.scores_for("a"), cells)
 
     catalog = wide_catalog(ids)
     text = "id,attribute_id,score\n" + "".join(f"a,{i},{s!r}\n" for i, s in cells.items())
-    row = parse_scores(io.StringIO(text), catalog).scores_for("a")
-    assert row.positions.typecode == typecode and list(row.positions) == [n_labels - 1, 0, 1000]
-    assert_mapping_as(row, cells, [ids[-1], ids[-1] + 1])
+    parsed = parse_scores(io.StringIO(text), catalog)
+    assert parsed._positions.typecode == typecode
+    assert list(parsed._positions) == [n_labels - 1, 0, 1000]
+    assert_dict_of(parsed.scores_for("a"), cells)
     # The row loop, which a quoted cell sends the file to, stores the same.
     quoted = text.replace(f"a,{ids[0]},", f'"a",{ids[0]},')
-    row = parse_scores(io.StringIO(quoted), catalog).scores_for("a")
-    assert row.positions.typecode == typecode and row == cells
+    parsed = parse_scores(io.StringIO(quoted), catalog)
+    assert parsed._positions.typecode == typecode
+    assert_dict_of(parsed.scores_for("a"), cells)
     # So do the slots of a file whose rows are not grouped by sample.
     lines = text.splitlines(keepends=True)
     interleaved = "".join([lines[0], lines[1], f"b,{ids[1]},0.75\n", *lines[2:]])
     parsed = parse_scores(io.StringIO(interleaved), catalog)
     assert parsed._positions.typecode == typecode
     assert_one_layout(parsed, {"a": list(cells.items()), "b": [(ids[1], 0.75)]})
-    row = parsed.scores_for("a")
-    assert row.positions.typecode == typecode and row == cells
-    assert parsed.scores_for("b") == {ids[1]: 0.75}
+    assert_dict_of(parsed.scores_for("a"), cells)
+    assert_dict_of(parsed.scores_for("b"), {ids[1]: 0.75})
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ the same reports.
 
 from __future__ import annotations
 
+import functools
+import io
 from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from labelkit.catalog import AnnotationSet
+from labelkit.catalog import AnnotationSet, LabelCatalog, LabelRecord
 from labelkit.cleanse import OrGroup
 from labelkit.errors import EvalError
 from labelkit.metrics import (
@@ -27,6 +29,7 @@ from labelkit.metrics import (
     fbeta_report,
     graph_fbeta_report,
     or_aware_report,
+    parse_scores,
     threshold,
 )
 from labelkit.relgraph import RelationGraph
@@ -181,26 +184,56 @@ def reports(predictions, truth, graph, or_groups, groups):
 # threshold
 
 
-@settings(max_examples=400, deadline=None)
-@given(
-    rows=SCORE_ROWS,
-    cut=st.sampled_from(GRID + [-0.1, 1.5]),
-    wanted=st.lists(st.sampled_from(SIDS + ["zz"]), max_size=7),
-)
-@example(rows={"a": {0: 0.1}, "b": {}}, cut=0.1, wanted=["b", "a"])
-@example(rows={"a": {0: 1.0, 1: 0.5}}, cut=1.0, wanted=["a"])
-@example(rows={"a": {}, "b": {}}, cut=0.0, wanted=["a", "b", "a"])
-@example(rows={"a": {}}, cut=0.5, wanted=["a", "a", "zz"])
-@example(rows={"a": {}}, cut=1.5, wanted=["zz", "a", "a"])
-def test_threshold_view_matches_eager(rows, cut, wanted):
-    scores = ScoreSet(rows.items(), KNOWN)
-    got = outcome(lambda: threshold(scores, cut, wanted))
-    want = outcome(lambda: oracle_threshold(scores, cut, wanted))
+@functools.cache
+def label_catalog(n_labels: int) -> LabelCatalog:
+    return LabelCatalog(LabelRecord(i, "c", f"n{i}") for i in range(n_labels))
+
+
+def assert_same_outcome(got, want):
     if want[0] != "ok":
         assert got == want
         return
     assert got[0] == "ok"
     assert_same_set(got[1], want[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    rows=SCORE_ROWS,
+    cut=st.sampled_from(GRID + [-0.1, 1.5]),
+    wanted=st.lists(st.sampled_from(SIDS + ["zz"]), max_size=7),
+    n_labels=st.sampled_from([len(KNOWN), 65_536, 65_537]),
+)
+@example(rows={"a": {0: 0.1}, "b": {}}, cut=0.1, wanted=["b", "a"], n_labels=65_537)
+@example(rows={"a": {0: 1.0, 1: 0.5}}, cut=1.0, wanted=["a"], n_labels=65_536)
+@example(rows={"a": {0: 0.1, 7: 0.5}, "b": {3: 0.0}}, cut=0.1, wanted=["b", "a"], n_labels=65_537)
+@example(rows={"a": {}, "b": {}}, cut=0.0, wanted=["a", "b", "a"], n_labels=len(KNOWN))
+@example(rows={"a": {}}, cut=0.5, wanted=["a", "a", "zz"], n_labels=len(KNOWN))
+@example(rows={"a": {}}, cut=1.5, wanted=["zz", "a", "a"], n_labels=len(KNOWN))
+def test_threshold_view_matches_eager(rows, cut, wanted, n_labels):
+    scores = ScoreSet(rows.items(), KNOWN)
+    assert_same_outcome(
+        outcome(lambda: threshold(scores, cut, wanted)),
+        outcome(lambda: oracle_threshold(scores, cut, wanted)),
+    )
+    if not 0.0 <= cut <= 1.0:
+        return
+    # The rows parsed with the cut as the set's floor, their labels the last
+    # of a catalog of ``n_labels``: 2-byte positions up to 65,536 labels,
+    # 4-byte ones past that. A sample with no cells has no row in the file.
+    catalog = label_catalog(n_labels)
+    shift = n_labels - len(KNOWN)
+    scored = {sid: {k + shift: s for k, s in row.items()} for sid, row in rows.items() if row}
+    text = "id,attribute_id,score\n" + "".join(
+        f"{sid},{label},{s!r}\n" for sid, row in scored.items() for label, s in row.items()
+    )
+    parsed = parse_scores(io.StringIO(text), catalog, at_least=cut)
+    assert parsed.floor == cut
+    assert parsed._positions.typecode == ("H" if n_labels <= 65_536 else "I")
+    assert_same_outcome(
+        outcome(lambda: threshold(parsed, cut, wanted)),
+        outcome(lambda: oracle_threshold(ScoreSet(scored.items(), catalog.ids()), cut, wanted)),
+    )
 
 
 def test_threshold_errors_keep_their_order():

@@ -53,6 +53,9 @@ class PlainRow:
     def __iter__(self):
         return iter(self.labels)
 
+    def values(self):
+        return self.scores
+
 
 def _reject_duplicates(samples, stream, start, source):
     repeats = {}  # sample id -> index of its first repeated cell
@@ -151,7 +154,7 @@ def outcome(parse, data, catalog=CATALOG, block_size=None, limit=DEFAULT_LIMIT):
         return ("undecodable",)  # the CLI names the file and line from the bytes
     finally:
         csv.field_size_limit(DEFAULT_LIMIT)
-    rows = [(sid, list(row), row.scores.tobytes()) for sid, row in scores]
+    rows = [(sid, list(row), array("d", row.values()).tobytes()) for sid, row in scores]
     return ("ok", rows, scores.known_labels)
 
 

@@ -5,6 +5,7 @@ cells scored under it taken out afterwards, every sample kept."""
 import csv
 import io
 import math
+from array import array
 from functools import partial
 
 import pytest
@@ -94,12 +95,14 @@ FLOORS = (0.0, 0.1, 0.5, 1.0)
 
 
 def outcome(parse, text):
-    """("ok", repr of the samples) or ("error", line, message)."""
+    """("ok", the samples' cells with their scores' exact bits) or ("error",
+    line, message)."""
     try:
         scores = parse(io.StringIO(text, newline=""), CATALOG)
     except ParseError as exc:
         return ("error", exc.line, str(exc))
-    return ("ok", repr([(sid, list(cells.items())) for sid, cells in scores]))
+    bits = [(sid, list(cells), array("d", cells.values()).tobytes()) for sid, cells in scores]
+    return ("ok", bits)
 
 
 def data_records(text):
@@ -247,7 +250,7 @@ def test_parsed_set_owns_its_dicts():
     assert len({id(cells) for cells in held}) == 2
     assert not {id(cells) for cells in held} & {id(cells) for _, cells in second}
     assert not {id(cells) for cells in held} & {id(v) for v in vars(CATALOG).values()}
-    first.scores_for("a").scores[0] = 0.75
+    first.scores_for("a")[0] = 0.75
     assert second.scores_for("a") == {0: 0.5, 1: 0.25}
     assert first.scores_for("b") == {0: 0.5}
     assert first.known_labels == CATALOG.ids()

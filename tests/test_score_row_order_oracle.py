@@ -2,8 +2,8 @@
 by attribute_id, and shuffled. The row loop as it was before the CSR table
 (``row_loop_parse_scores``, one row at a time into per-sample rows) is the
 oracle: both must give the samples in order of first appearance, each
-sample's cells in file order, the same ``labels_at_least`` at every cut, or
-the same file:line for the first repeated cell.
+sample's cells in file order, the same predictions at every cut the floor
+allows, or the same file:line for the first repeated cell.
 
 Small block sizes make samples straddle block boundaries; a copy with a
 quoted cell or CRLF line ends takes the row fallback instead of the blocks.
@@ -14,6 +14,7 @@ by sample keeps every cell's position until its repeats are looked for.
 
 import io
 import random
+from array import array
 from functools import partial
 from unittest import mock
 
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from labelkit import csvio, metrics
-from labelkit.metrics import parse_scores
+from labelkit.metrics import parse_scores, threshold
 from conftest import assert_one_layout, build_catalog, file_order_cells
 from test_score_blocks_oracle import (
     FLOORS,
@@ -74,12 +75,13 @@ def assert_matches_row_loop(
         scores = parse(stream, catalog)
     assert_one_layout(scores, file_order_cells(rows, at_least))
     assert scores.floor == at_least
+    views = {cut: threshold(scores, cut, scores.sample_ids()) for cut in CUTS if cut >= at_least}
     for sid, labels, score_bits in got[1]:
         row = scores.scores_for(sid)
-        cells = list(zip(labels, row.scores))
-        assert row.scores.tobytes() == score_bits
-        for cut in CUTS:
-            assert list(row.labels_at_least(cut)) == [label for label, s in cells if s >= cut]
+        assert type(row) is dict and list(row) == labels
+        assert array("d", row.values()).tobytes() == score_bits
+        for cut, view in views.items():
+            assert view.labels_for(sid) == {label for label, s in row.items() if s >= cut}
 
 
 @st.composite

@@ -1,8 +1,8 @@
 """The compact score table against the plain-dict table it replaced.
 
-A parsed :class:`ScoreSet` is one CSR table and builds a :class:`ScoreRow`
-when a sample is read: an ``array('I')`` of positions in the catalog's
-ascending id list and an ``array('d')`` of scores. :class:`PlainScores`,
+A parsed :class:`ScoreSet` is one CSR table, positions in the catalog's
+ascending id list and an ``array('d')`` of scores, and builds a plain dict
+from a sample's slice when the sample is read. :class:`PlainScores`,
 one ``{label: score}`` dict per sample, is the old layout; thresholding,
 exclusion and the sweep must give equal results on both.
 """
@@ -10,7 +10,6 @@ exclusion and the sweep must give equal results on both.
 import gc
 import io
 import tracemalloc
-from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +18,6 @@ from labelkit import csvio, metrics
 from labelkit.catalog import AnnotationSet, SampleTable
 from labelkit.errors import ParseError
 from labelkit.metrics import (
-    ScoreRow,
     ScoreSet,
     enforce_exclusion,
     parse_scores,
@@ -113,7 +111,7 @@ def test_compact_rows_match_plain_dicts(case):
     cells, truth = case["cells"], case["truth"]
     parsed = parse_scores(io.StringIO(scores_text(cells)), CATALOG)
     plain = plain_dicts(cells)
-    assert all(type(row) is ScoreRow for _, row in parsed)
+    assert all(type(row) is dict for _, row in parsed)
     assert [(sid, list(row.items())) for sid, row in parsed] == [
         (sid, list(row.items())) for sid, row in plain
     ]
@@ -246,28 +244,14 @@ def test_a_sample_back_after_a_dropped_cell_is_read_again(monkeypatch, quoted):
 
 
 # ---------------------------------------------------------------------------
-# The row mapping
-
-
-def test_score_row_is_a_mapping_over_two_columns():
-    # Positions in the shared ascending id list: 5 is at 1, 2 at 0.
-    row = ScoreRow([2, 5, 9], array("I", [1, 0]), array("d", [0.75, 0.25]))
-    assert row.scores == array("d", [0.75, 0.25])
-    assert row == {5: 0.75, 2: 0.25} and {2: 0.25, 5: 0.75} == row
-    assert (row[2], row.get(3), row.get(3, 0.0), 2 in row, 3 in row) == (0.25, None, 0.0, True, False)
-    assert list(row) == [5, 2] and len(row) == 2
-    with pytest.raises(KeyError):
-        row[3]
-    # An id of the shared list that the row does not score, and one past its end.
-    assert (row.get(9), 9 in row, 10 in row, "5" in row) == (None, False, False, False)
-    assert not hasattr(row, "__dict__")
+# A sample's dict
 
 
 def test_constructor_rows_are_compact_copies():
     cells = {3: 0.5, 1: 1}
     scores = ScoreSet([("a", cells)], KNOWN)
     row = scores.scores_for("a")
-    assert type(row) is ScoreRow
+    assert type(row) is dict
     assert list(row.items()) == [(3, 0.5), (1, 1.0)]
     cells[3] = 0.9
     assert row[3] == 0.5
