@@ -40,7 +40,7 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "csvio", "defaults", "reports"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "csvio", "defaults", "reports", "scorecache"}
 
 __all__ = sorted(_MODULE_OF)
 

@@ -316,9 +316,11 @@ def _load_eval(cfg: RunConfig, *required: str, relations=None, floor: float | No
     load order: --category's scope, ``relations(cfg, catalog)``, the truth,
     then the scores or predictions. An eval command takes exactly one of
     --predictions and --scores, kept from --threshold; sweep gives ``floor``
-    and gets no predictions: it thresholds the scores itself."""
+    and gets no predictions: it thresholds the scores itself. The scores are
+    read through the score cache (:mod:`labelkit.scorecache`)."""
     from .catalog import parse_annotations
-    from .metrics import parse_scores, threshold as binarize
+    from .metrics import threshold as binarize
+    from .scorecache import parse_scores
 
     catalog, scope = _load_catalog(cfg, "annotations", *required)
     sweep = floor is not None

@@ -44,7 +44,7 @@ from collections.abc import Collection, Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import ge, ne, not_, sub
+from operator import ge, gt, ne, not_, sub
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .catalog import AnnotationSet, LabelCatalog, SampleTable
@@ -74,9 +74,11 @@ class ScoreSet(SampleTable):
     ``_index`` maps each sample id to its ``k``, the value it stores. A
     sample costs about 60 bytes more: its index entry, ordinal and offset.
     Only its methods index the columns: a sample reads as a plain dict in
-    file order, built from its slice each time it is read, by
+    file order, built from its slice's cells (:meth:`_items`, which
+    :func:`sweep` walks with no dict) each time it is read, by
     :meth:`scores_for` and iteration alike; :meth:`_predict` maps the slice
-    to labels with no dict.
+    to labels with no dict; :meth:`_dump` and :meth:`_restore` write and
+    read the whole table for the CLI's score cache.
 
     ``floor`` is the lowest cut the set can answer: one parsed with
     ``at_least`` keeps only the cells scored at least that, so
@@ -130,9 +132,13 @@ class ScoreSet(SampleTable):
         self._offsets.append(len(self._positions))
         return len(self._index)
 
-    def _read(self, sample_id: str, ordinal: int) -> dict[int, float]:
+    def _items(self, ordinal: int) -> Iterator[tuple[int, float]]:
+        """The (label id, score) cells of sample ``ordinal``, in file order."""
         cells = slice(self._offsets[ordinal], self._offsets[ordinal + 1])
-        return dict(zip(map(self._ids.__getitem__, self._positions[cells]), self._scores[cells]))
+        return zip(map(self._ids.__getitem__, self._positions[cells]), self._scores[cells])
+
+    def _read(self, sample_id: str, ordinal: int) -> dict[int, float]:
+        return dict(self._items(ordinal))
 
     def _predict(self, cut: float, sample_id: str, ordinal: int) -> frozenset[int]:
         """The labels of sample ``ordinal`` scored at least ``cut``."""
@@ -142,8 +148,93 @@ class ScoreSet(SampleTable):
 
     scores_for = SampleTable._lookup
 
+    def _dump(self, stream: IO[bytes]) -> None:
+        """Write the table to the binary ``stream`` for :meth:`_restore`, as
+        numbers and text only: the number of samples and cells and the
+        positions' typecode; the length of each sample id in index order (a
+        sample's ordinal is its place in ``_index``) and the ids' UTF-8
+        text, a block of ids at a time; the offsets, positions and scores;
+        then a CRC-32 of all of it."""
+        import zlib
+
+        head = array("Q", [len(self), len(self._scores), ord(self._positions.typecode)])
+        ids = iter(self._index)
+        text = iter(lambda: "".join(islice(ids, 4096)).encode("utf-8", "surrogatepass"), b"")
+        parts = chain((head, array("I", map(len, self._index))), text,
+                      (self._offsets, self._positions, self._scores))
+        crc = 0
+        for part in parts:
+            stream.write(part)
+            crc = zlib.crc32(part, crc)
+        stream.write(crc.to_bytes(4, "little"))
+
+    @classmethod
+    def _restore(
+        cls, stream: IO[bytes], size: int, ids: list[int], known_labels: frozenset[int],
+        floor: float,
+    ) -> ScoreSet:
+        """The table :meth:`_dump` wrote into the ``size`` bytes left in
+        ``stream``, as :func:`parse_scores` returned it for a catalog with
+        the ascending ``ids`` and ``at_least=floor``. The sample ids are
+        decoded before the columns are read, each straight into its array
+        (:func:`_read_column`), so the text's copies are gone before the
+        columns take their room. The table is checked before it is adopted:
+        ``ValueError`` (or ``EOFError``) unless its columns fit in ``size``,
+        the id lengths add up to the text and no id repeats, the CRC-32
+        matches, the positions have the type ``ids`` gives them and each
+        indexes ``ids``, the offsets run from 0 to the last cell without
+        decreasing, and every score is in [floor, 1] (NaN is not)."""
+        import zlib
+
+        head = _read_column(stream, "Q", 3)
+        n_samples, n_cells, typecode = head
+        kind = _position_column(len(ids)).typecode
+        layout = (("I", n_samples + 1), (kind, n_cells), ("d", n_cells))
+        n_text = size - 4 - sum(
+            array(code).itemsize * n for code, n in (("Q", 3), ("I", n_samples), *layout)
+        )
+        if typecode != ord(kind) or n_text < 0:
+            raise ValueError("score table: bad column type or length")
+        lengths = _read_column(stream, "I", n_samples)
+        text = stream.read(n_text)
+        crc = zlib.crc32(text, zlib.crc32(lengths, zlib.crc32(head)))
+        text = text.decode("utf-8", "surrogatepass")
+        bounds = array("Q", accumulate(lengths, initial=0))
+        if bounds[-1] != len(text):
+            raise ValueError("score table: bad sample id lengths")
+        index = dict(zip(map(text.__getitem__, map(slice, bounds, islice(bounds, 1, None))), count()))
+        del text, bounds
+        if len(index) != n_samples:
+            raise ValueError("score table: repeated sample id")
+        offsets, positions, scores = (_read_column(stream, *part) for part in layout)
+        for part in (offsets, positions, scores):
+            crc = zlib.crc32(part, crc)
+        if stream.read(4) != crc.to_bytes(4, "little"):
+            raise ValueError("score table: checksum mismatch")
+        if offsets[0] != 0 or offsets[-1] != n_cells or any(
+            map(gt, offsets, islice(offsets, 1, None))
+        ):
+            raise ValueError("score table: bad offsets")
+        if n_cells:
+            total = sum(scores)  # NaN if any score is NaN
+            if max(positions) >= len(ids) or total != total or not (
+                floor <= min(scores) and max(scores) <= 1.0
+            ):
+                raise ValueError("score table: cell out of range")
+        return cls._trusted(index, known_labels, ids, offsets, positions, scores, floor)
+
 
 _SCORE_COLUMNS = ("id", "attribute_id", "score")
+
+
+def _read_column(stream: IO[bytes], typecode: str, n: int) -> array:
+    """``n`` items of type ``typecode`` read from ``stream`` into a new
+    array, with no bytes object of their size in between (as
+    ``array.fromfile`` would make); ``EOFError`` if the stream ends first."""
+    column = array(typecode, [0]) * n
+    if stream.readinto(column) != n * column.itemsize:
+        raise EOFError("score table: truncated")
+    return column
 
 
 def _position_column(n_labels: int) -> array:
@@ -976,12 +1067,13 @@ def sweep(
     misses: list[list[int]] = [[] for _ in range(n)]
     graph_steps = [[0, 0, 0] for _ in range(n + 1)]
     fn = dict.fromkeys(classes, 0)
+    index = scores._index
     for sid, labels in truth:
         t = labels & class_set
         for label in t:
             fn[label] += 1
         entering: dict[int, list[int]] = {}
-        for label, score in scores.scores_for(sid).items():
+        for label, score in scores._items(index[sid]):
             if label in class_set:
                 i = bisect_right(grid, score) - 1
                 if i >= 0:

@@ -69,6 +69,15 @@ def build_annotations(catalog, rows=MINI_SAMPLE_ROWS) -> AnnotationSet:
     )
 
 
+@pytest.fixture(autouse=True)
+def private_cache_home(tmp_path_factory, monkeypatch):
+    """Each test gets its own empty cache home, which the CLI children it
+    starts inherit, so no test reads or writes the user's score cache."""
+    home = tmp_path_factory.mktemp("cache-home")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home
+
+
 @pytest.fixture
 def mini_catalog() -> LabelCatalog:
     return build_catalog()

@@ -1,6 +1,7 @@
 """Start-up cost: ``import labelkit`` loads no module, each CLI command loads
-only the modules it runs, OpenSSL's hash module only when a command digests
-an input of 8 MiB or more, and every exported name still resolves."""
+only the modules it runs (the score cache only for the commands that read
+scores), OpenSSL's hash module only when a command digests an input of
+8 MiB or more, and every exported name still resolves."""
 
 import hashlib
 import importlib
@@ -13,6 +14,7 @@ import pytest
 
 import labelkit
 from conftest import annotations_csv, labels_csv
+from test_cli import make_plan_json
 
 SRC = Path(labelkit.__file__).resolve().parents[1]
 
@@ -36,6 +38,8 @@ except SystemExit as exc:
 BASE = {"labelkit", "labelkit.cli", "labelkit.defaults", "labelkit.errors"}
 INSPECT = BASE | {"labelkit.catalog", "labelkit.csvio", "labelkit.reports"}
 CLEANSE = INSPECT | {"labelkit.cleanse", "labelkit.textkit"}
+SCORES = {"labelkit.metrics", "labelkit.scorecache"}
+EVAL = ["--labels", "labels.csv", "--annotations", "annotations.csv", "--scores", "scores.csv"]
 
 
 def loaded_modules(code: str, *argv, cwd: Path) -> set[str]:
@@ -58,6 +62,7 @@ def files(tmp_path):
         "id,attribute_id,score\n" + "".join(f"s{i},12,0.5\n" for i in range(1, 9))
     )
     (tmp_path / "family.csv").write_text("model,f_score,g_score\na,0.1,0.2\nb,0.3,0.4\n")
+    (tmp_path / "plan.json").write_text(make_plan_json())
     return tmp_path
 
 
@@ -74,19 +79,27 @@ def files(tmp_path):
         ),
         (["dupes", "--labels", "labels.csv"], 0, CLEANSE),
         (["hierarchy", "--labels", "labels.csv"], 0, CLEANSE),
+        (["connectives", "--labels", "labels.csv"], 0, CLEANSE),
         (
-            ["eval", "--labels", "labels.csv", "--annotations", "annotations.csv",
-             "--scores", "scores.csv"],
+            ["apply", "--labels", "labels.csv", "--annotations", "annotations.csv",
+             "--plan", "plan.json", "--out", "cleaned"],
             0,
-            INSPECT | {"labelkit.metrics"},
+            CLEANSE,
         ),
+        (["graph", "--labels", "labels.csv", "--out", "graph"], 0, CLEANSE | {"labelkit.relgraph"}),
+        (["eval", *EVAL], 0, INSPECT | SCORES),
+        (["eval-or", *EVAL], 0, CLEANSE | SCORES),
+        (["eval-excl", *EVAL, "--plan", "plan.json"], 0, CLEANSE | SCORES),
+        (["eval-graph", *EVAL], 0, CLEANSE | SCORES | {"labelkit.relgraph"}),
+        (["sweep", *EVAL, "--out", "sweep"], 0, INSPECT | SCORES | {"labelkit.metricmp"}),
         (
             ["compare", "--family", "family.csv"],
             0,
             BASE | {"labelkit.csvio", "labelkit.metricmp", "labelkit.reports"},
         ),
     ],
-    ids=["version", "help", "usage-error", "inspect", "dupes", "hierarchy", "eval", "compare"],
+    ids=["version", "help", "usage-error", "inspect", "dupes", "hierarchy", "connectives", "apply",
+         "graph", "eval", "eval-or", "eval-excl", "eval-graph", "sweep", "compare"],
 )
 def test_command_loads_only_its_modules(files, argv, status, modules):
     assert loaded_modules(CHILD, *argv, cwd=files) == {str(status)} | modules
@@ -141,7 +154,7 @@ EXPORTS = {
     ],
 }
 SUBMODULES = ["catalog", "cleanse", "cli", "csvio", "defaults", "errors", "metricmp",
-              "metrics", "relgraph", "reports", "textkit"]
+              "metrics", "relgraph", "reports", "scorecache", "textkit"]
 
 
 def test_exports_resolve_to_their_modules_objects():

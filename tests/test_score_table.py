@@ -50,6 +50,9 @@ class PlainScores(SampleTable):
     def _read(self, sample_id, scores):
         return scores
 
+    def _items(self, scores):  # the cells sweep walks
+        return scores.items()
+
     scores_for = SampleTable._lookup
 
 
